@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .disk import SubCopyRef, build_disk, sub_copy_offset
 from .errors import ConstructionBroken, ParameterError
-from .rect import Rect, Vec2, union_interiors_disjoint
+from .rect import Rect, Vec2, _rect_array, _sweep
 from .ruler import PrefixTable, prefix_sum
 
 
@@ -88,14 +88,12 @@ def iter_lemma2_cases(m: int, n: int) -> Iterator[Lemma2Case]:
 
 def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     """Check every case for (m, n); None if all disjoint, else first failure."""
-    shape = build_disk(m, n)
-    rects = shape.rects()
+    rects = _rect_array(build_disk(m, n).rects())
     table = PrefixTable.build(2**n)
     for case in iter_lemma2_cases(m, n):
-        y_r = prefix_sum(case.r - 1, table)
-        off = Vec2((case.r - 1) * m + case.xstar, y_r - case.ystar)
-        shifted = [r.translate(off) for r in rects]
-        if not union_interiors_disjoint(rects, shifted):
+        dx = (case.r - 1) * m + case.xstar
+        dy = prefix_sum(case.r - 1, table) - case.ystar
+        if _sweep(rects, rects + (dx, dy, dx, dy)) is None:
             return case
     return None
 

@@ -2,16 +2,22 @@
 
 Closed-rectangle semantics throughout: two rects "touch" when their closed
 intersection is nonempty while their interiors are disjoint.  All
-coordinates are Python ints, so every test here is exact.
+coordinates are Python ints, so every test here is exact.  The pairwise
+sweep behind union_interiors_disjoint and contact_components runs on int64
+numpy arrays; it only compares, takes max/min and subtracts, and it rejects
+any coordinate with |v| >= 2**61 (RangeError), so it stays exact too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Optional
 
-from .errors import ContractViolation, ParameterError
+import numpy as np
+
+from .errors import ContractViolation, ParameterError, RangeError
 
 POINT = "point"
 HSEG = "horizontal-segment"
@@ -121,38 +127,59 @@ def closed_contact(a: Rect, b: Rect) -> Optional[ContactComponent]:
     return hseg(iy0, ix0, ix1)
 
 
-def _candidate_pairs(
-    A: Iterable[Rect], B: Iterable[Rect], closed: bool
-) -> Iterator[tuple[Rect, Rect]]:
-    """Pairs whose x-ranges overlap (openly or closedly).
+_LIMIT = 2**61
+# rows [x, y0, y1] of vertical, [y, x0, x1] of horizontal and [x, y] of point contacts
+_Contacts = tuple[list[list[int]], list[list[int]], list[list[int]]]
 
-    B is sorted by x0 once; for each rect of A a binary search bounds the
-    candidate window, padded on the left by B's maximum width so rects
-    starting earlier but reaching into the window are not missed.
+
+def _rect_array(rects: Iterable[Rect]) -> np.ndarray:
+    """Rects as a (k, 4) int64 array of rows [x0, y0, x1, y1]."""
+    try:
+        return np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects], dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        raise RangeError("rect coordinates exceed the int64 sweep bound 2**61") from None
+
+
+def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
+    """Touching pairs of two (k, 4) int64 rect arrays, or None on interior overlap.
+
+    B is sorted by x0; each rect a of A is paired with the B rects whose x0
+    lies in [a.x0 - max width of B, a.x1], which holds every B rect whose
+    closed x-range meets a's.  All closed intersections are taken at once;
+    one open in both axes is an interior overlap.  Only the touching pairs
+    go back to Python ints.  Coordinates with |v| >= 2**61 raise RangeError,
+    so every width, window bound and intersection fits in int64.
     """
-    B_sorted = sorted(B, key=lambda r: (r.x0, r.y0, r.x1, r.y1))
-    if not B_sorted:
-        return
-    xs = [r.x0 for r in B_sorted]
-    max_w = max(r.width for r in B_sorted)
-    for a in A:
-        lo = bisect_left(xs, a.x0 - max_w)
-        hi = bisect_right(xs, a.x1) if closed else bisect_left(xs, a.x1)
-        for b in B_sorted[lo:hi]:
-            if closed:
-                if b.x1 >= a.x0:
-                    yield a, b
-            else:
-                if b.x1 > a.x0:
-                    yield a, b
+    for arr in (A, B):
+        if arr.size and (arr.min() <= -_LIMIT or arr.max() >= _LIMIT):
+            raise RangeError("rect coordinates exceed the int64 sweep bound 2**61")
+    if not len(A) or not len(B):
+        return [], [], []
+    B = B[np.argsort(B[:, 0], kind="stable")]
+    lo = np.searchsorted(B[:, 0], A[:, 0] - (B[:, 2] - B[:, 0]).max(), "left")
+    hi = np.searchsorted(B[:, 0], A[:, 2], "right")
+    counts = hi - lo
+    ia = np.repeat(np.arange(len(A)), counts)
+    ib = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    low = np.maximum(A[ia, :2], B[ib, :2])
+    high = np.minimum(A[ia, 2:], B[ib, 2:])
+    gap = high - low
+    if (gap > 0).all(axis=1).any():
+        return None
+    meet = (gap >= 0).all(axis=1)
+    low, high, gap = low[meet], high[meet], gap[meet]
+    flat_x, flat_y = gap[:, 0] == 0, gap[:, 1] == 0
+    vertical = np.column_stack((low[:, 0], low[:, 1], high[:, 1]))[flat_x & ~flat_y]
+    horizontal = np.column_stack((low[:, 1], low[:, 0], high[:, 0]))[flat_y & ~flat_x]
+    return vertical.tolist(), horizontal.tolist(), low[flat_x & flat_y].tolist()
 
 
 def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
-    """True iff no rect of A interior-overlaps any rect of B."""
-    for a, b in _candidate_pairs(A, B, closed=False):
-        if max(a.y0, b.y0) < min(a.y1, b.y1):
-            return False
-    return True
+    """True iff no rect of A interior-overlaps any rect of B.
+
+    Raises RangeError for coordinates with |v| >= 2**61.
+    """
+    return _sweep(_rect_array(A), _rect_array(B)) is not None
 
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -166,48 +193,43 @@ def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
+def _merge_lines(rows: Iterable[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
+    """Rows (line, lo, hi) merged into maximal runs per line."""
+    lines: dict[int, list[tuple[int, int]]] = {}
+    for line, lo, hi in rows:
+        lines.setdefault(line, []).append((lo, hi))
+    return {line: _merge_intervals(runs) for line, runs in lines.items()}
+
+
+def _on_runs(runs: list[tuple[int, int]], v: int) -> bool:
+    """True iff v lies in one of the sorted, disjoint closed runs."""
+    i = bisect_right(runs, v, key=itemgetter(0))
+    return i > 0 and v <= runs[i - 1][1]
+
+
+def _components(contacts: _Contacts) -> list[ContactComponent]:
+    """Touching pairs from _sweep as maximal components in canonical order."""
+    vertical, horizontal, points = contacts
+    verticals, horizontals = _merge_lines(vertical), _merge_lines(horizontal)
+    components = [vseg(x, ya, yb) for x, runs in verticals.items() for ya, yb in runs]
+    components += [hseg(y, xa, xb) for y, runs in horizontals.items() for xa, xb in runs]
+    for x, y in set(map(tuple, points)):
+        if not (_on_runs(verticals.get(x, []), y) or _on_runs(horizontals.get(y, []), x)):
+            components.append(point_component((x, y)))
+    return sorted(components, key=lambda c: (c.kind, c.a, c.b))
+
+
 def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
     """All maximal contact components between the unions of A and B.
 
     Collinear touching segments are merged; a point lying on some segment is
     absorbed by it.  Output order is canonical: sorted by (kind, a, b).
+    Raises RangeError for coordinates with |v| >= 2**61.
     """
-    if not union_interiors_disjoint(A, B):
+    contacts = _sweep(_rect_array(A), _rect_array(B))
+    if contacts is None:
         raise ContractViolation("unions have overlapping interiors")
-    verticals: dict[int, list[tuple[int, int]]] = {}
-    horizontals: dict[int, list[tuple[int, int]]] = {}
-    points: set[tuple[int, int]] = set()
-    for a, b in _candidate_pairs(A, B, closed=True):
-        c = closed_contact(a, b)
-        if c is None:
-            continue
-        if c.kind == VSEG:
-            verticals.setdefault(c.a[0], []).append((c.a[1], c.b[1]))
-        elif c.kind == HSEG:
-            horizontals.setdefault(c.a[1], []).append((c.a[0], c.b[0]))
-        else:
-            points.add(c.a)
-
-    components: list[ContactComponent] = []
-    for x, runs in verticals.items():
-        for ya, yb in _merge_intervals(runs):
-            components.append(vseg(x, ya, yb))
-    for y, runs in horizontals.items():
-        for xa, xb in _merge_intervals(runs):
-            components.append(hseg(y, xa, xb))
-
-    def absorbed(p: tuple[int, int]) -> bool:
-        px, py = p
-        for x, runs in verticals.items():
-            if px == x and any(ya <= py <= yb for ya, yb in _merge_intervals(runs)):
-                return True
-        for y, runs in horizontals.items():
-            if py == y and any(xa <= px <= xb for xa, xb in _merge_intervals(runs)):
-                return True
-        return False
-
-    components.extend(point_component(p) for p in points if not absorbed(p))
-    return sorted(components, key=lambda c: (c.kind, c.a, c.b))
+    return _components(contacts)
 
 
 def total_contact_length(components: list[ContactComponent]) -> int:

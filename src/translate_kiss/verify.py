@@ -15,9 +15,12 @@ from .placement import _check_theorem_params, place_translates
 from .rect import (
     ContactComponent,
     Vec2,
+    _components,
+    _merge_lines,
+    _rect_array,
+    _sweep,
     contact_components,
     total_contact_length,
-    union_interiors_disjoint,
 )
 
 
@@ -51,38 +54,25 @@ def verify_construction(m: int, n: int) -> Certificate:
     _check_theorem_params(m, n)
     shape = build_disk(m, n)
     scene = place_translates(m, n)
-    placed = [[r.translate(t) for r in shape.rects()] for t in scene.offsets]
+    rects = _rect_array(shape.rects())
+    placed = [rects + (t.dx, t.dy, t.dx, t.dy) for t in scene.offsets]
 
     verdicts: list[PairVerdict] = []
     touching = 0
-    all_disjoint = True
     for i, j in combinations(range(n + 1), 2):
-        disjoint = union_interiors_disjoint(placed[i], placed[j])
-        contacts: tuple[ContactComponent, ...] = ()
-        seg_total = 0
-        if disjoint:
-            contacts = tuple(contact_components(placed[i], placed[j]))
-            seg_total = total_contact_length(contacts)
-        else:
-            all_disjoint = False
+        raw = _sweep(placed[i], placed[j])
+        contacts = () if raw is None else tuple(_components(raw))
+        seg_total = total_contact_length(contacts)
         if i == 0 and seg_total >= 1:
             touching += 1
-        verdicts.append(
-            PairVerdict(
-                i=i,
-                j=j,
-                interiors_disjoint=disjoint,
-                contacts=contacts,
-                segment_length_total=seg_total,
-            )
-        )
+        verdicts.append(PairVerdict(i, j, raw is not None, contacts, seg_total))
     return Certificate(
         m=m,
         n=n,
         offsets=scene.offsets,
         pair_verdicts=tuple(verdicts),
         touching_count=touching,
-        ok=all_disjoint and touching == n,
+        ok=all(v.interiors_disjoint for v in verdicts) and touching == n,
     )
 
 
@@ -101,24 +91,8 @@ class VerticalRun:
 
 def rightward_runs(shape: Shape) -> list[VerticalRun]:
     """Maximal vertical runs formed by merging collinear piece right edges."""
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for p in shape.pieces:
-        columns.setdefault(p.rect.x1, []).append((p.rect.y0, p.rect.y1))
-    runs: list[VerticalRun] = []
-    for x in sorted(columns):
-        for y0, y1 in _merge(columns[x]):
-            runs.append(VerticalRun(x, y0, y1))
-    return runs
-
-
-def _merge(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    columns = _merge_lines((p.rect.x1, p.rect.y0, p.rect.y1) for p in shape.pieces)
+    return [VerticalRun(x, y0, y1) for x in sorted(columns) for y0, y1 in columns[x]]
 
 
 @dataclass(frozen=True)

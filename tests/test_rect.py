@@ -1,16 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from translate_kiss import (
     ContractViolation,
     ParameterError,
+    RangeError,
     Rect,
     Vec2,
+    build_disk,
     closed_contact,
     contact_components,
     interiors_overlap,
     total_contact_length,
     union_interiors_disjoint,
+    verify_construction,
 )
 
 coords = st.integers(min_value=-8, max_value=8)
@@ -28,6 +33,39 @@ def rects(draw):
 rect_lists = st.lists(rects(), min_size=0, max_size=8)
 
 
+@st.composite
+def soups(draw):
+    """Up to 40 rects on a small grid, so duplicates, overlaps inside one
+    list and shared edges and corners are all common."""
+    base = draw(st.lists(rects(), max_size=30))
+    if not base:
+        return base
+    return base + draw(st.lists(st.sampled_from(base), max_size=10))
+
+
+@st.composite
+def disjoint_soups(draw):
+    """(A, B) with disjoint unions, from a grid of unit cells each labelled
+    A, B or empty.  Each list holds its cells, the maximal horizontal runs
+    of them and some duplicates, so rects overlap inside one list while A
+    and B meet only along shared edges and corners."""
+    labels = draw(st.lists(st.sampled_from(".AB"), min_size=25, max_size=25))
+    lists = []
+    for mark in "AB":
+        cells = [(i % 5 - 2, i // 5 - 2) for i, c in enumerate(labels) if c == mark]
+        soup = [Rect(x, y, x + 1, y + 1) for x, y in cells]
+        for x, y in cells:
+            if (x - 1, y) not in cells:
+                x1 = x + 1
+                while (x1, y) in cells:
+                    x1 += 1
+                soup.append(Rect(x, y, x1, y + 1))
+        if soup:
+            soup += draw(st.lists(st.sampled_from(soup), max_size=5))
+        lists.append(draw(st.permutations(soup)))
+    return tuple(lists)
+
+
 def naive_union_disjoint(A, B):
     return not any(interiors_overlap(a, b) for a in A for b in B)
 
@@ -37,6 +75,8 @@ def naive_contacts(A, B):
     points, hsegs, vsegs = set(), [], []
     for a in A:
         for b in B:
+            if a.x0 > b.x1 or b.x0 > a.x1 or a.y0 > b.y1 or b.y0 > a.y1:
+                continue  # closed_contact would return None; skipping saves time
             c = closed_contact(a, b)
             if c is None:
                 continue
@@ -140,7 +180,7 @@ class TestUnionDisjoint:
         assert union_interiors_disjoint([], [Rect(0, 0, 1, 1)])
         assert union_interiors_disjoint([Rect(0, 0, 1, 1)], [])
 
-    @given(A=rect_lists, B=rect_lists)
+    @given(A=soups(), B=soups())
     def test_matches_naive(self, A, B):
         assert union_interiors_disjoint(A, B) == naive_union_disjoint(A, B)
 
@@ -199,6 +239,17 @@ class TestContactComponents:
         got = {(c.kind, c.a, c.b) for c in contact_components(A, B)}
         assert got == naive_contacts(A, B)
 
+    @given(pair=disjoint_soups())
+    def test_soups_match_naive(self, pair):
+        A, B = pair
+        got = {(c.kind, c.a, c.b) for c in contact_components(A, B)}
+        assert got == naive_contacts(A, B)
+
+    def test_empty_lists(self):
+        assert contact_components([], [Rect(0, 0, 1, 1)]) == []
+        assert contact_components([Rect(0, 0, 1, 1)], []) == []
+        assert contact_components([], []) == []
+
     @given(A=rect_lists, B=rect_lists)
     def test_order_independent(self, A, B):
         if not union_interiors_disjoint(A, B):
@@ -222,3 +273,63 @@ class TestContactComponents:
             for c in base
         )
         assert moved == sorted((c.kind, c.a, c.b) for c in shifted)
+
+
+class TestSweepRange:
+    """The sweep runs on int64 and accepts only |v| < 2**61."""
+
+    @pytest.mark.parametrize("far", [
+        Rect(2**70, 0, 2**70 + 1, 1),
+        Rect(2**61 - 1, 0, 2**61, 1),
+        Rect(-(2**61), 0, 0, 1),
+    ])
+    def test_out_of_range_rejected(self, far):
+        near = [Rect(0, 0, 1, 1)]
+        for A, B in (([far], near), (near, [far])):
+            with pytest.raises(RangeError):
+                union_interiors_disjoint(A, B)
+            with pytest.raises(RangeError):
+                contact_components(A, B)
+
+    def test_largest_coordinates_exact(self):
+        top = 2**61 - 1
+        A = [Rect(-top, 0, top, 1), Rect(top - 1, 1, top, 2)]
+        B = [Rect(-top, 1, top - 1, 2), Rect(top - 2, -top, top, 0)]
+        assert union_interiors_disjoint(A, B) == naive_union_disjoint(A, B)
+        comps = contact_components(A, B)
+        assert {(c.kind, c.a, c.b) for c in comps} == naive_contacts(A, B)
+        assert total_contact_length(comps) == 2 * top + 2
+
+
+class TestTranslatesMatchNaive:
+    """The sweep against the all-pairs oracle on the construction itself."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_pair(self, n):
+        for m in (n, n + 1, n + 2):
+            cert = verify_construction(m, n)
+            rects = build_disk(m, n).rects()
+            placed = [[r.translate(t) for r in rects] for t in cert.offsets]
+            for v in cert.pair_verdicts:
+                A, B = placed[v.i], placed[v.j]
+                assert v.interiors_disjoint == naive_union_disjoint(A, B)
+                assert {(c.kind, c.a, c.b) for c in v.contacts} == naive_contacts(A, B)
+
+    def test_random_offsets_5_4(self):
+        # offsets up to the bounding box size reach every relative position
+        # in which the two translates can meet
+        rects = build_disk(5, 4).rects()
+        w = max(r.x1 for r in rects) - min(r.x0 for r in rects)
+        h = max(r.y1 for r in rects) - min(r.y0 for r in rects)
+        rng = random.Random(4)
+        for _ in range(3000):
+            v = Vec2(rng.randint(-w, w), rng.randint(-h, h))
+            B = [r.translate(v) for r in rects]
+            try:  # closed_contact raises on the first overlapping pair
+                expected = naive_contacts(rects, B)
+            except ContractViolation:
+                expected = None
+            assert union_interiors_disjoint(rects, B) == (expected is not None), v
+            if expected is not None:
+                got = {(c.kind, c.a, c.b) for c in contact_components(rects, B)}
+                assert got == expected, v

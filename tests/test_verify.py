@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from translate_kiss import (
@@ -5,9 +7,34 @@ from translate_kiss import (
     Vec2,
     build_disk,
     rightward_runs,
+    serialize,
     verify_construction,
     verify_touching_heights,
 )
+
+# sha256 of serialize(verify_construction(m, n)), schema tk-1, for the
+# parameters of acceptance criterion 5, as the pure-Python rect sweep
+# produced them before the int64 sweep replaced it
+GOLDEN_CERTIFICATES = {
+    (2, 2): "c8917c9ec9532fbef6e35f0d0bc52551177fe6ec02e99f6ffd622781d6dee8f9",
+    (4, 2): "0dd9b1d9288510fa4274f2c99be8a73973b9889860656d27ce30fdcb4a3e8cbf",
+    (3, 3): "e0f7aa040ba590fcb2392426d1989f81b64a60af68759a9880973cc9f67cd1ac",
+    (5, 3): "da8a4b64a4d45babc1526b3037d2530a85f81c6ca40f9cfa9111b796eaea66f3",
+    (4, 4): "b3f6686d3ef6134b7f9fc7ac5f574a7f39af1eaf6da7f14f401ab017216a1916",
+    (6, 4): "36c2ecf5cf268336e7439ae2852dd9e044aa08bd939b6a6bfe1633b0e1c8298d",
+    (5, 5): "2430f65c66ea9f3d8cc6ed8710a45ac2fdaded0e9ad56ce6421eab15b1aeaa04",
+    (7, 5): "1a80720e1d62a5f4b2ac7ae7f3e54e11d23e728b241c28da4a17e2174b502a17",
+    (6, 6): "86fc4be1e05b2ca209132c03e9f7429ca41608998eb11499b4efe5fc745657a6",
+    (8, 6): "18ed1d9d710188414e6dcfd10ed69e2eb1c8c7c1f50ec3c44aa06f513459e9f7",
+    (7, 7): "0244561eb0f0032fb55ae81993bd7bbf6a26952ecc6c856a2736c4ab3cd5e8fb",
+    (9, 7): "fed2ca43092565a9799499fb6a144802cb9a54b3cb250d16071fb6ff9f87c7a6",
+    (8, 8): "f208241b15174c3d23e50325e75d520a801bd3351164ed80cafc76681300d055",
+    (10, 8): "9e8227ba6fd9626fc860e43b422f068317561b36531449fa7f5503548eaf7247",
+    (9, 9): "600468f188d43313d162fe1a256c7dc680d64ad031a7e32572b44ac5b6fb1024",
+    (11, 9): "18f60fca84b739c33b5273a32cf5fe848d12910508eb4c9e5ae2fbc57cba708b",
+    (10, 10): "67bcb9248f6bcac2a04c06095267733052e79b0ffb28a979c06cafa829c4477c",
+    (12, 10): "ebfae977786d4892c08849089699f878b07725f9759d2e8c44fb21857589e189",
+}
 
 
 def find_verdict(cert, i, j):
@@ -63,6 +90,12 @@ class TestVerifyConstruction:
             verify_construction(4, 1)
         with pytest.raises(ParameterError):
             verify_construction(2, 3)
+
+
+@pytest.mark.parametrize("m, n", GOLDEN_CERTIFICATES)
+def test_certificate_bytes_golden(m, n):
+    data = serialize(verify_construction(m, n))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CERTIFICATES[(m, n)]
 
 
 class TestRightwardRuns:
