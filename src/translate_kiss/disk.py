@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .rect import Rect, Vec2
-from .ruler import PrefixTable, prefix_sum
+from .rect import Rect, Vec2, bounding_box
+from .ruler import ruler_sum
 
 BAR = "bar"
 CONNECTOR = "connector"
@@ -43,18 +43,11 @@ class Shape:
         return [p.rect for p in self.pieces]
 
     def bounding_box(self) -> Rect:
-        rs = self.rects()
-        return Rect(
-            min(r.x0 for r in rs),
-            min(r.y0 for r in rs),
-            max(r.x1 for r in rs),
-            max(r.y1 for r in rs),
-        )
+        return bounding_box(self.rects())
 
     @property
     def height(self) -> int:
-        bb = self.bounding_box()
-        return bb.y1 - bb.y0
+        return self.bounding_box().height
 
 
 @dataclass(frozen=True)
@@ -78,36 +71,32 @@ def _validate_ref(n: int, ref: SubCopyRef) -> None:
         )
 
 
-def _build(m: int, n: int) -> Shape:
-    bars = 2**n
-    table = PrefixTable.build(max(bars, 1))
-    pieces: list[Piece] = []
-    for i in range(1, bars + 1):
-        y = prefix_sum(i - 1, table)
-        pieces.append(Piece(BAR, i, Rect((i - 1) * m, y, i * m, y + 1)))
-        if i < bars:
-            y_next = prefix_sum(i, table)
-            pieces.append(Piece(CONNECTOR, i, Rect(i * m - 1, y + 1, i * m, y_next + 1)))
-    return Shape(m=m, n=n, pieces=tuple(pieces))
-
-
-def build_disk(m: int, n: int) -> Shape:
-    """Build the (m, n) disk from the closed-form bar/connector coordinates."""
+def _check_disk_params(m: int, n: int) -> None:
     if m < 2:
         raise ParameterError(f"need bar width m >= 2, got {m}")
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    return _build(m, n)
+
+
+def build_disk(m: int, n: int) -> Shape:
+    """Build the (m, n) disk from the closed-form bar/connector coordinates."""
+    _check_disk_params(m, n)
+    bars = 2**n
+    pieces: list[Piece] = []
+    for i in range(1, bars + 1):
+        y = ruler_sum(i - 1)
+        pieces.append(Piece(BAR, i, Rect((i - 1) * m, y, i * m, y + 1)))
+        if i < bars:
+            pieces.append(Piece(CONNECTOR, i, Rect(i * m - 1, y + 1, i * m, ruler_sum(i) + 1)))
+    return Shape(m=m, n=n, pieces=tuple(pieces))
 
 
 def sub_copy_offset(m: int, n: int, ref: SubCopyRef) -> Vec2:
     """Translation placing the origin of a level-k disk at its copy's spot."""
-    if m < 2 or n < 1:
-        raise ParameterError(f"invalid disk parameters m={m}, n={n}")
+    _check_disk_params(m, n)
     _validate_ref(n, ref)
     first = (ref.copy - 1) * 2**ref.level
-    table = PrefixTable.build(max(first, 1))
-    return Vec2(first * m, prefix_sum(first, table))
+    return Vec2(first * m, ruler_sum(first))
 
 
 def extract_sub_copy(shape: Shape, ref: SubCopyRef) -> Shape:

@@ -13,7 +13,7 @@ from typing import Iterator
 from .disk import SubCopyRef, build_disk, sub_copy_offset
 from .errors import ConstructionBroken, ParameterError
 from .rect import Rect, Vec2, _rect_array, _sweep
-from .ruler import PrefixTable, prefix_sum
+from .ruler import ruler_sum
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,11 @@ class Lemma2Case:
         if self.ystar < 1:
             raise ParameterError(f"ystar={self.ystar} must be >= 1")
 
+    @property
+    def offset(self) -> Vec2:
+        """Shift of the second translate: bar r's corner, right xstar, down ystar."""
+        return Vec2((self.r - 1) * self.m + self.xstar, ruler_sum(self.r - 1) - self.ystar)
+
 
 def _check_theorem_params(m: int, n: int) -> None:
     if n < 2:
@@ -69,17 +74,14 @@ def place_translates(m: int, n: int) -> Scene:
 
 def lemma2_instance(case: Lemma2Case) -> tuple[list[Rect], list[Rect]]:
     """The two rect lists of a lemma instance: one at the origin, one shifted."""
-    shape = build_disk(case.m, case.n)
-    table = PrefixTable.build(max(case.r - 1, 1))
-    y_r = prefix_sum(case.r - 1, table)
-    off = Vec2((case.r - 1) * case.m + case.xstar, y_r - case.ystar)
-    return shape.rects(), [r.translate(off) for r in shape.rects()]
+    rects = build_disk(case.m, case.n).rects()
+    return rects, [r.translate(case.offset) for r in rects]
 
 
 def iter_lemma2_cases(m: int, n: int) -> Iterator[Lemma2Case]:
     """All cases worth testing: beyond ystar = height + 1 the bounding
     boxes are vertically disjoint and every case is vacuous."""
-    height = build_disk(m, n).height
+    height = ruler_sum(2**n - 1) + 1  # the top of the last bar
     for r in range(1, 2**n + 1):
         for xstar in range(1, m):
             for ystar in range(1, height + 2):
@@ -89,11 +91,9 @@ def iter_lemma2_cases(m: int, n: int) -> Iterator[Lemma2Case]:
 def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     """Check every case for (m, n); None if all disjoint, else first failure."""
     rects = _rect_array(build_disk(m, n).rects())
-    table = PrefixTable.build(2**n)
     for case in iter_lemma2_cases(m, n):
-        dx = (case.r - 1) * m + case.xstar
-        dy = prefix_sum(case.r - 1, table) - case.ystar
-        if _sweep(rects, rects + (dx, dy, dx, dy)) is None:
+        off = case.offset
+        if _sweep(rects, rects + (off.dx, off.dy, off.dx, off.dy)) is None:
             return case
     return None
 
@@ -115,7 +115,11 @@ class PairWitness:
 
 
 def theorem_pair_witness(m: int, n: int, i: int, j: int) -> PairWitness:
-    """Find the sub-copy of A_i that A_j's leftmost sub-copy steps off from."""
+    """Solve for the sub-copy of A_i that A_j's leftmost sub-copy steps off from.
+
+    Sub-copy `copy` starts at bar first + 1 = (copy - 1) * 2^level + 1, at
+    x = first * m, so the target's dx fixes the copy and its dy must agree.
+    """
     _check_theorem_params(m, n)
     if not 1 <= i < j <= n:
         raise ParameterError(f"need 1 <= i < j <= n, got i={i}, j={j}")
@@ -123,15 +127,11 @@ def theorem_pair_witness(m: int, n: int, i: int, j: int) -> PairWitness:
     level = n + 1 - j
     shift = j - i
     target = scene.offsets[j] - scene.offsets[i] - Vec2(shift, -shift)
-    for copy in range(1, 2 ** (n - level) + 1):
-        if sub_copy_offset(m, n, SubCopyRef(level=level, copy=copy)) == target:
-            return PairWitness(
-                level=level,
-                copy=copy,
-                bar_index=(copy - 1) * 2**level + 1,
-                xstar=shift,
-                ystar=shift,
-            )
-    raise ConstructionBroken(
-        f"no sub-copy of A_{i} matches A_{j}'s leftmost copy (m={m}, n={n})"
-    )
+    first, rem = divmod(target.dx, m)
+    copy = first // 2**level + 1
+    solved = not rem and first % 2**level == 0 and 1 <= copy <= 2 ** (n - level)
+    if not (solved and sub_copy_offset(m, n, SubCopyRef(level=level, copy=copy)) == target):
+        raise ConstructionBroken(
+            f"no sub-copy of A_{i} matches A_{j}'s leftmost copy (m={m}, n={n})"
+        )
+    return PairWitness(level=level, copy=copy, bar_index=first + 1, xstar=shift, ystar=shift)

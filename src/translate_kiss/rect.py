@@ -99,6 +99,13 @@ def vseg(x: int, ya: int, yb: int) -> ContactComponent:
     return ContactComponent(VSEG, (x, ya), (x, yb), yb - ya)
 
 
+def bounding_box(rects: Iterable[Rect]) -> Rect:
+    """Smallest rect containing every rect of a nonempty collection."""
+    rs = list(rects)
+    x0, y0 = min(r.x0 for r in rs), min(r.y0 for r in rs)
+    return Rect(x0, y0, max(r.x1 for r in rs), max(r.y1 for r in rs))
+
+
 def interiors_overlap(a: Rect, b: Rect) -> bool:
     """Open-rectangle intersection test."""
     return (

@@ -13,7 +13,7 @@ from typing import Union
 from .disk import Shape, build_disk
 from .errors import ParameterError
 from .placement import Scene
-from .rect import Rect
+from .rect import Rect, bounding_box
 
 # A_0 is drawn in grey; A_1.. cycle through the colour list.
 FILL_A0 = "#9e9e9e"
@@ -41,16 +41,6 @@ def _svg_rect(r: Rect, bbox: Rect, unit_px: int, fill: str) -> str:
     )
 
 
-def _scene_bbox(rect_groups: list[list[Rect]]) -> Rect:
-    rects = [r for group in rect_groups for r in group]
-    return Rect(
-        min(r.x0 for r in rects),
-        min(r.y0 for r in rects),
-        max(r.x1 for r in rects),
-        max(r.y1 for r in rects),
-    )
-
-
 def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     """Render a single disk or a placed scene, one group per translate."""
     if unit_px < 1:
@@ -69,7 +59,7 @@ def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
 
-    bbox = _scene_bbox(groups)
+    bbox = bounding_box(r for group in groups for r in group)
     width = (bbox.x1 - bbox.x0 + 2) * unit_px
     height = (bbox.y1 - bbox.y0 + 2) * unit_px
     lines = [

@@ -1,5 +1,5 @@
-"""Ruler sequence (OEIS A001511 by definition, no lookup), prefix sums, and
-the minimal-prefix-sum window check.
+"""Ruler sequence (OEIS A001511 by definition, no lookup), closed-form prefix
+sums, and the Lemma 1 prefix-sum table and minimal-prefix-sum window check.
 
 ``ruler(i)`` counts bits from the right up to and including the first set bit
 of ``i``.  The sequence of these values gives the connector heights of the
@@ -37,6 +37,11 @@ def ruler_by_halving(i: int) -> int:
         i //= 2
         h += 1
     return h
+
+
+def ruler_sum(k: int) -> int:
+    """Sum of the first k ruler terms, 2k - popcount(k) by Legendre's formula."""
+    return 2 * k - k.bit_count()
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,16 @@ from __future__ import annotations
 import json
 from typing import Any, Union
 
-from .disk import Piece, Shape
-from .errors import DocumentInvariantError, MalformedDocument, SchemaVersionMismatch
-from .placement import Scene
+from .disk import Piece, Shape, _check_disk_params
+from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
+from .placement import Scene, _check_theorem_params
 from .rect import ContactComponent, Rect, Vec2
 from .verify import Certificate, PairVerdict
 
 SCHEMA_VERSION = "tk-1"
 
 Document = Union[Shape, Scene, Certificate]
+_KINDS = {Shape: "shape", Scene: "scene", Certificate: "certificate"}
 
 
 def _rect_json(r: Rect) -> list[int]:
@@ -44,24 +45,19 @@ def _verdict_json(v: PairVerdict) -> dict[str, Any]:
 
 
 def to_document(obj: Document) -> dict[str, Any]:
-    doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
+    if type(obj) not in _KINDS:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    doc: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION, "kind": _KINDS[type(obj)], "m": obj.m, "n": obj.n
+    }
     if isinstance(obj, Shape):
-        doc["kind"] = "shape"
-        doc["m"], doc["n"] = obj.m, obj.n
         doc["pieces"] = [_piece_json(p) for p in obj.pieces]
-    elif isinstance(obj, Scene):
-        doc["kind"] = "scene"
-        doc["m"], doc["n"] = obj.m, obj.n
+    else:
         doc["offsets"] = [[t.dx, t.dy] for t in obj.offsets]
-    elif isinstance(obj, Certificate):
-        doc["kind"] = "certificate"
-        doc["m"], doc["n"] = obj.m, obj.n
-        doc["offsets"] = [[t.dx, t.dy] for t in obj.offsets]
+    if isinstance(obj, Certificate):
         doc["pair_verdicts"] = [_verdict_json(v) for v in obj.pair_verdicts]
         doc["touching_count"] = obj.touching_count
         doc["ok"] = obj.ok
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
     return doc
 
 
@@ -69,10 +65,18 @@ def serialize(obj: Document) -> bytes:
     return (json.dumps(to_document(obj), separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def _require(doc: dict[str, Any], key: str) -> Any:
+def _require(doc: Any, key: str) -> Any:
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"expected an object with field {key!r}, got {type(doc).__name__}")
     if key not in doc:
         raise MalformedDocument(f"missing field {key!r}")
     return doc[key]
+
+
+def _list(value: Any, what: str) -> list[Any]:
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{what} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _int(value: Any, what: str) -> int:
@@ -81,10 +85,20 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
+def _bool(value: Any, what: str) -> bool:
+    if type(value) is not bool:
+        raise DocumentInvariantError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _ints(data: Any, count: int, what: str) -> tuple[int, ...]:
+    if not (isinstance(data, list) and len(data) == count):
+        raise MalformedDocument(f"{what} must be a list of {count} integers, got {data!r}")
+    return tuple(_int(v, what) for v in data)
+
+
 def _parse_rect(data: Any) -> Rect:
-    if not (isinstance(data, list) and len(data) == 4):
-        raise MalformedDocument(f"rect must be [x0, y0, x1, y1], got {data!r}")
-    x0, y0, x1, y1 = (_int(v, "rect coordinate") for v in data)
+    x0, y0, x1, y1 = _ints(data, 4, "rect")
     if x0 >= x1 or y0 >= y1:
         raise DocumentInvariantError(f"degenerate rect {data!r}")
     return Rect(x0, y0, x1, y1)
@@ -92,8 +106,8 @@ def _parse_rect(data: Any) -> Rect:
 
 def _parse_contact(data: Any) -> ContactComponent:
     kind = _require(data, "kind")
-    a = tuple(_int(v, "contact coordinate") for v in _require(data, "a"))
-    b = tuple(_int(v, "contact coordinate") for v in _require(data, "b"))
+    a = _ints(_require(data, "a"), 2, "contact point")
+    b = _ints(_require(data, "b"), 2, "contact point")
     length = _int(_require(data, "length"), "contact length")
     try:
         return ContactComponent(kind, a, b, length)  # type: ignore[arg-type]
@@ -101,77 +115,70 @@ def _parse_contact(data: Any) -> ContactComponent:
         raise DocumentInvariantError(str(exc)) from exc
 
 
+def _parse_verdict(data: Any) -> PairVerdict:
+    contacts = _list(_require(data, "contacts"), "contacts")
+    return PairVerdict(
+        i=_int(_require(data, "i"), "pair index"),
+        j=_int(_require(data, "j"), "pair index"),
+        interiors_disjoint=_bool(_require(data, "interiors_disjoint"), "interiors_disjoint"),
+        contacts=tuple(_parse_contact(c) for c in contacts),
+        segment_length_total=_int(_require(data, "segment_length_total"), "segment length"),
+    )
+
+
 def parse(data: bytes) -> Document:
     """Parse and validate a document produced by serialize()."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an oversized int
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top-level value must be an object")
     version = _require(doc, "schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"expected schema {SCHEMA_VERSION!r}, got {version!r}"
         )
     kind = _require(doc, "kind")
+    if kind not in _KINDS.values():
+        raise MalformedDocument(f"unknown document kind {kind!r}")
     m = _int(_require(doc, "m"), "m")
     n = _int(_require(doc, "n"), "n")
+    try:
+        (_check_disk_params if kind == "shape" else _check_theorem_params)(m, n)
+    except ParameterError as exc:
+        raise DocumentInvariantError(str(exc)) from exc
 
     if kind == "shape":
+        items = _list(_require(doc, "pieces"), "pieces")
+        # the bit-length test keeps a huge n away from 2 ** (n + 1)
+        if n >= len(items).bit_length() or len(items) != 2 ** (n + 1) - 1:
+            raise DocumentInvariantError(
+                f"shape with n={n} must have 2**{n + 1} - 1 pieces, got {len(items)}"
+            )
         pieces = []
-        for pd in _require(doc, "pieces"):
+        for pd in items:
             role = _require(pd, "role")
             if role not in ("bar", "connector"):
                 raise DocumentInvariantError(f"unknown piece role {role!r}")
             pieces.append(
                 Piece(role, _int(_require(pd, "index"), "piece index"), _parse_rect(_require(pd, "rect")))
             )
-        if len(pieces) != 2 ** (n + 1) - 1:
-            raise DocumentInvariantError(
-                f"shape must have {2 ** (n + 1) - 1} pieces, got {len(pieces)}"
-            )
         return Shape(m=m, n=n, pieces=tuple(pieces))
 
+    offsets = _parse_offsets(_require(doc, "offsets"), n)
     if kind == "scene":
-        offsets = _parse_offsets(_require(doc, "offsets"), n)
         return Scene(m=m, n=n, offsets=offsets)
-
-    if kind == "certificate":
-        offsets = _parse_offsets(_require(doc, "offsets"), n)
-        verdicts = []
-        for vd in _require(doc, "pair_verdicts"):
-            verdicts.append(
-                PairVerdict(
-                    i=_int(_require(vd, "i"), "pair index"),
-                    j=_int(_require(vd, "j"), "pair index"),
-                    interiors_disjoint=bool(_require(vd, "interiors_disjoint")),
-                    contacts=tuple(_parse_contact(c) for c in _require(vd, "contacts")),
-                    segment_length_total=_int(
-                        _require(vd, "segment_length_total"), "segment length"
-                    ),
-                )
-            )
-        return Certificate(
-            m=m,
-            n=n,
-            offsets=offsets,
-            pair_verdicts=tuple(verdicts),
-            touching_count=_int(_require(doc, "touching_count"), "touching_count"),
-            ok=bool(_require(doc, "ok")),
-        )
-
-    raise MalformedDocument(f"unknown document kind {kind!r}")
+    verdicts = _list(_require(doc, "pair_verdicts"), "pair_verdicts")
+    return Certificate(
+        m=m,
+        n=n,
+        offsets=offsets,
+        pair_verdicts=tuple(_parse_verdict(v) for v in verdicts),
+        touching_count=_int(_require(doc, "touching_count"), "touching_count"),
+        ok=_bool(_require(doc, "ok"), "ok"),
+    )
 
 
 def _parse_offsets(data: Any, n: int) -> tuple[Vec2, ...]:
-    offsets = []
-    for od in data:
-        if not (isinstance(od, list) and len(od) == 2):
-            raise MalformedDocument(f"offset must be [dx, dy], got {od!r}")
-        offsets.append(Vec2(_int(od[0], "offset"), _int(od[1], "offset")))
-    if len(offsets) != n + 1:
-        raise DocumentInvariantError(
-            f"expected {n + 1} offsets, got {len(offsets)}"
-        )
-    return tuple(offsets)
+    if len(_list(data, "offsets")) != n + 1:
+        raise DocumentInvariantError(f"expected {n + 1} offsets, got {len(data)}")
+    return tuple(Vec2(*_ints(od, 2, "offset")) for od in data)

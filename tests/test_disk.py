@@ -2,6 +2,7 @@ import pytest
 
 from translate_kiss import (
     ParameterError,
+    PrefixTable,
     Rect,
     SubCopyRef,
     Vec2,
@@ -9,6 +10,7 @@ from translate_kiss import (
     closed_contact,
     extract_sub_copy,
     interiors_overlap,
+    prefix_sum,
     ruler,
     sub_copy_offset,
 )
@@ -76,6 +78,14 @@ class TestBuildDisk:
             bb = build_disk(m, n).bounding_box()
             assert bb == Rect(0, 0, 2**n * m, 2 ** (n + 1) - n - 1)
 
+    def test_bars_sit_at_prefix_table_sums(self):
+        table = PrefixTable.build(2**8)
+        for n in range(1, 9):
+            shape = build_disk(3, n)
+            bars = [p.rect for p in shape.pieces if p.role == "bar"]
+            assert [r.y0 for r in bars] == list(table.sums[: 2**n])
+            assert shape.height == 2 ** (n + 1) - n - 1
+
     def test_disjoint_and_path(self):
         for m, n in [(2, 1), (2, 2), (4, 3), (5, 4)]:
             shape = build_disk(m, n)
@@ -103,6 +113,17 @@ class TestSubCopies:
             # second half starts after 2^(n-1) bars, one connector-height up
             assert off == Vec2(2 ** (n - 1) * m, 2**n - 1)
             assert off.dy == sum(ruler(i) for i in range(1, 2 ** (n - 1) + 1))
+
+    def test_offsets_match_prefix_table(self):
+        for n in range(1, 9):
+            table = PrefixTable.build(2**n)
+            for m in (2, n + 2):
+                for level in range(n + 1):
+                    for copy in range(1, 2 ** (n - level) + 1):
+                        first = (copy - 1) * 2**level
+                        assert sub_copy_offset(m, n, SubCopyRef(level, copy)) == Vec2(
+                            first * m, prefix_sum(first, table)
+                        )
 
     def test_invalid_ref(self):
         with pytest.raises(ParameterError):

@@ -1,7 +1,10 @@
+import copy
 import json
+import time
 import xml.dom.minidom
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from translate_kiss import (
     DocumentInvariantError,
@@ -80,6 +83,130 @@ class TestSerialization:
         a = serialize(verify_construction(4, 3))
         b = serialize(verify_construction(4, 3))
         assert a == b
+
+
+def probe(**fields):
+    return json.dumps({"schema_version": "tk-1", **fields}).encode()
+
+
+def document_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from document_paths(child, path + (key,))
+
+
+SMALL_DOCUMENTS = [
+    json.loads(serialize(obj))
+    for obj in (build_disk(2, 1), place_translates(2, 2), verify_construction(2, 2))
+]
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestStrictParse:
+    def test_shape_with_negative_n(self):
+        with pytest.raises(DocumentInvariantError):
+            parse(probe(kind="shape", m=5, n=-1, pieces=[]))
+
+    def test_shape_with_narrow_bars(self):
+        doc = json.loads(serialize(build_disk(2, 1)))
+        doc["m"] = 1
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
+
+    def test_scene_with_negative_n(self):
+        with pytest.raises(DocumentInvariantError):
+            parse(probe(kind="scene", m=5, n=-1, offsets=[]))
+
+    def test_scene_with_m_below_n(self):
+        with pytest.raises(DocumentInvariantError):
+            parse(probe(kind="scene", m=2, n=3, offsets=[[0, 0]] * 4))
+
+    def test_certificate_with_n_below_2(self):
+        doc = json.loads(serialize(verify_construction(2, 2)))
+        doc["n"], doc["offsets"] = 1, doc["offsets"][:2]
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
+
+    def test_pieces_not_objects(self):
+        with pytest.raises(MalformedDocument):
+            parse(probe(kind="shape", m=2, n=1, pieces=[1, 2, 3]))
+
+    def test_offsets_not_a_list(self):
+        with pytest.raises(MalformedDocument):
+            parse(probe(kind="scene", m=2, n=2, offsets=5))
+
+    def test_huge_n_rejected_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(DocumentInvariantError):
+            parse(probe(kind="shape", m=5, n=10**12, pieces=[]))
+        with pytest.raises(DocumentInvariantError):
+            parse(probe(kind="scene", m=10**12, n=10**12, offsets=[]))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_ok_must_be_a_json_bool(self, value):
+        doc = json.loads(serialize(verify_construction(2, 2)))
+        doc["ok"] = value
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("value", ["no", "true", 1, []])
+    def test_interiors_disjoint_must_be_a_json_bool(self, value):
+        doc = json.loads(serialize(verify_construction(2, 2)))
+        doc["pair_verdicts"][0]["interiors_disjoint"] = value
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
+
+    def test_false_verdicts_round_trip(self):
+        doc = json.loads(serialize(verify_construction(2, 2)))
+        doc["ok"] = False
+        doc["pair_verdicts"][0]["interiors_disjoint"] = False
+        cert = parse(json.dumps(doc).encode())
+        assert cert.ok is False and cert.pair_verdicts[0].interiors_disjoint is False
+
+    def test_one_dimensional_contact_point(self):
+        doc = json.loads(serialize(verify_construction(2, 2)))
+        contact = next(c for v in doc["pair_verdicts"] for c in v["contacts"])
+        contact["a"] = contact["a"][:1]
+        with pytest.raises(MalformedDocument):
+            parse(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"1" * 5000, b"[" * 100_000, b"\xff", b"[]", b'"tk-1"'],
+        ids=["int-over-4300-digits", "nested-too-deep", "not-utf8", "list", "string"],
+    )
+    def test_bad_top_level_values(self, data):
+        with pytest.raises(MalformedDocument):
+            parse(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_raise_only_malformed(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(SMALL_DOCUMENTS)))
+        path = data.draw(st.sampled_from(list(document_paths(doc))))
+        value = data.draw(JSON_VALUES)
+        if path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        try:
+            parse(json.dumps(doc).encode())
+        except MalformedDocument:
+            pass
 
 
 class TestRenderSvg:

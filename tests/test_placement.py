@@ -3,16 +3,21 @@ import pytest
 from translate_kiss import (
     ConstructionBroken,
     Lemma2Case,
+    PairWitness,
     ParameterError,
+    PrefixTable,
+    Scene,
     Vec2,
     build_disk,
     check_lemma2_exhaustive,
     iter_lemma2_cases,
     lemma2_instance,
     place_translates,
+    prefix_sum,
     theorem_pair_witness,
     union_interiors_disjoint,
 )
+from translate_kiss import placement
 
 
 class TestPlaceTranslates:
@@ -89,6 +94,14 @@ class TestLemma2:
             A, B = lemma2_instance(case)
             assert union_interiors_disjoint(A, B)
 
+    def test_offset_matches_prefix_table(self):
+        for m, n in [(2, 2), (3, 3), (5, 4)]:
+            table = PrefixTable.build(2**n)
+            for case in iter_lemma2_cases(m, n):
+                assert case.offset == Vec2(
+                    (case.r - 1) * m + case.xstar, prefix_sum(case.r - 1, table) - case.ystar
+                )
+
     def test_exhaustive_small(self):
         assert check_lemma2_exhaustive(2, 2) is None
         assert check_lemma2_exhaustive(3, 2) is None
@@ -98,6 +111,9 @@ class TestLemma2:
         cases = list(iter_lemma2_cases(3, 2))
         assert len(cases) == 4 * 2 * (height + 1)
         assert max(c.ystar for c in cases) == height + 1
+        for n in range(3, 8):
+            *_, last = iter_lemma2_cases(2, n)
+            assert last.ystar == build_disk(2, n).height + 1
 
     def test_shifting_left_would_overlap(self):
         # xstar = 0 is excluded for a reason: stacking straight down overlaps
@@ -135,3 +151,47 @@ class TestTheoremPairWitness:
             theorem_pair_witness(4, 3, 2, 2)
         with pytest.raises(ParameterError):
             theorem_pair_witness(4, 3, 0, 1)
+
+    def test_solve_matches_copy_scan(self):
+        for n in range(2, 11):
+            table = PrefixTable.build(2**n)
+            for m in (n, n + 1, n + 2):
+                scene = place_translates(m, n)
+                for i in range(1, n + 1):
+                    for j in range(i + 1, n + 1):
+                        expected = scan_pair_witness(scene, table, i, j)
+                        assert expected is not None
+                        assert theorem_pair_witness(m, n, i, j) == expected
+
+    @pytest.mark.parametrize(
+        "nudge",
+        [
+            Vec2(1, 0),  # dx not a multiple of m
+            Vec2(4, 0),  # first bar not at a level boundary
+            Vec2(8, 0),  # a real copy, but the wrong one: dy disagrees
+            Vec2(0, 1),  # the right copy, shifted up
+            Vec2(-16, 0),  # copy 0
+            Vec2(24, 0),  # copy 5 of 4
+        ],
+    )
+    def test_broken_scene_raises(self, monkeypatch, nudge):
+        m, n = 4, 3
+        good = place_translates(m, n)
+        broken = Scene(m, n, good.offsets[:3] + (good.offsets[3] + nudge,))
+        monkeypatch.setattr(placement, "place_translates", lambda m, n: broken)
+        assert theorem_pair_witness(m, n, 1, 2).copy == 2
+        with pytest.raises(ConstructionBroken):
+            theorem_pair_witness(m, n, 2, 3)
+
+
+def scan_pair_witness(scene, table, i, j):
+    """Brute-force oracle: scan every level sub-copy of A_i, with offsets
+    read from a prefix-sum table, for the one A_j steps off from."""
+    m, n = scene.m, scene.n
+    level, shift = n + 1 - j, j - i
+    target = scene.offsets[j] - scene.offsets[i] - Vec2(shift, -shift)
+    for copy in range(1, 2 ** (n - level) + 1):
+        first = (copy - 1) * 2**level
+        if Vec2(first * m, prefix_sum(first, table)) == target:
+            return PairWitness(level, copy, first + 1, shift, shift)
+    return None

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from translate_kiss import (
     ruler,
     ruler_by_halving,
 )
+from translate_kiss.ruler import ruler_sum
 
 # First 32 terms, frozen from the displayed definition of the sequence.
 FIRST_32 = [1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5,
@@ -144,3 +146,32 @@ class TestLemma1:
 def test_prefix_sum_strictly_monotone(i):
     table = PrefixTable.build(513)
     assert prefix_sum(i, table) > prefix_sum(i - 1, table)
+
+
+def test_ruler_sum_closed_form_matches_table():
+    table = PrefixTable.build(2**16)
+    assert [ruler_sum(k) for k in range(2**16 + 1)] == list(table.sums)
+
+
+def popcount(i):
+    return bin(i).count("1")
+
+
+def test_lemma1_is_popcount_subadditivity():
+    # With sums[k] = 2k - popcount(k), window (k, r) holds iff
+    # popcount(r - 1 + k) <= popcount(r - 1) + popcount(k): the carries of
+    # (r - 1) + k in Kummer's theorem.  Both sides hold for every window.
+    limit = 4096
+    table = PrefixTable.build(limit)
+    sums = np.asarray(table.sums)
+    pc = np.array([popcount(i) for i in range(limit + 1)])
+    for k in range(1, limit + 1):
+        # index s = r - 1 runs over 0..limit - k
+        held = sums[k] <= sums[k:] - sums[: limit + 1 - k]
+        subadditive = pc[k:] <= pc[: limit + 1 - k] + pc[k]
+        assert np.array_equal(held, subadditive) and held.all()
+    for k in range(1, 257):
+        for r in range(1, 258 - k):
+            assert check_lemma1(k, r, table) == (
+                popcount(r - 1 + k) <= popcount(r - 1) + popcount(k)
+            )
