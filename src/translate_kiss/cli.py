@@ -1,8 +1,15 @@
 """Command-line entry point.
 
-Subcommands: build, verify, render, lemma1, lemma2.  Exit codes: 0 for
-success/PASS, 1 for a verification FAIL, 2 for usage or parameter errors,
-3 for I/O errors.
+Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
+
+* 0 for success/PASS;
+* 1 for a verification FAIL, or a broken construction (ConstructionBroken);
+* 2 for usage or parameter errors (ParameterError, including n > 20 and a
+  lemma 2 profile wider than 2^24 columns) and broken preconditions
+  (ContractViolation);
+* 3 for I/O errors.
+
+Each error exit prints one ``error:`` (or ``i/o error:``) line on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import argparse
 import sys
 
 from .disk import build_disk
-from .errors import ParameterError
+from .errors import ConstructionBroken, ContractViolation, ParameterError
 from .placement import check_lemma2_exhaustive, place_translates
 from .render import render_svg
 from .ruler import PrefixTable, check_lemma1_exhaustive
@@ -149,9 +156,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConstructionBroken as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -16,6 +16,7 @@ from .ruler import ruler_sum
 
 BAR = "bar"
 CONNECTOR = "connector"
+MAX_N = 20  # 2^21 - 1 pieces; much beyond that, building the disk exhausts memory
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ def _check_disk_params(m: int, n: int) -> None:
         raise ParameterError(f"need bar width m >= 2, got {m}")
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
+    if n > MAX_N:
+        raise ParameterError(f"n={n} exceeds the supported maximum {MAX_N}")
 
 
 def build_disk(m: int, n: int) -> Shape:

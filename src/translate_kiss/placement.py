@@ -10,10 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .disk import SubCopyRef, build_disk, sub_copy_offset
+import numpy as np
+
+from .disk import SubCopyRef, _check_disk_params, build_disk, sub_copy_offset
 from .errors import ConstructionBroken, ParameterError
-from .rect import Rect, Vec2, _rect_array, _sweep
+from .rect import Rect, Vec2, _rect_array
 from .ruler import ruler_sum
+
+MAX_PROFILE_COLUMNS = 2**24
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,7 @@ def _check_theorem_params(m: int, n: int) -> None:
         raise ParameterError(f"construction needs n >= 2, got {n}")
     if m < n:
         raise ParameterError(f"construction needs m >= n, got m={m}, n={n}")
+    _check_disk_params(m, n)
 
 
 def place_translates(m: int, n: int) -> Scene:
@@ -78,23 +83,76 @@ def lemma2_instance(case: Lemma2Case) -> tuple[list[Rect], list[Rect]]:
     return rects, [r.translate(case.offset) for r in rects]
 
 
+def _last_ystar(n: int) -> int:
+    """One above the top of the last bar: from here on the boxes are apart."""
+    return ruler_sum(2**n - 1) + 2
+
+
 def iter_lemma2_cases(m: int, n: int) -> Iterator[Lemma2Case]:
     """All cases worth testing: beyond ystar = height + 1 the bounding
     boxes are vertically disjoint and every case is vacuous."""
-    height = ruler_sum(2**n - 1) + 1  # the top of the last bar
+    last = _last_ystar(n)
     for r in range(1, 2**n + 1):
         for xstar in range(1, m):
-            for ystar in range(1, height + 2):
+            for ystar in range(1, last + 1):
                 yield Lemma2Case(m=m, n=n, r=r, xstar=xstar, ystar=ystar)
 
 
+def _column_profile(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell range [lo[c], hi[c]) of each unit column c of interior-disjoint rects.
+
+    Columns count from the leftmost x.  Raises ConstructionBroken unless the
+    rect heights summed over every column equal hi - lo, i.e. unless each
+    column meets the union in one interval.
+    """
+    x0, y0, x1, y1 = rects.T
+    widths = x1 - x0
+    cols = np.repeat(x0 - x0.min(), widths) + np.arange(widths.sum()) - np.repeat(
+        np.cumsum(widths) - widths, widths
+    )
+    span = int(x1.max() - x0.min())
+    lo, hi, covered = np.full(span, y1.max()), np.full(span, y0.min()), np.zeros(span, np.int64)
+    np.minimum.at(lo, cols, np.repeat(y0, widths))
+    np.maximum.at(hi, cols, np.repeat(y1, widths))
+    np.add.at(covered, cols, np.repeat(y1 - y0, widths))
+    broken = np.flatnonzero(covered != hi - lo)
+    if broken.size:
+        raise ConstructionBroken(f"column {broken[0]} of the disk is not one interval")
+    return lo, hi
+
+
 def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
-    """Check every case for (m, n); None if all disjoint, else first failure."""
-    rects = _rect_array(build_disk(m, n).rects())
-    for case in iter_lemma2_cases(m, n):
-        off = case.offset
-        if _sweep(rects, rects + (off.dx, off.dy, off.dx, off.dy)) is None:
-            return case
+    """Decide every case of iter_lemma2_cases; None if all are disjoint, else
+    the first failure in their order.
+
+    The disk meets unit column c in one cell range [lo[c], hi[c]).  Case
+    (r, xstar, ystar) shifts the translate by (dx, base - ystar), where
+    dx = (r - 1) m + xstar and base = ruler_sum(r - 1), so column c of the
+    disk faces column c - dx of the translate, and the two interiors overlap
+    there exactly when ystar lies strictly between base + lo[c - dx] - hi[c]
+    and base + hi[c - dx] - lo[c].  One vectorised pass per (r, xstar) thus
+    decides every ystar at once.  A profile (m * 2^n columns) wider than
+    MAX_PROFILE_COLUMNS = 2^24 raises ParameterError.
+    """
+    _check_disk_params(m, n)
+    if n < 2:
+        raise ParameterError(f"need m, n >= 2, got m={m}, n={n}")
+    if m * 2**n > MAX_PROFILE_COLUMNS:
+        raise ParameterError(
+            f"lemma 2 profile of m * 2**n = {m * 2**n} columns exceeds {MAX_PROFILE_COLUMNS}"
+        )
+    lo, hi = _column_profile(_rect_array(build_disk(m, n).rects()))
+    top = _last_ystar(n)
+    for r in range(1, 2**n + 1):
+        base = ruler_sum(r - 1)
+        for xstar in range(1, m):
+            dx = (r - 1) * m + xstar
+            # smallest and largest overlapping ystar per facing column, within 1..top
+            first = np.maximum(base + lo[:-dx] - hi[dx:] + 1, 1)
+            last = np.minimum(base + hi[:-dx] - lo[dx:] - 1, top)
+            bad = first[first <= last]
+            if bad.size:
+                return Lemma2Case(m=m, n=n, r=r, xstar=xstar, ystar=int(bad.min()))
     return None
 
 

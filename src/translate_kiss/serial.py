@@ -8,13 +8,14 @@ bytes, and parse(serialize(x)) round-trips exactly.  Schema version "tk-1".
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import Any, Union
 
 from .disk import Piece, Shape, _check_disk_params
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene, _check_theorem_params
-from .rect import ContactComponent, Rect, Vec2
-from .verify import Certificate, PairVerdict
+from .rect import ContactComponent, Rect, Vec2, total_contact_length
+from .verify import Certificate, PairVerdict, _verdict_totals
 
 SCHEMA_VERSION = "tk-1"
 
@@ -167,15 +168,29 @@ def parse(data: bytes) -> Document:
     offsets = _parse_offsets(_require(doc, "offsets"), n)
     if kind == "scene":
         return Scene(m=m, n=n, offsets=offsets)
-    verdicts = _list(_require(doc, "pair_verdicts"), "pair_verdicts")
-    return Certificate(
+    verdicts = tuple(_parse_verdict(v) for v in _list(_require(doc, "pair_verdicts"), "pair_verdicts"))
+    if [(v.i, v.j) for v in verdicts] != list(combinations(range(n + 1), 2)):
+        raise DocumentInvariantError(f"pair_verdicts must list the pairs i < j <= {n} in order")
+    for v in verdicts:
+        if v.segment_length_total != total_contact_length(v.contacts):
+            raise DocumentInvariantError(
+                f"pair ({v.i}, {v.j}): segment_length_total is not the sum of its contact lengths"
+            )
+    touching, ok = _verdict_totals(n, verdicts)
+    cert = Certificate(
         m=m,
         n=n,
         offsets=offsets,
-        pair_verdicts=tuple(_parse_verdict(v) for v in verdicts),
+        pair_verdicts=verdicts,
         touching_count=_int(_require(doc, "touching_count"), "touching_count"),
         ok=_bool(_require(doc, "ok"), "ok"),
     )
+    if (cert.touching_count, cert.ok) != (touching, ok):
+        raise DocumentInvariantError(
+            f"touching_count and ok must be {touching} and {ok} by the verdicts, "
+            f"got {cert.touching_count} and {cert.ok}"
+        )
+    return cert
 
 
 def _parse_offsets(data: Any, n: int) -> tuple[Vec2, ...]:

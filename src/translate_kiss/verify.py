@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ParameterError
@@ -58,22 +59,27 @@ def verify_construction(m: int, n: int) -> Certificate:
     placed = [rects + (t.dx, t.dy, t.dx, t.dy) for t in scene.offsets]
 
     verdicts: list[PairVerdict] = []
-    touching = 0
     for i, j in combinations(range(n + 1), 2):
         raw = _sweep(placed[i], placed[j])
         contacts = () if raw is None else tuple(_components(raw))
-        seg_total = total_contact_length(contacts)
-        if i == 0 and seg_total >= 1:
-            touching += 1
-        verdicts.append(PairVerdict(i, j, raw is not None, contacts, seg_total))
+        verdicts.append(PairVerdict(i, j, raw is not None, contacts, total_contact_length(contacts)))
+    touching, ok = _verdict_totals(n, verdicts)
     return Certificate(
         m=m,
         n=n,
         offsets=scene.offsets,
         pair_verdicts=tuple(verdicts),
         touching_count=touching,
-        ok=all(v.interiors_disjoint for v in verdicts) and touching == n,
+        ok=ok,
     )
+
+
+def _verdict_totals(n: int, verdicts: Sequence[PairVerdict]) -> tuple[int, bool]:
+    """touching_count and ok as the pair verdicts imply them: A_i touches A_0
+    when their contact segments have positive total length, and ok needs
+    every pair disjoint and all n translates touching A_0."""
+    touching = sum(1 for v in verdicts if v.i == 0 and v.segment_length_total >= 1)
+    return touching, all(v.interiors_disjoint for v in verdicts) and touching == n
 
 
 @dataclass(frozen=True)

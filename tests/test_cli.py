@@ -1,8 +1,11 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
-from translate_kiss import parse
+from translate_kiss import ConstructionBroken, ContractViolation, parse
+from translate_kiss import cli
 from translate_kiss.cli import main
 
 
@@ -72,3 +75,39 @@ def test_io_error_exit_code(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "shape.json"
     assert main(["build", "-m", "2", "-n", "1", "--out", str(missing_dir)]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code", [(ConstructionBroken("no witness"), 1), (ContractViolation("overlap"), 2)]
+)
+def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
+    def broken(m, n):
+        raise error
+
+    monkeypatch.setattr(cli, "check_lemma2_exhaustive", broken)
+    assert main(["lemma2", "-m", "3", "-n", "3"]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "-m", "2", "-n", "21"],
+        ["verify", "-m", "21", "-n", "21"],
+        ["render", "-m", "21", "-n", "21", "--scene"],
+        ["lemma2", "-m", str(2**22 + 1), "-n", "2"],
+        ["lemma2", "-m", str(10**12), "-n", "20"],
+    ],
+    ids=["build-n21", "verify-n21", "render-n21", "lemma2-wide", "lemma2-huge-m"],
+)
+def test_oversized_input_exits_2_without_allocating(capsys, argv):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    assert "error" in capsys.readouterr().err

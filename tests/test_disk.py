@@ -97,6 +97,8 @@ class TestBuildDisk:
             build_disk(1, 3)
         with pytest.raises(ParameterError):
             build_disk(4, 0)
+        with pytest.raises(ParameterError):
+            build_disk(2, 21)
 
 
 class TestSubCopies:

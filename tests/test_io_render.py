@@ -137,6 +137,10 @@ class TestStrictParse:
         with pytest.raises(DocumentInvariantError):
             parse(json.dumps(doc).encode())
 
+    def test_n_above_cap(self):
+        with pytest.raises(DocumentInvariantError):
+            parse(probe(kind="scene", m=21, n=21, offsets=[[0, 0]] * 22))
+
     def test_pieces_not_objects(self):
         with pytest.raises(MalformedDocument):
             parse(probe(kind="shape", m=2, n=1, pieces=[1, 2, 3]))
@@ -173,6 +177,43 @@ class TestStrictParse:
         doc["pair_verdicts"][0]["interiors_disjoint"] = False
         cert = parse(json.dumps(doc).encode())
         assert cert.ok is False and cert.pair_verdicts[0].interiors_disjoint is False
+
+    def test_touching_count_must_match_verdicts(self):
+        doc = json.loads(serialize(verify_construction(3, 2)))
+        doc["touching_count"] = 7
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("verdict", [0, 2])
+    def test_ok_must_match_verdicts(self, verdict):
+        # 0: a pass claimed with an overlapping pair; 2: a fail claimed for
+        # verdicts that all pass (the (0, 2) entry still touches)
+        doc = json.loads(serialize(verify_construction(3, 2)))
+        if verdict == 0:
+            doc["pair_verdicts"][0]["interiors_disjoint"] = False
+        else:
+            doc["ok"] = False
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
+
+    def test_segment_length_total_must_sum_contacts(self):
+        doc = json.loads(serialize(verify_construction(3, 2)))
+        doc["pair_verdicts"][0]["segment_length_total"] += 1
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("edit", ["reorder", "drop", "duplicate"])
+    def test_pairs_must_be_all_pairs_in_order(self, edit):
+        doc = json.loads(serialize(verify_construction(3, 2)))
+        pairs = doc["pair_verdicts"]
+        if edit == "reorder":
+            pairs[0], pairs[1] = pairs[1], pairs[0]
+        elif edit == "drop":
+            del pairs[2]
+        else:
+            pairs[2] = copy.deepcopy(pairs[1])
+        with pytest.raises(DocumentInvariantError):
+            parse(json.dumps(doc).encode())
 
     def test_one_dimensional_contact_point(self):
         doc = json.loads(serialize(verify_construction(2, 2)))

@@ -1,3 +1,6 @@
+import random
+from itertools import accumulate
+
 import pytest
 
 from translate_kiss import (
@@ -5,8 +8,11 @@ from translate_kiss import (
     Lemma2Case,
     PairWitness,
     ParameterError,
+    Piece,
     PrefixTable,
+    Rect,
     Scene,
+    Shape,
     Vec2,
     build_disk,
     check_lemma2_exhaustive,
@@ -17,7 +23,8 @@ from translate_kiss import (
     theorem_pair_witness,
     union_interiors_disjoint,
 )
-from translate_kiss import placement
+from translate_kiss import disk, placement
+from translate_kiss.rect import _rect_array, _sweep
 
 
 class TestPlaceTranslates:
@@ -106,6 +113,66 @@ class TestLemma2:
         assert check_lemma2_exhaustive(2, 2) is None
         assert check_lemma2_exhaustive(3, 2) is None
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_profile_matches_sweep(self, n):
+        for m in range(2, 7):
+            assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_profile_matches_sweep_on_random_staircases(self, monkeypatch, seed):
+        # connector heights drawn from 1..4 instead of the ruler sequence;
+        # most such staircases fail, so the first failing case is compared too
+        rng = random.Random(seed)
+        m, n = rng.randint(2, 5), rng.randint(2, 4)
+        sums = [0, *accumulate(rng.randint(1, 4) for _ in range(2**n - 1))]
+        for module in (disk, placement):
+            monkeypatch.setattr(module, "ruler_sum", sums.__getitem__)
+        assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_profile_matches_sweep_on_shifted_columns(self, monkeypatch, seed):
+        # the disk cut into unit columns, one to three of them moved up or
+        # down: these fail at ystar > 1 too, unlike the staircases above
+        rng = random.Random(seed)
+        m, n = rng.randint(2, 5), rng.randint(2, 4)
+        cols = {}
+        for r in build_disk(m, n).rects():
+            for x in range(r.x0, r.x1):
+                lo, hi = cols.get(x, (r.y0, r.y1))
+                cols[x] = (min(lo, r.y0), max(hi, r.y1))
+        for x in rng.sample(sorted(cols), rng.randint(1, 3)):
+            k = rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])
+            cols[x] = (cols[x][0] + k, cols[x][1] + k)
+        pieces = tuple(Piece("bar", x + 1, Rect(x, lo, x + 1, hi)) for x, (lo, hi) in cols.items())
+        monkeypatch.setattr(placement, "build_disk", lambda m, n: Shape(m, n, pieces))
+        assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
+
+    @pytest.mark.parametrize("lift, expected", [(-1, (1, 1, 5)), (0, (1, 1, 6)), (1, (2, 1, 1))])
+    def test_profile_stops_at_the_last_ystar(self, monkeypatch, lift, expected):
+        # a flat (2, 2) strip whose first column floats at height h: for r = 1
+        # the only overlap is at ystar = h, so the cut at the last ystar
+        # (6 here) shows; for r = 2 the flat part overlaps at ystar = 1
+        h = 6 + lift
+        pieces = (Piece("bar", 1, Rect(0, h, 1, h + 1)), Piece("bar", 2, Rect(1, 0, 8, 1)))
+        monkeypatch.setattr(placement, "build_disk", lambda m, n: Shape(m, n, pieces))
+        got = check_lemma2_exhaustive(2, 2)
+        assert (got.r, got.xstar, got.ystar) == expected
+        assert got == sweep_lemma2_exhaustive(2, 2)
+
+    def test_column_with_a_gap_raises(self, monkeypatch):
+        good = build_disk(4, 3)
+        v1 = good.pieces[1]
+        lifted = Piece(v1.role, v1.index, v1.rect.translate(Vec2(0, 1)))
+        broken = Shape(4, 3, good.pieces[:1] + (lifted,) + good.pieces[2:])
+        monkeypatch.setattr(placement, "build_disk", lambda m, n: broken)
+        with pytest.raises(ConstructionBroken):
+            check_lemma2_exhaustive(4, 3)
+
+    def test_parameter_errors(self):
+        for m, n in [(1, 3), (3, 1), (2, 0), (3, 21)]:
+            with pytest.raises(ParameterError):
+                check_lemma2_exhaustive(m, n)
+
     def test_case_enumeration_bounds(self):
         height = build_disk(3, 2).height
         cases = list(iter_lemma2_cases(3, 2))
@@ -182,6 +249,19 @@ class TestTheoremPairWitness:
         assert theorem_pair_witness(m, n, 1, 2).copy == 2
         with pytest.raises(ConstructionBroken):
             theorem_pair_witness(m, n, 2, 3)
+
+
+def sweep_lemma2_exhaustive(m, n):
+    """Per-case oracle: one rect sweep for each case of iter_lemma2_cases.
+
+    It reads the disk through placement.build_disk, so a disk patched there
+    reaches both this oracle and check_lemma2_exhaustive."""
+    rects = _rect_array(placement.build_disk(m, n).rects())
+    for case in iter_lemma2_cases(m, n):
+        off = case.offset
+        if _sweep(rects, rects + (off.dx, off.dy, off.dx, off.dy)) is None:
+            return case
+    return None
 
 
 def scan_pair_witness(scene, table, i, j):
