@@ -4,9 +4,9 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 
 * 0 for success/PASS;
 * 1 for a verification FAIL, or a broken construction (ConstructionBroken);
-* 2 for usage or parameter errors (ParameterError, including n > 20 and a
-  lemma 2 profile wider than 2^24 columns) and broken preconditions
-  (ContractViolation);
+* 2 for usage or parameter errors (ParameterError, including n > 20, a
+  lemma 2 profile wider than 2^24 columns, and lemma1 with k_max < 1 or
+  r_max above 2^22) and broken preconditions (ContractViolation);
 * 3 for I/O errors.
 
 Each error exit prints one ``error:`` (or ``i/o error:``) line on stderr.
@@ -141,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_l2 = sub.add_parser("lemma2", help="exhaustively check stepped translates stay disjoint")
     p_l2.add_argument("-m", type=int, required=True)
     p_l2.add_argument("-n", type=int, required=True)
-    p_l2.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="accepted for compatibility; the check is always exhaustive",
-    )
     p_l2.set_defaults(func=_cmd_lemma2)
 
     return parser

@@ -6,7 +6,8 @@ class ParameterError(ValueError):
 
 
 class RangeError(ParameterError):
-    """An index exceeds a precomputed table's limit."""
+    """An index exceeds a precomputed table's limit, or a rect coordinate is
+    outside the int64 sweep kernel's bound |v| < 2**61."""
 
 
 class ContractViolation(ValueError):

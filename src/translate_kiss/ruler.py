@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ParameterError, RangeError
 
+MAX_TABLE_LIMIT = 2**22  # building 2^20 terms peaks near 50 MiB, so about 200 MiB at the cap
+
 
 def ruler(i: int) -> int:
     """Number of trailing zero bits of i, plus one.  Bit-inspection route."""
@@ -49,7 +51,7 @@ class PrefixTable:
     """Cached prefix sums of the ruler sequence.
 
     sums[i] is the sum of the first i terms; sums[0] == 0.  The table is
-    built eagerly and never extends itself.
+    built eagerly, never extends itself and holds at most MAX_TABLE_LIMIT terms.
     """
 
     limit: int
@@ -59,6 +61,8 @@ class PrefixTable:
     def build(cls, limit: int) -> "PrefixTable":
         if limit < 1:
             raise ParameterError(f"table limit must be >= 1, got {limit}")
+        if limit > MAX_TABLE_LIMIT:
+            raise ParameterError(f"table limit {limit} exceeds the supported maximum {MAX_TABLE_LIMIT}")
         sums = [0] * (limit + 1)
         acc = 0
         for i in range(1, limit + 1):
@@ -96,6 +100,8 @@ def check_lemma1_exhaustive(
     lexicographic order.  Vectorized per k so the full desk-scale sweep
     stays well under a second.
     """
+    if k_max < 1 or r_max < 1:
+        raise ParameterError(f"need k_max, r_max >= 1, got k_max={k_max}, r_max={r_max}")
     if r_max > table.limit:
         raise RangeError(f"r_max {r_max} exceeds table limit {table.limit}")
     sums = np.asarray(table.sums[: r_max + 1], dtype=np.int64)

@@ -3,6 +3,11 @@
 Serialization is canonical: fixed key order, compact separators, pieces in
 construction order.  Semantically equal objects always produce identical
 bytes, and parse(serialize(x)) round-trips exactly.  Schema version "tk-1".
+
+A shape or a scene is fixed by its (m, n), so parse rebuilds it and accepts
+only the exact bytes serialize writes for that construction.  A certificate
+must carry the construction's offsets; its verdicts are decoded and checked
+for consistency with each other.
 """
 
 from __future__ import annotations
@@ -11,9 +16,9 @@ import json
 from itertools import combinations
 from typing import Any, Union
 
-from .disk import Piece, Shape, _check_disk_params
+from .disk import Piece, Shape, _check_disk_params, build_disk
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
-from .placement import Scene, _check_theorem_params
+from .placement import Scene, _check_theorem_params, place_translates
 from .rect import ContactComponent, Rect, Vec2, total_contact_length
 from .verify import Certificate, PairVerdict, _verdict_totals
 
@@ -98,13 +103,6 @@ def _ints(data: Any, count: int, what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in data)
 
 
-def _parse_rect(data: Any) -> Rect:
-    x0, y0, x1, y1 = _ints(data, 4, "rect")
-    if x0 >= x1 or y0 >= y1:
-        raise DocumentInvariantError(f"degenerate rect {data!r}")
-    return Rect(x0, y0, x1, y1)
-
-
 def _parse_contact(data: Any) -> ContactComponent:
     kind = _require(data, "kind")
     a = _ints(_require(data, "a"), 2, "contact point")
@@ -149,25 +147,29 @@ def parse(data: bytes) -> Document:
         raise DocumentInvariantError(str(exc)) from exc
 
     if kind == "shape":
-        items = _list(_require(doc, "pieces"), "pieces")
-        # the bit-length test keeps a huge n away from 2 ** (n + 1)
-        if n >= len(items).bit_length() or len(items) != 2 ** (n + 1) - 1:
+        pieces = _list(_require(doc, "pieces"), "pieces")
+        if len(pieces) != 2 ** (n + 1) - 1:
             raise DocumentInvariantError(
-                f"shape with n={n} must have 2**{n + 1} - 1 pieces, got {len(items)}"
+                f"shape with n={n} must have 2**{n + 1} - 1 pieces, got {len(pieces)}"
             )
-        pieces = []
-        for pd in items:
-            role = _require(pd, "role")
-            if role not in ("bar", "connector"):
-                raise DocumentInvariantError(f"unknown piece role {role!r}")
-            pieces.append(
-                Piece(role, _int(_require(pd, "index"), "piece index"), _parse_rect(_require(pd, "rect")))
-            )
-        return Shape(m=m, n=n, pieces=tuple(pieces))
+        # every piece serialize writes takes at least 40 bytes plus the digits of its
+        # x1 = i * m, so shorter input is rejected before the disk is built
+        if len(data) < len(pieces) * (40 + len(str(m))):
+            raise DocumentInvariantError(f"{len(data)} bytes are too few for {len(pieces)} pieces")
+    built = build_disk(m, n) if kind == "shape" else place_translates(m, n)
+    if kind != "certificate":
+        try:
+            same = serialize(built) == data
+        except ValueError:  # a coordinate past Python's int-to-str digit limit
+            same = False
+        if not same:
+            raise DocumentInvariantError(f"{kind} is not what serialize writes for m={m}, n={n}")
+        return built
 
-    offsets = _parse_offsets(_require(doc, "offsets"), n)
-    if kind == "scene":
-        return Scene(m=m, n=n, offsets=offsets)
+    items = _list(_require(doc, "offsets"), "offsets")
+    offsets = tuple(Vec2(*_ints(od, 2, "offset")) for od in items)
+    if offsets != built.offsets:
+        raise DocumentInvariantError(f"offsets are not those of the construction for m={m}, n={n}")
     verdicts = tuple(_parse_verdict(v) for v in _list(_require(doc, "pair_verdicts"), "pair_verdicts"))
     if [(v.i, v.j) for v in verdicts] != list(combinations(range(n + 1), 2)):
         raise DocumentInvariantError(f"pair_verdicts must list the pairs i < j <= {n} in order")
@@ -192,8 +194,3 @@ def parse(data: bytes) -> Document:
         )
     return cert
 
-
-def _parse_offsets(data: Any, n: int) -> tuple[Vec2, ...]:
-    if len(_list(data, "offsets")) != n + 1:
-        raise DocumentInvariantError(f"expected {n + 1} offsets, got {len(data)}")
-    return tuple(Vec2(*_ints(od, 2, "offset")) for od in data)

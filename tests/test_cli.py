@@ -55,8 +55,14 @@ def test_lemma1_pass(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k_max", ["0", "-5"])
+def test_lemma1_without_windows_exits_2(capsys, k_max):
+    assert main(["lemma1", "--k-max", k_max, "--r-max", "512"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lemma2_pass(capsys):
-    assert main(["lemma2", "-m", "2", "-n", "2", "--exhaustive"]) == 0
+    assert main(["lemma2", "-m", "2", "-n", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -97,8 +103,9 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
         ["render", "-m", "21", "-n", "21", "--scene"],
         ["lemma2", "-m", str(2**22 + 1), "-n", "2"],
         ["lemma2", "-m", str(10**12), "-n", "20"],
+        ["lemma1", "--k-max", "1", "--r-max", "10000000000"],
     ],
-    ids=["build-n21", "verify-n21", "render-n21", "lemma2-wide", "lemma2-huge-m"],
+    ids=["build-n21", "verify-n21", "render-n21", "lemma2-wide", "lemma2-huge-m", "lemma1-huge-r"],
 )
 def test_oversized_input_exits_2_without_allocating(capsys, argv):
     tracemalloc.start()

@@ -17,6 +17,7 @@ from translate_kiss import (
     serialize,
     verify_construction,
 )
+from translate_kiss import serial
 
 
 class TestSerialization:
@@ -87,6 +88,15 @@ class TestSerialization:
 
 def probe(**fields):
     return json.dumps({"schema_version": "tk-1", **fields}).encode()
+
+
+def canonical(doc):
+    """The bytes serialize writes for a document with these fields."""
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+
+
+def shape_doc(m=3, n=2):
+    return json.loads(serialize(build_disk(m, n)))
 
 
 def document_paths(node, path=()):
@@ -231,10 +241,107 @@ class TestStrictParse:
         with pytest.raises(MalformedDocument):
             parse(data)
 
+    def test_shape_piece_moved_by_one_unit(self):
+        doc = shape_doc()
+        rect = doc["pieces"][3]["rect"]
+        rect[0], rect[2] = rect[0] + 1, rect[2] + 1
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    def test_shape_pieces_swapped(self):
+        doc = shape_doc()
+        pieces = doc["pieces"]
+        pieces[0], pieces[2] = pieces[2], pieces[0]
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    def test_shape_duplicate_piece_index(self):
+        doc = shape_doc()
+        doc["pieces"][2]["index"] = doc["pieces"][0]["index"]
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    @pytest.mark.parametrize("where", ["document", "piece"])
+    def test_shape_extra_key(self, where):
+        doc = shape_doc()
+        (doc if where == "document" else doc["pieces"][1])["note"] = 0
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    @pytest.mark.parametrize("edit", ["pretty", "no-newline", "trailing-space"])
+    def test_valid_shape_in_other_bytes(self, edit):
+        data = serialize(build_disk(3, 2))
+        data = {
+            "pretty": json.dumps(json.loads(data), indent=1).encode(),
+            "no-newline": data[:-1],
+            "trailing-space": data + b" ",
+        }[edit]
+        assert json.loads(data) == shape_doc()
+        with pytest.raises(DocumentInvariantError):
+            parse(data)
+
+    def test_scene_offset_changed(self):
+        doc = json.loads(serialize(place_translates(4, 3)))
+        doc["offsets"][2][1] -= 1
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    def test_certificate_offsets_changed(self):
+        # the verdicts stay consistent with each other; only the offsets lie
+        doc = json.loads(serialize(verify_construction(3, 2)))
+        doc["offsets"][2][0] += 1
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    @pytest.mark.parametrize(
+        "m, junk",
+        [(16, 0), (16, {}), (10**3999, {"role": 0, "index": 0, "rect": 0})],
+        ids=["zero", "empty-object", "key-shaped-huge-m"],
+    )
+    def test_junk_pieces_rejected_before_building(self, monkeypatch, m, junk):
+        # the disk built for a huge m would be far larger than these few MB of input
+        def no_build(m, n):
+            raise AssertionError("build_disk called for junk pieces")
+
+        monkeypatch.setattr(serial, "build_disk", no_build)
+        data = probe(kind="shape", m=m, n=16, pieces=[junk] * (2**17 - 1))
+        start = time.perf_counter()
+        with pytest.raises(DocumentInvariantError):
+            parse(data)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("kind", ["shape", "scene", "certificate"])
+    def test_coordinates_past_the_int_digit_limit(self, kind):
+        # 2 * m has 4301 digits, one more than int-to-str allows by default
+        m = 9 * 10**4299
+        if kind == "shape":
+            doc = shape_doc(2, 1)
+        else:
+            make = verify_construction if kind == "certificate" else place_translates
+            doc = json.loads(serialize(make(3, 2)))
+        doc["m"] = m
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    @pytest.mark.parametrize("depth", range(985, 998))
+    @pytest.mark.parametrize("field", ["pieces", "scene-offsets", "certificate-offsets"])
+    def test_deep_nesting_inside_a_document(self, field, depth):
+        if field == "pieces":
+            doc = shape_doc(2, 1)
+        else:
+            obj = place_translates(2, 2) if field == "scene-offsets" else verify_construction(2, 2)
+            doc = json.loads(serialize(obj))
+        key = "pieces" if field == "pieces" else "offsets"
+        doc[key][0] = "DEEP"
+        data = canonical(doc).replace(b'"DEEP"', b"[" * depth + b"]" * depth)
+        with pytest.raises(MalformedDocument):
+            parse(data)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_mutated_documents_raise_only_malformed(self, data):
-        doc = copy.deepcopy(data.draw(st.sampled_from(SMALL_DOCUMENTS)))
+        original = data.draw(st.sampled_from(SMALL_DOCUMENTS))
+        doc = copy.deepcopy(original)
         path = data.draw(st.sampled_from(list(document_paths(doc))))
         value = data.draw(JSON_VALUES)
         if path:
@@ -244,10 +351,15 @@ class TestStrictParse:
             parent[path[-1]] = value
         else:
             doc = value
+        encoded = canonical(doc)
         try:
-            parse(json.dumps(doc).encode())
+            parse(encoded)
+            accepted = True
         except MalformedDocument:
-            pass
+            accepted = False
+        if original["kind"] != "certificate":
+            # a shape or scene is accepted exactly when the mutation left its bytes unchanged
+            assert accepted == (encoded == canonical(original))
 
 
 class TestRenderSvg:

@@ -12,7 +12,7 @@ from translate_kiss import (
     ruler,
     ruler_by_halving,
 )
-from translate_kiss.ruler import ruler_sum
+from translate_kiss.ruler import MAX_TABLE_LIMIT, ruler_sum
 
 # First 32 terms, frozen from the displayed definition of the sequence.
 FIRST_32 = [1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5,
@@ -94,6 +94,8 @@ class TestPrefixTable:
             prefix_sum(-1, table)
         with pytest.raises(ParameterError):
             PrefixTable.build(0)
+        with pytest.raises(ParameterError):
+            PrefixTable.build(MAX_TABLE_LIMIT + 1)
 
 
 class TestLemma1:
@@ -124,6 +126,11 @@ class TestLemma1:
     def test_exhaustive_checker_agrees_with_scalar(self):
         table = PrefixTable.build(300)
         assert check_lemma1_exhaustive(40, 300, table) is None
+
+    @pytest.mark.parametrize("k_max, r_max", [(0, 16), (-5, 16), (4, 0)])
+    def test_exhaustive_needs_a_window(self, k_max, r_max):
+        with pytest.raises(ParameterError):
+            check_lemma1_exhaustive(k_max, r_max, PrefixTable.build(16))
 
     def test_even_reduction_identity(self):
         # halving the prefix length: sum of first k terms = k + sum of first k/2
