@@ -18,7 +18,6 @@ from .placement import (
     Scene,
     check_lemma2_exhaustive,
     iter_lemma2_cases,
-    lemma2_instance,
     place_translates,
     theorem_pair_witness,
 )
@@ -26,20 +25,16 @@ from .rect import (
     ContactComponent,
     Rect,
     Vec2,
-    closed_contact,
     contact_components,
-    interiors_overlap,
     total_contact_length,
     union_interiors_disjoint,
 )
 from .render import render_svg
 from .ruler import (
     PrefixTable,
-    check_lemma1,
     check_lemma1_exhaustive,
     prefix_sum,
     ruler,
-    ruler_by_halving,
 )
 from .serial import parse, serialize
 from .verify import (
@@ -75,22 +70,17 @@ __all__ = [
     "Vec2",
     "VerticalRun",
     "build_disk",
-    "check_lemma1",
     "check_lemma1_exhaustive",
     "check_lemma2_exhaustive",
-    "closed_contact",
     "contact_components",
     "extract_sub_copy",
-    "interiors_overlap",
     "iter_lemma2_cases",
-    "lemma2_instance",
     "parse",
     "place_translates",
     "prefix_sum",
     "render_svg",
     "rightward_runs",
     "ruler",
-    "ruler_by_halving",
     "serialize",
     "sub_copy_offset",
     "theorem_pair_witness",

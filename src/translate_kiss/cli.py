@@ -4,9 +4,10 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 
 * 0 for success/PASS;
 * 1 for a verification FAIL, or a broken construction (ConstructionBroken);
-* 2 for usage or parameter errors (ParameterError, including n > 20, a
-  lemma 2 profile wider than 2^24 columns, and lemma1 with k_max < 1 or
-  r_max above 2^22) and broken preconditions (ContractViolation);
+* 2 for usage or parameter errors (ParameterError, including n > 20,
+  m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall, a lemma 2 profile wider
+  than 2^24 columns, and lemma1 with k_max < 1 or r_max above 2^22) and
+  broken preconditions (ContractViolation);
 * 3 for I/O errors.
 
 Each error exit prints one ``error:`` (or ``i/o error:``) line on stderr.

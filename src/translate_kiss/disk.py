@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .rect import Rect, Vec2, bounding_box
+from .rect import _LIMIT, Rect, Vec2, bounding_box
 from .ruler import ruler_sum
 
 BAR = "bar"
@@ -46,10 +46,6 @@ class Shape:
     def bounding_box(self) -> Rect:
         return bounding_box(self.rects())
 
-    @property
-    def height(self) -> int:
-        return self.bounding_box().height
-
 
 @dataclass(frozen=True)
 class SubCopyRef:
@@ -79,6 +75,10 @@ def _check_disk_params(m: int, n: int) -> None:
         raise ParameterError(f"need n >= 1, got {n}")
     if n > MAX_N:
         raise ParameterError(f"n={n} exceeds the supported maximum {MAX_N}")
+    # every coordinate of the disk and its translates lies below m * 2^(n+1); m is not
+    # formatted, as it may have more digits than int-to-str allows
+    if m * 2 ** (n + 1) >= _LIMIT:
+        raise ParameterError(f"m * 2**{n + 1} reaches the coordinate bound 2**61")
 
 
 def build_disk(m: int, n: int) -> Shape:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .disk import SubCopyRef, _check_disk_params, build_disk, sub_copy_offset
 from .errors import ConstructionBroken, ParameterError
-from .rect import Rect, Vec2, _rect_array
+from .rect import Vec2, _rect_array
 from .ruler import ruler_sum
 
 MAX_PROFILE_COLUMNS = 2**24
@@ -75,12 +75,6 @@ def place_translates(m: int, n: int) -> Scene:
         step = sub_copy_offset(m, n, SubCopyRef(level=n + 1 - i, copy=2))
         offsets.append(offsets[-1] + step + Vec2(1, -1))
     return Scene(m=m, n=n, offsets=(Vec2(0, -(n + 1)), *offsets))
-
-
-def lemma2_instance(case: Lemma2Case) -> tuple[list[Rect], list[Rect]]:
-    """The two rect lists of a lemma instance: one at the origin, one shifted."""
-    rects = build_disk(case.m, case.n).rects()
-    return rects, [r.translate(case.offset) for r in rects]
 
 
 def _last_ystar(n: int) -> int:

@@ -106,34 +106,6 @@ def bounding_box(rects: Iterable[Rect]) -> Rect:
     return Rect(x0, y0, max(r.x1 for r in rs), max(r.y1 for r in rs))
 
 
-def interiors_overlap(a: Rect, b: Rect) -> bool:
-    """Open-rectangle intersection test."""
-    return (
-        max(a.x0, b.x0) < min(a.x1, b.x1)
-        and max(a.y0, b.y0) < min(a.y1, b.y1)
-    )
-
-
-def closed_contact(a: Rect, b: Rect) -> Optional[ContactComponent]:
-    """Intersection of the closed rects, given disjoint interiors.
-
-    Returns a point or segment component, or None when the closed rects do
-    not meet at all.
-    """
-    if interiors_overlap(a, b):
-        raise ContractViolation(f"interiors of {a} and {b} overlap")
-    ix0, ix1 = max(a.x0, b.x0), min(a.x1, b.x1)
-    iy0, iy1 = max(a.y0, b.y0), min(a.y1, b.y1)
-    if ix0 > ix1 or iy0 > iy1:
-        return None
-    if ix0 == ix1 and iy0 == iy1:
-        return point_component((ix0, iy0))
-    if ix0 == ix1:
-        return vseg(ix0, iy0, iy1)
-    # iy0 == iy1 is forced: a 2D closed intersection would mean open overlap
-    return hseg(iy0, ix0, ix1)
-
-
 _LIMIT = 2**61
 # rows [x, y0, y1] of vertical, [y, x0, x1] of horizontal and [x, y] of point contacts
 _Contacts = tuple[list[list[int]], list[list[int]], list[list[int]]]

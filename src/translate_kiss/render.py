@@ -62,6 +62,8 @@ def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     bbox = bounding_box(r for group in groups for r in group)
     width = (bbox.x1 - bbox.x0 + 2) * unit_px
     height = (bbox.y1 - bbox.y0 + 2) * unit_px
+    if max(width, height) >= 2**61:  # unit_px stays out of the message: it may pass int-to-str's limit
+        raise ParameterError("SVG width or height reaches 2**61 px at this unit_px")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -25,22 +25,6 @@ def ruler(i: int) -> int:
     return (i & -i).bit_length()
 
 
-def ruler_by_halving(i: int) -> int:
-    """Independent computation of ruler(i) by parity recursion.
-
-    Uses only the rule that odd positions hold 1 and position 2j holds one
-    more than position j.  Kept deliberately free of bit tricks so it can
-    cross-check ruler().
-    """
-    if i < 1:
-        raise ParameterError(f"ruler is defined for i >= 1, got {i}")
-    h = 1
-    while i % 2 == 0:
-        i //= 2
-        h += 1
-    return h
-
-
 def ruler_sum(k: int) -> int:
     """Sum of the first k ruler terms, 2k - popcount(k) by Legendre's formula."""
     return 2 * k - k.bit_count()
@@ -78,17 +62,6 @@ def prefix_sum(i: int, table: PrefixTable) -> int:
     if i > table.limit:
         raise RangeError(f"prefix_sum({i}) exceeds table limit {table.limit}")
     return table.sums[i]
-
-
-def check_lemma1(k: int, r: int, table: PrefixTable) -> bool:
-    """True iff the first k terms sum to at most the k terms starting at r."""
-    if k < 1 or r < 1:
-        raise ParameterError(f"need k, r >= 1, got k={k}, r={r}")
-    if r + k - 1 > table.limit:
-        raise RangeError(
-            f"window [{r}, {r + k - 1}] exceeds table limit {table.limit}"
-        )
-    return table.sums[k] <= table.sums[r + k - 1] - table.sums[r - 1]
 
 
 def check_lemma1_exhaustive(

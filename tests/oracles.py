@@ -1,0 +1,145 @@
+"""Reference implementations the tests compare the package against.
+
+Each one is written independently of the fast path it checks (all-pairs
+loops, per-case sweeps, bit-free recursions, copy scans), and each has one
+definition, here.
+"""
+
+from typing import Optional
+
+from translate_kiss import (
+    ContractViolation,
+    Lemma2Case,
+    PairWitness,
+    ParameterError,
+    Rect,
+    Vec2,
+    build_disk,
+    iter_lemma2_cases,
+    prefix_sum,
+)
+from translate_kiss import placement
+from translate_kiss.rect import ContactComponent, _rect_array, _sweep, hseg, point_component, vseg
+
+
+def ruler_by_halving(i):
+    """ruler(i) by parity recursion: odd positions hold 1 and position 2j
+    holds one more than position j.  No bit tricks."""
+    if i < 1:
+        raise ParameterError(f"ruler is defined for i >= 1, got {i}")
+    h = 1
+    while i % 2 == 0:
+        i //= 2
+        h += 1
+    return h
+
+
+def lemma1_first_failure(k_max, r_max, terms):
+    """First (k, r) in lexicographic order, with r + k - 1 <= r_max, whose k
+    terms starting at r sum below the first k; terms[i - 1] is term i."""
+    for k in range(1, min(k_max, r_max) + 1):
+        for r in range(1, r_max - k + 2):
+            if sum(terms[:k]) > sum(terms[r - 1 : r + k - 1]):
+                return k, r
+    return None
+
+
+def interiors_overlap(a: Rect, b: Rect) -> bool:
+    """Open-rectangle intersection test."""
+    return max(a.x0, b.x0) < min(a.x1, b.x1) and max(a.y0, b.y0) < min(a.y1, b.y1)
+
+
+def closed_contact(a: Rect, b: Rect) -> Optional[ContactComponent]:
+    """Intersection of the closed rects, given disjoint interiors.
+
+    Returns a point or segment component, or None when the closed rects do
+    not meet at all.
+    """
+    if interiors_overlap(a, b):
+        raise ContractViolation(f"interiors of {a} and {b} overlap")
+    ix0, ix1 = max(a.x0, b.x0), min(a.x1, b.x1)
+    iy0, iy1 = max(a.y0, b.y0), min(a.y1, b.y1)
+    if ix0 > ix1 or iy0 > iy1:
+        return None
+    if ix0 == ix1 and iy0 == iy1:
+        return point_component((ix0, iy0))
+    if ix0 == ix1:
+        return vseg(ix0, iy0, iy1)
+    # iy0 == iy1 is forced: a 2D closed intersection would mean open overlap
+    return hseg(iy0, ix0, ix1)
+
+
+def naive_union_disjoint(A, B):
+    return not any(interiors_overlap(a, b) for a in A for b in B)
+
+
+def naive_contacts(A, B):
+    """All-pairs contact collection with an independently written merge."""
+    points, hsegs, vsegs = set(), [], []
+    for a in A:
+        for b in B:
+            if a.x0 > b.x1 or b.x0 > a.x1 or a.y0 > b.y1 or b.y0 > a.y1:
+                continue  # closed_contact would return None; skipping saves time
+            c = closed_contact(a, b)
+            if c is None:
+                continue
+            if c.kind == "point":
+                points.add(c.a)
+            elif c.kind == "horizontal-segment":
+                hsegs.append((c.a[1], c.a[0], c.b[0]))
+            else:
+                vsegs.append((c.a[0], c.a[1], c.b[1]))
+
+    def fold(segs):
+        out = []
+        for key, lo, hi in sorted(segs):
+            if out and out[-1][0] == key and lo <= out[-1][2]:
+                out[-1][2] = max(out[-1][2], hi)
+            else:
+                out.append([key, lo, hi])
+        return out
+
+    h = fold(hsegs)
+    v = fold(vsegs)
+    kept = []
+    for px, py in points:
+        on_h = any(py == y and lo <= px <= hi for y, lo, hi in h)
+        on_v = any(px == x and lo <= py <= hi for x, lo, hi in v)
+        if not (on_h or on_v):
+            kept.append((px, py))
+    result = {("horizontal-segment", (lo, y), (hi, y)) for y, lo, hi in h}
+    result |= {("vertical-segment", (x, lo), (x, hi)) for x, lo, hi in v}
+    result |= {("point", p, p) for p in kept}
+    return result
+
+
+def lemma2_instance(case: Lemma2Case) -> tuple[list[Rect], list[Rect]]:
+    """The two rect lists of a lemma instance: one at the origin, one shifted."""
+    rects = build_disk(case.m, case.n).rects()
+    return rects, [r.translate(case.offset) for r in rects]
+
+
+def sweep_lemma2_exhaustive(m, n):
+    """Per-case oracle: one rect sweep for each case of iter_lemma2_cases.
+
+    It reads the disk through placement.build_disk, so a disk patched there
+    reaches both this oracle and check_lemma2_exhaustive."""
+    rects = _rect_array(placement.build_disk(m, n).rects())
+    for case in iter_lemma2_cases(m, n):
+        off = case.offset
+        if _sweep(rects, rects + (off.dx, off.dy, off.dx, off.dy)) is None:
+            return case
+    return None
+
+
+def scan_pair_witness(scene, table, i, j):
+    """Brute-force oracle: scan every level sub-copy of A_i, with offsets
+    read from a prefix-sum table, for the one A_j steps off from."""
+    m, n = scene.m, scene.n
+    level, shift = n + 1 - j, j - i
+    target = scene.offsets[j] - scene.offsets[i] - Vec2(shift, -shift)
+    for copy in range(1, 2 ** (n - level) + 1):
+        first = (copy - 1) * 2**level
+        if Vec2(first * m, prefix_sum(first, table)) == target:
+            return PairWitness(level, copy, first + 1, shift, shift)
+    return None

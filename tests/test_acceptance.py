@@ -12,11 +12,8 @@ from translate_kiss import (
     SubCopyRef,
     build_disk,
     check_lemma1_exhaustive,
-    closed_contact,
     extract_sub_copy,
-    interiors_overlap,
     iter_lemma2_cases,
-    lemma2_instance,
     place_translates,
     prefix_sum,
     render_svg,
@@ -25,6 +22,14 @@ from translate_kiss import (
     union_interiors_disjoint,
     verify_construction,
     verify_touching_heights,
+)
+
+from oracles import (
+    closed_contact,
+    interiors_overlap,
+    lemma2_instance,
+    naive_union_disjoint,
+    ruler_by_halving,
 )
 
 
@@ -58,11 +63,7 @@ def test_criterion_1_lemma1_exhaustive():
 
 def test_criterion_2_ruler_cross_check():
     limit = 2**20
-    # oracle: rebuild the sequence from its halving recursion, no bit tricks
-    oracle = [0] * (limit + 1)
-    for i in range(1, limit + 1):
-        oracle[i] = 1 if i % 2 == 1 else oracle[i // 2] + 1
-    mismatches = sum(1 for i in range(1, limit + 1) if ruler(i) != oracle[i])
+    mismatches = sum(1 for i in range(1, limit + 1) if ruler(i) != ruler_by_halving(i))
 
     table = PrefixTable.build(2**16)
     sums_ok = all(
@@ -193,10 +194,8 @@ def test_criterion_7_determinism_and_prefilter():
         placed = [[r.translate(t) for r in shape.rects()] for t in scene.offsets]
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                naive = not any(
-                    interiors_overlap(a, b) for a in placed[i] for b in placed[j]
-                )
-                if union_interiors_disjoint(placed[i], placed[j]) != naive:
+                A, B = placed[i], placed[j]
+                if union_interiors_disjoint(A, B) != naive_union_disjoint(A, B):
                     agree = False
     report(
         7,

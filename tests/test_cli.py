@@ -1,10 +1,11 @@
 import json
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from translate_kiss import ConstructionBroken, ContractViolation, parse
+from translate_kiss import ConstructionBroken, ContractViolation, Lemma2Case, parse, verify_construction
 from translate_kiss import cli
 from translate_kiss.cli import main
 
@@ -96,6 +97,39 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
 
 
 @pytest.mark.parametrize(
+    "argv, patched, result, line",
+    [
+        (
+            ["lemma1", "--k-max", "4", "--r-max", "8"],
+            "check_lemma1_exhaustive",
+            (3, 5),
+            "FAIL: window k=3, r=5 beats the prefix",
+        ),
+        (
+            ["lemma2", "-m", "3", "-n", "3"],
+            "check_lemma2_exhaustive",
+            Lemma2Case(m=3, n=3, r=2, xstar=1, ystar=4),
+            "FAIL: overlap at r=2, xstar=1, ystar=4 (m=3, n=3)",
+        ),
+        (
+            ["verify", "-m", "3", "-n", "3"],
+            "verify_construction",
+            replace(verify_construction(3, 3), ok=False),
+            "FAIL m=3 n=3: 6 pairs checked, 3/3 translates touch A0",
+        ),
+    ],
+    ids=["lemma1", "lemma2", "verify"],
+)
+def test_fail_prints_its_line_and_exits_1(monkeypatch, capsys, argv, patched, result, line):
+    monkeypatch.setattr(cli, patched, lambda *args: result)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
+HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["build", "-m", "2", "-n", "21"],
@@ -104,8 +138,21 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
         ["lemma2", "-m", str(2**22 + 1), "-n", "2"],
         ["lemma2", "-m", str(10**12), "-n", "20"],
         ["lemma1", "--k-max", "1", "--r-max", "10000000000"],
+        ["build", "-m", HUGE, "-n", "1"],
+        ["render", "-m", HUGE, "-n", "2"],
+        ["render", "-m", "2", "-n", "2", "--unit-px", HUGE],
     ],
-    ids=["build-n21", "verify-n21", "render-n21", "lemma2-wide", "lemma2-huge-m", "lemma1-huge-r"],
+    ids=[
+        "build-n21",
+        "verify-n21",
+        "render-n21",
+        "lemma2-wide",
+        "lemma2-huge-m",
+        "lemma1-huge-r",
+        "build-huge-m",
+        "render-huge-m",
+        "render-huge-unit-px",
+    ],
 )
 def test_oversized_input_exits_2_without_allocating(capsys, argv):
     tracemalloc.start()
@@ -117,4 +164,5 @@ def test_oversized_input_exits_2_without_allocating(capsys, argv):
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 2**20
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,22 +7,13 @@ from translate_kiss import (
     SubCopyRef,
     Vec2,
     build_disk,
-    closed_contact,
     extract_sub_copy,
-    interiors_overlap,
     prefix_sum,
     ruler,
     sub_copy_offset,
 )
 
-
-def pieces_pairwise_disjoint(shape):
-    rects = shape.rects()
-    return not any(
-        interiors_overlap(rects[i], rects[j])
-        for i in range(len(rects))
-        for j in range(i + 1, len(rects))
-    )
+from oracles import closed_contact, naive_union_disjoint
 
 
 def adjacency_path_ok(shape):
@@ -84,12 +75,13 @@ class TestBuildDisk:
             shape = build_disk(3, n)
             bars = [p.rect for p in shape.pieces if p.role == "bar"]
             assert [r.y0 for r in bars] == list(table.sums[: 2**n])
-            assert shape.height == 2 ** (n + 1) - n - 1
+            assert shape.bounding_box().height == 2 ** (n + 1) - n - 1
 
     def test_disjoint_and_path(self):
         for m, n in [(2, 1), (2, 2), (4, 3), (5, 4)]:
             shape = build_disk(m, n)
-            assert pieces_pairwise_disjoint(shape)
+            rects = shape.rects()
+            assert all(naive_union_disjoint(rects[:k], [rects[k]]) for k in range(len(rects)))
             assert adjacency_path_ok(shape)
 
     def test_invalid_parameters(self):

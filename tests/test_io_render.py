@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from translate_kiss import (
     DocumentInvariantError,
     MalformedDocument,
+    ParameterError,
     SchemaVersionMismatch,
     build_disk,
     parse,
@@ -407,6 +408,12 @@ class TestRenderSvg:
             ]
 
         assert [v * 10 for v in first_rect_attrs(svg1)] == first_rect_attrs(svg10)
+
+    def test_unit_px_bound(self):
+        # the (3, 1) disk with its one-unit margin is 8 units wide
+        render_svg(build_disk(3, 1), unit_px=2**58 - 1)
+        with pytest.raises(ParameterError):
+            render_svg(build_disk(3, 1), unit_px=2**58)
 
     def test_a0_visually_distinct(self):
         svg = render_svg(place_translates(4, 3)).decode()

@@ -6,7 +6,6 @@ import pytest
 from translate_kiss import (
     ConstructionBroken,
     Lemma2Case,
-    PairWitness,
     ParameterError,
     Piece,
     PrefixTable,
@@ -17,14 +16,14 @@ from translate_kiss import (
     build_disk,
     check_lemma2_exhaustive,
     iter_lemma2_cases,
-    lemma2_instance,
     place_translates,
     prefix_sum,
     theorem_pair_witness,
     union_interiors_disjoint,
 )
 from translate_kiss import disk, placement
-from translate_kiss.rect import _rect_array, _sweep
+
+from oracles import lemma2_instance, scan_pair_witness, sweep_lemma2_exhaustive
 
 
 class TestPlaceTranslates:
@@ -174,13 +173,13 @@ class TestLemma2:
                 check_lemma2_exhaustive(m, n)
 
     def test_case_enumeration_bounds(self):
-        height = build_disk(3, 2).height
+        height = build_disk(3, 2).bounding_box().height
         cases = list(iter_lemma2_cases(3, 2))
         assert len(cases) == 4 * 2 * (height + 1)
         assert max(c.ystar for c in cases) == height + 1
         for n in range(3, 8):
             *_, last = iter_lemma2_cases(2, n)
-            assert last.ystar == build_disk(2, n).height + 1
+            assert last.ystar == build_disk(2, n).bounding_box().height + 1
 
     def test_shifting_left_would_overlap(self):
         # xstar = 0 is excluded for a reason: stacking straight down overlaps
@@ -249,29 +248,3 @@ class TestTheoremPairWitness:
         assert theorem_pair_witness(m, n, 1, 2).copy == 2
         with pytest.raises(ConstructionBroken):
             theorem_pair_witness(m, n, 2, 3)
-
-
-def sweep_lemma2_exhaustive(m, n):
-    """Per-case oracle: one rect sweep for each case of iter_lemma2_cases.
-
-    It reads the disk through placement.build_disk, so a disk patched there
-    reaches both this oracle and check_lemma2_exhaustive."""
-    rects = _rect_array(placement.build_disk(m, n).rects())
-    for case in iter_lemma2_cases(m, n):
-        off = case.offset
-        if _sweep(rects, rects + (off.dx, off.dy, off.dx, off.dy)) is None:
-            return case
-    return None
-
-
-def scan_pair_witness(scene, table, i, j):
-    """Brute-force oracle: scan every level sub-copy of A_i, with offsets
-    read from a prefix-sum table, for the one A_j steps off from."""
-    m, n = scene.m, scene.n
-    level, shift = n + 1 - j, j - i
-    target = scene.offsets[j] - scene.offsets[i] - Vec2(shift, -shift)
-    for copy in range(1, 2 ** (n - level) + 1):
-        first = (copy - 1) * 2**level
-        if Vec2(first * m, prefix_sum(first, table)) == target:
-            return PairWitness(level, copy, first + 1, shift, shift)
-    return None

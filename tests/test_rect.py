@@ -10,13 +10,13 @@ from translate_kiss import (
     Rect,
     Vec2,
     build_disk,
-    closed_contact,
     contact_components,
-    interiors_overlap,
     total_contact_length,
     union_interiors_disjoint,
     verify_construction,
 )
+
+from oracles import closed_contact, interiors_overlap, naive_contacts, naive_union_disjoint
 
 coords = st.integers(min_value=-8, max_value=8)
 
@@ -64,50 +64,6 @@ def disjoint_soups(draw):
             soup += draw(st.lists(st.sampled_from(soup), max_size=5))
         lists.append(draw(st.permutations(soup)))
     return tuple(lists)
-
-
-def naive_union_disjoint(A, B):
-    return not any(interiors_overlap(a, b) for a in A for b in B)
-
-
-def naive_contacts(A, B):
-    """All-pairs contact collection with an independently written merge."""
-    points, hsegs, vsegs = set(), [], []
-    for a in A:
-        for b in B:
-            if a.x0 > b.x1 or b.x0 > a.x1 or a.y0 > b.y1 or b.y0 > a.y1:
-                continue  # closed_contact would return None; skipping saves time
-            c = closed_contact(a, b)
-            if c is None:
-                continue
-            if c.kind == "point":
-                points.add(c.a)
-            elif c.kind == "horizontal-segment":
-                hsegs.append((c.a[1], c.a[0], c.b[0]))
-            else:
-                vsegs.append((c.a[0], c.a[1], c.b[1]))
-
-    def fold(segs):
-        out = []
-        for key, lo, hi in sorted(segs):
-            if out and out[-1][0] == key and lo <= out[-1][2]:
-                out[-1][2] = max(out[-1][2], hi)
-            else:
-                out.append([key, lo, hi])
-        return out
-
-    h = fold(hsegs)
-    v = fold(vsegs)
-    kept = []
-    for px, py in points:
-        on_h = any(py == y and lo <= px <= hi for y, lo, hi in h)
-        on_v = any(px == x and lo <= py <= hi for x, lo, hi in v)
-        if not (on_h or on_v):
-            kept.append((px, py))
-    result = {("horizontal-segment", (lo, y), (hi, y)) for y, lo, hi in h}
-    result |= {("vertical-segment", (x, lo), (x, hi)) for x, lo, hi in v}
-    result |= {("point", p, p) for p in kept}
-    return result
 
 
 class TestRect:

@@ -1,3 +1,6 @@
+import random
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,26 +9,17 @@ from translate_kiss import (
     ParameterError,
     PrefixTable,
     RangeError,
-    check_lemma1,
     check_lemma1_exhaustive,
     prefix_sum,
     ruler,
-    ruler_by_halving,
 )
 from translate_kiss.ruler import MAX_TABLE_LIMIT, ruler_sum
+
+from oracles import lemma1_first_failure, ruler_by_halving
 
 # First 32 terms, frozen from the displayed definition of the sequence.
 FIRST_32 = [1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 5,
             1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1, 6]
-
-
-def reconstruction_sequence(limit):
-    """Oracle: rebuild the sequence from the rule that dropping odd terms
-    and decrementing even terms reproduces it.  No bit inspection."""
-    s = [0] * (limit + 1)
-    for i in range(1, limit + 1):
-        s[i] = 1 if i % 2 == 1 else s[i // 2] + 1
-    return s
 
 
 def test_known_values():
@@ -59,11 +53,6 @@ def test_invalid_argument():
 @given(st.integers(min_value=1, max_value=2**40))
 def test_halving_agrees_with_bits(i):
     assert ruler(i) == ruler_by_halving(i)
-
-
-def test_reconstruction_agrees_sampled():
-    s = reconstruction_sequence(4096)
-    assert [ruler(i) for i in range(1, 4097)] == s[1:]
 
 
 class TestPrefixTable:
@@ -101,27 +90,39 @@ class TestPrefixTable:
 class TestLemma1:
     def test_examples(self):
         table = PrefixTable.build(64)
-        assert check_lemma1(1, 7, table)
-        # window equal to the prefix itself: equality
-        assert check_lemma1(5, 1, table)
-        assert prefix_sum(5, table) == prefix_sum(5, table)
+        assert check_lemma1_exhaustive(1, 7, table) is None
+        # k = 5 with r_max = 5 leaves only the prefix itself: equality
+        assert check_lemma1_exhaustive(5, 5, table) is None
+        # terms 1, 2, 1, 0: the single term at r = 4 is below the first
+        assert check_lemma1_exhaustive(4, 4, PrefixTable(4, (0, 1, 3, 4, 4))) == (1, 4)
 
     def test_out_of_range_window(self):
         table = PrefixTable.build(16)
         with pytest.raises(RangeError):
-            check_lemma1(8, 10, table)
-        with pytest.raises(ParameterError):
-            check_lemma1(0, 1, table)
+            check_lemma1_exhaustive(8, 17, table)
 
     def test_small_exhaustive_matches_naive(self):
         table = PrefixTable.build(200)
-        s = [ruler(i) for i in range(1, 201)]
-        for k in range(1, 33):
-            for r in range(1, 201 - k + 2):
-                if r + k - 1 > 200:
-                    continue
-                naive = sum(s[: k]) <= sum(s[r - 1 : r + k - 1])
-                assert check_lemma1(k, r, table) == naive
+        terms = [ruler(i) for i in range(1, 201)]
+        for k_max, r_max in [(1, 1), (32, 200), (200, 200), (7, 64)]:
+            assert check_lemma1_exhaustive(k_max, r_max, table) is None
+            assert lemma1_first_failure(k_max, r_max, terms) is None
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_planted_dips_match_naive_scan(self, seed):
+        # the ruler sequence with one to three even-numbered terms below r_max
+        # lowered by 1 or 2: a term lowered to 0 fails at k = 1, one lowered to
+        # 1 or more only in a longer window (k = 2, 4 and 8 all occur)
+        rng = random.Random(seed)
+        limit = rng.randint(8, 64)
+        r_max = rng.randint(limit // 2, limit)
+        k_max = rng.randint(1, r_max)
+        terms = [ruler(i) for i in range(1, limit + 1)]
+        for i in rng.sample(range(1, r_max, 2), rng.randint(1, 3)):
+            terms[i] -= rng.randint(1, 2)
+        table = PrefixTable(limit, (0, *accumulate(terms)))
+        expected = lemma1_first_failure(k_max, r_max, terms)
+        assert check_lemma1_exhaustive(k_max, r_max, table) == expected
 
     def test_exhaustive_checker_agrees_with_scalar(self):
         table = PrefixTable.build(300)
@@ -177,8 +178,3 @@ def test_lemma1_is_popcount_subadditivity():
         held = sums[k] <= sums[k:] - sums[: limit + 1 - k]
         subadditive = pc[k:] <= pc[: limit + 1 - k] + pc[k]
         assert np.array_equal(held, subadditive) and held.all()
-    for k in range(1, 257):
-        for r in range(1, 258 - k):
-            assert check_lemma1(k, r, table) == (
-                popcount(r - 1 + k) <= popcount(r - 1) + popcount(k)
-            )

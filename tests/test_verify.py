@@ -91,6 +91,15 @@ class TestVerifyConstruction:
         with pytest.raises(ParameterError):
             verify_construction(2, 3)
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_largest_m_stays_inside_the_sweep_bound(self, n):
+        # every coordinate lies below m * 2^(n+1), so the largest m under the
+        # 2^61 bound verifies without a RangeError and the next is refused
+        m = 2**61 // 2 ** (n + 1) - 1
+        assert verify_construction(m, n).ok
+        with pytest.raises(ParameterError):
+            verify_construction(m + 1, n)
+
 
 @pytest.mark.parametrize("m, n", GOLDEN_CERTIFICATES)
 def test_certificate_bytes_golden(m, n):
