@@ -32,38 +32,39 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _write_out(data: bytes, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.buffer.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
-
-
 def _say(args: argparse.Namespace, msg: str) -> None:
     if not args.quiet:
         print(msg)
 
 
+def _write_out(args: argparse.Namespace, data: bytes, path: str | None, summary: str) -> None:
+    """Write data to path, or to stdout for None or "-"; the summary line
+    follows only when stdout does not carry the data."""
+    if path is None or path == "-":
+        sys.stdout.buffer.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
+        _say(args, summary)
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     shape = build_disk(args.m, args.n)
-    _write_out(serialize(shape), args.out)
-    if args.out not in (None, "-"):
-        _say(args, f"wrote shape m={args.m} n={args.n} to {args.out}")
+    _write_out(args, serialize(shape), args.out, f"wrote shape m={args.m} n={args.n} to {args.out}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cert = verify_construction(args.m, args.n)
-    if args.json is not None:
-        _write_out(serialize(cert), args.json)
-    verdict = "PASS" if cert.ok else "FAIL"
-    _say(
-        args,
-        f"{verdict} m={cert.m} n={cert.n}: "
+    summary = (
+        f"{'PASS' if cert.ok else 'FAIL'} m={cert.m} n={cert.n}: "
         f"{len(cert.pair_verdicts)} pairs checked, "
-        f"{cert.touching_count}/{cert.n} translates touch A0",
+        f"{cert.touching_count}/{cert.n} translates touch A0"
     )
+    if args.json is None:
+        _say(args, summary)
+    else:
+        _write_out(args, serialize(cert), args.json, summary)
     return EXIT_OK if cert.ok else EXIT_FAIL
 
 
@@ -72,9 +73,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         obj = build_disk(args.m, args.n)
     else:
         obj = place_translates(args.m, args.n)
-    _write_out(render_svg(obj, unit_px=args.unit_px), args.out)
-    if args.out not in (None, "-"):
-        _say(args, f"wrote SVG to {args.out}")
+    _write_out(args, render_svg(obj, unit_px=args.unit_px), args.out, f"wrote SVG to {args.out}")
     return EXIT_OK
 
 
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify the full construction")
     p_verify.add_argument("-m", type=int, required=True)
     p_verify.add_argument("-n", type=int, required=True)
-    p_verify.add_argument("--json", default=None, help="write the certificate here")
+    p_verify.add_argument("--json", default=None, help="write the certificate here ('-' for stdout)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_render = sub.add_parser("render", help="render a disk or scene as SVG")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+import numpy as np
+
+from .errors import ParameterError, _show
 from .rect import _LIMIT, Rect, Vec2, bounding_box
 from .ruler import ruler_sum
 
@@ -61,22 +63,21 @@ class SubCopyRef:
 
 def _validate_ref(n: int, ref: SubCopyRef) -> None:
     if not 0 <= ref.level <= n:
-        raise ParameterError(f"level {ref.level} out of range 0..{n}")
+        raise ParameterError(f"level {_show(ref.level)} out of range 0..{n}")
     if not 1 <= ref.copy <= 2 ** (n - ref.level):
         raise ParameterError(
-            f"copy {ref.copy} out of range 1..{2 ** (n - ref.level)} at level {ref.level}"
+            f"copy {_show(ref.copy)} out of range 1..{2 ** (n - ref.level)} at level {ref.level}"
         )
 
 
 def _check_disk_params(m: int, n: int) -> None:
     if m < 2:
-        raise ParameterError(f"need bar width m >= 2, got {m}")
+        raise ParameterError(f"need bar width m >= 2, got {_show(m)}")
     if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+        raise ParameterError(f"need n >= 1, got {_show(n)}")
     if n > MAX_N:
-        raise ParameterError(f"n={n} exceeds the supported maximum {MAX_N}")
-    # every coordinate of the disk and its translates lies below m * 2^(n+1); m is not
-    # formatted, as it may have more digits than int-to-str allows
+        raise ParameterError(f"n={_show(n)} exceeds the supported maximum {MAX_N}")
+    # every coordinate of the disk and its translates lies below m * 2^(n+1)
     if m * 2 ** (n + 1) >= _LIMIT:
         raise ParameterError(f"m * 2**{n + 1} reaches the coordinate bound 2**61")
 
@@ -92,6 +93,17 @@ def build_disk(m: int, n: int) -> Shape:
         if i < bars:
             pieces.append(Piece(CONNECTOR, i, Rect(i * m - 1, y + 1, i * m, ruler_sum(i) + 1)))
     return Shape(m=m, n=n, pieces=tuple(pieces))
+
+
+def _column_profile(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell range [lo[c], hi[c]) of each unit column c of the (m, n) disk, as
+    build_disk lays it out: bar i + 1 at height S(i) = ruler_sum(i), and connector
+    i (1 <= i < 2^n) in column i m - 1 up to S(i) + 1.  The caller checks m, n."""
+    sums = np.fromiter(map(ruler_sum, range(2**n)), np.int64, 2**n)
+    lo = np.repeat(sums, m)
+    hi = lo + 1
+    hi[m - 1 :: m][:-1] = sums[1:] + 1
+    return lo, hi
 
 
 def sub_copy_offset(m: int, n: int, ref: SubCopyRef) -> Vec2:

@@ -1,6 +1,14 @@
 """Exception hierarchy shared by all modules."""
 
 
+def _show(value: int) -> str:
+    """value in decimal, or its sign and bit length if int-to-str refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{abs(value).bit_length()}-bit int>"
+
+
 class ParameterError(ValueError):
     """An argument is outside the range an operation is defined for."""
 

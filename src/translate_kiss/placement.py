@@ -12,9 +12,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .disk import SubCopyRef, _check_disk_params, build_disk, sub_copy_offset
-from .errors import ConstructionBroken, ParameterError
-from .rect import Vec2, _rect_array
+from .disk import SubCopyRef, _check_disk_params, _column_profile, sub_copy_offset
+from .errors import ConstructionBroken, ParameterError, _show
+from .rect import Vec2
 from .ruler import ruler_sum
 
 MAX_PROFILE_COLUMNS = 2**24
@@ -44,14 +44,15 @@ class Lemma2Case:
     ystar: int
 
     def __post_init__(self) -> None:
-        if self.m < 2 or self.n < 2:
-            raise ParameterError(f"need m, n >= 2, got m={self.m}, n={self.n}")
+        _check_disk_params(self.m, self.n)
+        if self.n < 2:
+            raise ParameterError(f"need n >= 2, got {self.n}")
         if not 1 <= self.r <= 2**self.n:
-            raise ParameterError(f"bar index r={self.r} out of range 1..{2 ** self.n}")
+            raise ParameterError(f"bar index r={_show(self.r)} out of range 1..{2 ** self.n}")
         if not 1 <= self.xstar <= self.m - 1:
-            raise ParameterError(f"xstar={self.xstar} out of range 1..{self.m - 1}")
+            raise ParameterError(f"xstar={_show(self.xstar)} out of range 1..{self.m - 1}")
         if self.ystar < 1:
-            raise ParameterError(f"ystar={self.ystar} must be >= 1")
+            raise ParameterError(f"ystar={_show(self.ystar)} must be >= 1")
 
     @property
     def offset(self) -> Vec2:
@@ -61,9 +62,9 @@ class Lemma2Case:
 
 def _check_theorem_params(m: int, n: int) -> None:
     if n < 2:
-        raise ParameterError(f"construction needs n >= 2, got {n}")
+        raise ParameterError(f"construction needs n >= 2, got {_show(n)}")
     if m < n:
-        raise ParameterError(f"construction needs m >= n, got m={m}, n={n}")
+        raise ParameterError(f"construction needs m >= n, got m={_show(m)}, n={_show(n)}")
     _check_disk_params(m, n)
 
 
@@ -92,34 +93,12 @@ def iter_lemma2_cases(m: int, n: int) -> Iterator[Lemma2Case]:
                 yield Lemma2Case(m=m, n=n, r=r, xstar=xstar, ystar=ystar)
 
 
-def _column_profile(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell range [lo[c], hi[c]) of each unit column c of interior-disjoint rects.
-
-    Columns count from the leftmost x.  Raises ConstructionBroken unless the
-    rect heights summed over every column equal hi - lo, i.e. unless each
-    column meets the union in one interval.
-    """
-    x0, y0, x1, y1 = rects.T
-    widths = x1 - x0
-    cols = np.repeat(x0 - x0.min(), widths) + np.arange(widths.sum()) - np.repeat(
-        np.cumsum(widths) - widths, widths
-    )
-    span = int(x1.max() - x0.min())
-    lo, hi, covered = np.full(span, y1.max()), np.full(span, y0.min()), np.zeros(span, np.int64)
-    np.minimum.at(lo, cols, np.repeat(y0, widths))
-    np.maximum.at(hi, cols, np.repeat(y1, widths))
-    np.add.at(covered, cols, np.repeat(y1 - y0, widths))
-    broken = np.flatnonzero(covered != hi - lo)
-    if broken.size:
-        raise ConstructionBroken(f"column {broken[0]} of the disk is not one interval")
-    return lo, hi
-
-
 def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     """Decide every case of iter_lemma2_cases; None if all are disjoint, else
     the first failure in their order.
 
-    The disk meets unit column c in one cell range [lo[c], hi[c]).  Case
+    The disk meets unit column c in one cell range [lo[c], hi[c]), which
+    disk._column_profile gives in closed form, so no disk is built.  Case
     (r, xstar, ystar) shifts the translate by (dx, base - ystar), where
     dx = (r - 1) m + xstar and base = ruler_sum(r - 1), so column c of the
     disk faces column c - dx of the translate, and the two interiors overlap
@@ -135,7 +114,7 @@ def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
         raise ParameterError(
             f"lemma 2 profile of m * 2**n = {m * 2**n} columns exceeds {MAX_PROFILE_COLUMNS}"
         )
-    lo, hi = _column_profile(_rect_array(build_disk(m, n).rects()))
+    lo, hi = _column_profile(m, n)
     top = _last_ystar(n)
     for r in range(1, 2**n + 1):
         base = ruler_sum(r - 1)
@@ -174,7 +153,7 @@ def theorem_pair_witness(m: int, n: int, i: int, j: int) -> PairWitness:
     """
     _check_theorem_params(m, n)
     if not 1 <= i < j <= n:
-        raise ParameterError(f"need 1 <= i < j <= n, got i={i}, j={j}")
+        raise ParameterError(f"need 1 <= i < j <= n, got i={_show(i)}, j={_show(j)}")
     scene = place_translates(m, n)
     level = n + 1 - j
     shift = j - i

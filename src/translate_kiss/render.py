@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Union
 
 from .disk import Shape, build_disk
-from .errors import ParameterError
+from .errors import ParameterError, _show
 from .placement import Scene
 from .rect import Rect, bounding_box
 
@@ -44,7 +44,7 @@ def _svg_rect(r: Rect, bbox: Rect, unit_px: int, fill: str) -> str:
 def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     """Render a single disk or a placed scene, one group per translate."""
     if unit_px < 1:
-        raise ParameterError(f"unit_px must be >= 1, got {unit_px}")
+        raise ParameterError(f"unit_px must be >= 1, got {_show(unit_px)}")
     if isinstance(obj, Shape):
         groups = [obj.rects()]
         fills = [FILLS[0]]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError
+from .errors import ParameterError, RangeError, _show
 
 MAX_TABLE_LIMIT = 2**22  # building 2^20 terms peaks near 50 MiB, so about 200 MiB at the cap
 
@@ -21,7 +21,7 @@ MAX_TABLE_LIMIT = 2**22  # building 2^20 terms peaks near 50 MiB, so about 200 M
 def ruler(i: int) -> int:
     """Number of trailing zero bits of i, plus one.  Bit-inspection route."""
     if i < 1:
-        raise ParameterError(f"ruler is defined for i >= 1, got {i}")
+        raise ParameterError(f"ruler is defined for i >= 1, got {_show(i)}")
     return (i & -i).bit_length()
 
 
@@ -44,9 +44,9 @@ class PrefixTable:
     @classmethod
     def build(cls, limit: int) -> "PrefixTable":
         if limit < 1:
-            raise ParameterError(f"table limit must be >= 1, got {limit}")
+            raise ParameterError(f"table limit must be >= 1, got {_show(limit)}")
         if limit > MAX_TABLE_LIMIT:
-            raise ParameterError(f"table limit {limit} exceeds the supported maximum {MAX_TABLE_LIMIT}")
+            raise ParameterError(f"table limit {_show(limit)} exceeds the supported maximum {MAX_TABLE_LIMIT}")
         sums = [0] * (limit + 1)
         acc = 0
         for i in range(1, limit + 1):
@@ -58,9 +58,9 @@ class PrefixTable:
 def prefix_sum(i: int, table: PrefixTable) -> int:
     """Sum of the first i ruler terms (0 for i == 0)."""
     if i < 0:
-        raise ParameterError(f"prefix_sum needs i >= 0, got {i}")
+        raise ParameterError(f"prefix_sum needs i >= 0, got {_show(i)}")
     if i > table.limit:
-        raise RangeError(f"prefix_sum({i}) exceeds table limit {table.limit}")
+        raise RangeError(f"prefix_sum({_show(i)}) exceeds table limit {table.limit}")
     return table.sums[i]
 
 
@@ -74,9 +74,9 @@ def check_lemma1_exhaustive(
     stays well under a second.
     """
     if k_max < 1 or r_max < 1:
-        raise ParameterError(f"need k_max, r_max >= 1, got k_max={k_max}, r_max={r_max}")
+        raise ParameterError(f"need k_max, r_max >= 1, got k_max={_show(k_max)}, r_max={_show(r_max)}")
     if r_max > table.limit:
-        raise RangeError(f"r_max {r_max} exceeds table limit {table.limit}")
+        raise RangeError(f"r_max {_show(r_max)} exceeds table limit {table.limit}")
     sums = np.asarray(table.sums[: r_max + 1], dtype=np.int64)
     for k in range(1, min(k_max, r_max) + 1):
         windows = sums[k:] - sums[: r_max + 1 - k]

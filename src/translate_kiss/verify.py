@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
-from .errors import ParameterError
+from .errors import ParameterError, _show
 from .placement import _check_theorem_params, place_translates
 from .rect import (
     ContactComponent,
@@ -135,7 +135,7 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     """
     _check_theorem_params(m, n)
     if not 1 <= i <= n:
-        raise ParameterError(f"translate index i={i} out of range 1..{n}")
+        raise ParameterError(f"translate index i={_show(i)} out of range 1..{n}")
     level = n + 1 - i
     scene = place_translates(m, n)
     sub = build_disk(m, level)

@@ -1,13 +1,16 @@
 """Reference implementations the tests compare the package against.
 
 Each one is written independently of the fast path it checks (all-pairs
-loops, per-case sweeps, bit-free recursions, copy scans), and each has one
-definition, here.
+loops, per-case sweeps, rect-to-column scatters, bit-free recursions, copy
+scans), and each has one definition, here.
 """
 
 from typing import Optional
 
+import numpy as np
+
 from translate_kiss import (
+    ConstructionBroken,
     ContractViolation,
     Lemma2Case,
     PairWitness,
@@ -18,7 +21,7 @@ from translate_kiss import (
     iter_lemma2_cases,
     prefix_sum,
 )
-from translate_kiss import placement
+from translate_kiss import disk
 from translate_kiss.rect import ContactComponent, _rect_array, _sweep, hseg, point_component, vseg
 
 
@@ -119,12 +122,35 @@ def lemma2_instance(case: Lemma2Case) -> tuple[list[Rect], list[Rect]]:
     return rects, [r.translate(case.offset) for r in rects]
 
 
+def rect_column_profile(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell range [lo[c], hi[c]) of each unit column c of interior-disjoint rects.
+
+    Columns count from the leftmost x.  Raises ConstructionBroken unless the
+    rect heights summed over every column equal hi - lo, i.e. unless each
+    column meets the union in one interval.
+    """
+    x0, y0, x1, y1 = rects.T
+    widths = x1 - x0
+    cols = np.repeat(x0 - x0.min(), widths) + np.arange(widths.sum()) - np.repeat(
+        np.cumsum(widths) - widths, widths
+    )
+    span = int(x1.max() - x0.min())
+    lo, hi, covered = np.full(span, y1.max()), np.full(span, y0.min()), np.zeros(span, np.int64)
+    np.minimum.at(lo, cols, np.repeat(y0, widths))
+    np.maximum.at(hi, cols, np.repeat(y1, widths))
+    np.add.at(covered, cols, np.repeat(y1 - y0, widths))
+    broken = np.flatnonzero(covered != hi - lo)
+    if broken.size:
+        raise ConstructionBroken(f"column {broken[0]} of the disk is not one interval")
+    return lo, hi
+
+
 def sweep_lemma2_exhaustive(m, n):
     """Per-case oracle: one rect sweep for each case of iter_lemma2_cases.
 
-    It reads the disk through placement.build_disk, so a disk patched there
-    reaches both this oracle and check_lemma2_exhaustive."""
-    rects = _rect_array(placement.build_disk(m, n).rects())
+    It reads the disk through disk.build_disk, so a disk patched there
+    reaches this oracle; check_lemma2_exhaustive reads no disk."""
+    rects = _rect_array(disk.build_disk(m, n).rects())
     for case in iter_lemma2_cases(m, n):
         off = case.offset
         if _sweep(rects, rects + (off.dx, off.dy, off.dx, off.dy)) is None:

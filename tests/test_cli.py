@@ -5,7 +5,27 @@ from dataclasses import replace
 
 import pytest
 
-from translate_kiss import ConstructionBroken, ContractViolation, Lemma2Case, parse, verify_construction
+from translate_kiss import (
+    ConstructionBroken,
+    ContractViolation,
+    Lemma2Case,
+    ParameterError,
+    PrefixTable,
+    SubCopyRef,
+    build_disk,
+    check_lemma1_exhaustive,
+    check_lemma2_exhaustive,
+    parse,
+    place_translates,
+    prefix_sum,
+    render_svg,
+    ruler,
+    serialize,
+    sub_copy_offset,
+    theorem_pair_witness,
+    verify_construction,
+    verify_touching_heights,
+)
 from translate_kiss import cli
 from translate_kiss.cli import main
 
@@ -30,6 +50,12 @@ def test_verify_pass(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     cert = parse(cert_path.read_bytes())
     assert cert.ok
+
+
+def test_verify_certificate_to_stdout(capsysbinary):
+    # no PASS line after the certificate, so the piped bytes parse
+    assert main(["verify", "-m", "3", "-n", "2", "--json", "-"]) == 0
+    assert capsysbinary.readouterr().out == serialize(verify_construction(3, 2))
 
 
 def test_verify_quiet(capsys):
@@ -94,6 +120,50 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "check_lemma2_exhaustive", broken)
     assert main(["lemma2", "-m", "3", "-n", "3"]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+BIG = 10**5000  # more digits than int-to-str conversion allows
+TABLE = PrefixTable.build(16)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_disk(-BIG, 2),
+        lambda: build_disk(3, BIG),
+        lambda: place_translates(3, -BIG),
+        lambda: PrefixTable.build(BIG),
+        lambda: ruler(-BIG),
+        lambda: prefix_sum(-BIG, TABLE),
+        lambda: check_lemma1_exhaustive(-BIG, 4, TABLE),
+        lambda: check_lemma2_exhaustive(-BIG, 3),
+        lambda: Lemma2Case(2, 2, BIG, 1, 1),
+        lambda: sub_copy_offset(4, 3, SubCopyRef(BIG, 1)),
+        lambda: theorem_pair_witness(4, 3, BIG, BIG + 1),
+        lambda: verify_touching_heights(4, 3, BIG),
+        lambda: render_svg(build_disk(2, 2), unit_px=-BIG),
+    ],
+    ids=[
+        "build_disk-m",
+        "build_disk-n",
+        "place_translates",
+        "PrefixTable.build",
+        "ruler",
+        "prefix_sum",
+        "check_lemma1_exhaustive",
+        "check_lemma2_exhaustive",
+        "Lemma2Case",
+        "sub_copy_offset",
+        "theorem_pair_witness",
+        "verify_touching_heights",
+        "render_svg",
+    ],
+)
+def test_huge_ints_raise_parameter_error(call):
+    # formatting such an int into the message must not turn the error into
+    # the plain ValueError of int-to-str, which `except ParameterError` misses
+    with pytest.raises(ParameterError, match="-bit int>"):
+        call()
 
 
 @pytest.mark.parametrize(

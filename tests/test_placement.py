@@ -1,6 +1,7 @@
 import random
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from translate_kiss import (
@@ -21,9 +22,18 @@ from translate_kiss import (
     theorem_pair_witness,
     union_interiors_disjoint,
 )
-from translate_kiss import disk, placement
+from translate_kiss import disk, placement, rect
+from translate_kiss.rect import _rect_array
 
-from oracles import lemma2_instance, scan_pair_witness, sweep_lemma2_exhaustive
+from oracles import lemma2_instance, rect_column_profile, scan_pair_witness, sweep_lemma2_exhaustive
+
+
+def patch_disk(monkeypatch, shape):
+    """Make shape the disk both Lemma 2 paths see: the sweep oracle through
+    disk.build_disk, the profile pass through its rect-derived column profile."""
+    monkeypatch.setattr(disk, "build_disk", lambda m, n: shape)
+    profile = rect_column_profile(_rect_array(shape.rects()))
+    monkeypatch.setattr(placement, "_column_profile", lambda m, n: profile)
 
 
 class TestPlaceTranslates:
@@ -76,6 +86,10 @@ class TestLemma2:
             Lemma2Case(m=2, n=2, r=1, xstar=1, ystar=0)
         with pytest.raises(ParameterError):
             Lemma2Case(m=4, n=1, r=1, xstar=1, ystar=1)
+        with pytest.raises(ParameterError):
+            Lemma2Case(m=2, n=21, r=1, xstar=1, ystar=1)
+        with pytest.raises(ParameterError):
+            Lemma2Case(m=2**40, n=20, r=1, xstar=1, ystar=1)
 
     def test_instance_offset_trivial(self):
         A, B = lemma2_instance(Lemma2Case(m=2, n=2, r=1, xstar=1, ystar=1))
@@ -112,6 +126,23 @@ class TestLemma2:
         assert check_lemma2_exhaustive(2, 2) is None
         assert check_lemma2_exhaustive(3, 2) is None
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closed_form_profile_matches_built_disk(self, n):
+        for m in sorted({2, 3, n, n + 1, n + 2} - {1}):
+            lo, hi = disk._column_profile(m, n)
+            want_lo, want_hi = rect_column_profile(_rect_array(build_disk(m, n).rects()))
+            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    def test_no_disk_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check_lemma2_exhaustive built or converted a disk")
+
+        # placement is patched too, in case it binds either name itself
+        for module in (disk, rect, placement):
+            for name in ("build_disk", "_rect_array"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert check_lemma2_exhaustive(5, 5) is None
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_profile_matches_sweep(self, n):
         for m in range(2, 7):
@@ -143,7 +174,7 @@ class TestLemma2:
             k = rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])
             cols[x] = (cols[x][0] + k, cols[x][1] + k)
         pieces = tuple(Piece("bar", x + 1, Rect(x, lo, x + 1, hi)) for x, (lo, hi) in cols.items())
-        monkeypatch.setattr(placement, "build_disk", lambda m, n: Shape(m, n, pieces))
+        patch_disk(monkeypatch, Shape(m, n, pieces))
         assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
 
     @pytest.mark.parametrize("lift, expected", [(-1, (1, 1, 5)), (0, (1, 1, 6)), (1, (2, 1, 1))])
@@ -153,19 +184,20 @@ class TestLemma2:
         # (6 here) shows; for r = 2 the flat part overlaps at ystar = 1
         h = 6 + lift
         pieces = (Piece("bar", 1, Rect(0, h, 1, h + 1)), Piece("bar", 2, Rect(1, 0, 8, 1)))
-        monkeypatch.setattr(placement, "build_disk", lambda m, n: Shape(m, n, pieces))
+        patch_disk(monkeypatch, Shape(2, 2, pieces))
         got = check_lemma2_exhaustive(2, 2)
         assert (got.r, got.xstar, got.ystar) == expected
         assert got == sweep_lemma2_exhaustive(2, 2)
 
-    def test_column_with_a_gap_raises(self, monkeypatch):
+    def test_column_with_a_gap_raises(self):
+        # the rect-derived profile is the evidence that the built disk is
+        # vertically convex, so it must notice a column that is not
         good = build_disk(4, 3)
         v1 = good.pieces[1]
         lifted = Piece(v1.role, v1.index, v1.rect.translate(Vec2(0, 1)))
         broken = Shape(4, 3, good.pieces[:1] + (lifted,) + good.pieces[2:])
-        monkeypatch.setattr(placement, "build_disk", lambda m, n: broken)
         with pytest.raises(ConstructionBroken):
-            check_lemma2_exhaustive(4, 3)
+            rect_column_profile(_rect_array(broken.rects()))
 
     def test_parameter_errors(self):
         for m, n in [(1, 3), (3, 1), (2, 0), (3, 21)]:
