@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError, RangeError
+from .errors import ContractViolation, ParameterError, RangeError, _show
 
 POINT = "point"
 HSEG = "horizontal-segment"
@@ -50,7 +50,8 @@ class Rect:
 
     def __post_init__(self) -> None:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ParameterError(f"degenerate rectangle {self!r}")
+            corners = ", ".join(map(_show, (self.x0, self.y0, self.x1, self.y1)))
+            raise ParameterError(f"degenerate rectangle Rect({corners})")
 
     @property
     def width(self) -> int:
@@ -64,7 +65,7 @@ class Rect:
         return Rect(self.x0 + v.dx, self.y0 + v.dy, self.x1 + v.dx, self.y1 + v.dy)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ContactComponent:
     """A maximal point or axis-parallel segment of shared boundary."""
 
@@ -75,16 +76,17 @@ class ContactComponent:
 
     def __post_init__(self) -> None:
         if self.kind == POINT:
-            if self.a != self.b or self.length != 0:
-                raise ParameterError(f"inconsistent point component {self!r}")
+            consistent = self.a == self.b and self.length == 0
         elif self.kind == HSEG:
-            if self.a[1] != self.b[1] or self.b[0] - self.a[0] != self.length or self.length < 1:
-                raise ParameterError(f"inconsistent horizontal segment {self!r}")
+            consistent = self.a[1] == self.b[1] and self.b[0] - self.a[0] == self.length >= 1
         elif self.kind == VSEG:
-            if self.a[0] != self.b[0] or self.b[1] - self.a[1] != self.length or self.length < 1:
-                raise ParameterError(f"inconsistent vertical segment {self!r}")
+            consistent = self.a[0] == self.b[0] and self.b[1] - self.a[1] == self.length >= 1
         else:
-            raise ParameterError(f"unknown component kind {self.kind!r}")
+            raise ParameterError(f"unknown component kind {_show(self.kind)}")
+        if not consistent:
+            a, b = (", ".join(map(_show, p)) for p in (self.a, self.b))
+            length = _show(self.length)
+            raise ParameterError(f"inconsistent {self.kind} ({a})-({b}) of length {length}")
 
 
 def point_component(p: tuple[int, int]) -> ContactComponent:
@@ -161,23 +163,17 @@ def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
     return _sweep(_rect_array(A), _rect_array(B)) is not None
 
 
-def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge intervals that overlap or share an endpoint."""
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def _merge_lines(rows: Iterable[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
-    """Rows (line, lo, hi) merged into maximal runs per line."""
+    """Rows (line, lo, hi) merged into maximal sorted runs per line; runs that
+    overlap or share an endpoint merge."""
     lines: dict[int, list[tuple[int, int]]] = {}
-    for line, lo, hi in rows:
-        lines.setdefault(line, []).append((lo, hi))
-    return {line: _merge_intervals(runs) for line, runs in lines.items()}
+    for line, lo, hi in sorted(rows):
+        runs = lines.setdefault(line, [])
+        if runs and lo <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], max(runs[-1][1], hi))
+        else:
+            runs.append((lo, hi))
+    return lines
 
 
 def _on_runs(runs: list[tuple[int, int]], v: int) -> bool:

@@ -4,10 +4,12 @@ Serialization is canonical: fixed key order, compact separators, pieces in
 construction order.  Semantically equal objects always produce identical
 bytes, and parse(serialize(x)) round-trips exactly.  Schema version "tk-1".
 
-A shape or a scene is fixed by its (m, n), so parse rebuilds it and accepts
-only the exact bytes serialize writes for that construction.  A certificate
-must carry the construction's offsets; its verdicts are decoded and checked
-for consistency with each other.
+parse holds every document to one rule: it rebuilds the object and accepts
+the input only if it is exactly the bytes serialize writes for that object.
+A shape or a scene is fixed by its (m, n).  A certificate takes its offsets
+from the (m, n) construction too; only each pair's interiors_disjoint and
+contacts are decoded, and the segment totals, touching_count and ok are
+derived from them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Any, Union
 from .disk import Piece, Shape, _check_disk_params, build_disk
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene, _check_theorem_params, place_translates
-from .rect import ContactComponent, Rect, Vec2, total_contact_length
+from .rect import ContactComponent, Rect, total_contact_length
 from .verify import Certificate, PairVerdict, _verdict_totals
 
 SCHEMA_VERSION = "tk-1"
@@ -37,7 +39,7 @@ def _piece_json(p: Piece) -> dict[str, Any]:
 
 
 def _contact_json(c: ContactComponent) -> dict[str, Any]:
-    return {"kind": c.kind, "a": list(c.a), "b": list(c.b), "length": c.length}
+    return {"kind": c.kind, "a": c.a, "b": c.b, "length": c.length}
 
 
 def _verdict_json(v: PairVerdict) -> dict[str, Any]:
@@ -91,42 +93,26 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
-def _bool(value: Any, what: str) -> bool:
-    if type(value) is not bool:
-        raise DocumentInvariantError(f"{what} must be true or false, got {value!r}")
-    return value
+def _point(p: Any) -> tuple[int, int]:
+    return int(p[0]), int(p[1])
 
 
-def _ints(data: Any, count: int, what: str) -> tuple[int, ...]:
-    if not (isinstance(data, list) and len(data) == count):
-        raise MalformedDocument(f"{what} must be a list of {count} integers, got {data!r}")
-    return tuple(_int(v, what) for v in data)
-
-
-def _parse_contact(data: Any) -> ContactComponent:
-    kind = _require(data, "kind")
-    a = _ints(_require(data, "a"), 2, "contact point")
-    b = _ints(_require(data, "b"), 2, "contact point")
-    length = _int(_require(data, "length"), "contact length")
-    try:
-        return ContactComponent(kind, a, b, length)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise DocumentInvariantError(str(exc)) from exc
-
-
-def _parse_verdict(data: Any) -> PairVerdict:
-    contacts = _list(_require(data, "contacts"), "contacts")
+def _verdict(i: int, j: int, data: Any) -> PairVerdict:
+    """The verdict for pair (i, j) from its free fields; the total is derived."""
+    contacts = tuple(
+        ContactComponent(c["kind"], _point(c["a"]), _point(c["b"]), int(c["length"]))
+        for c in data["contacts"]
+    )
     return PairVerdict(
-        i=_int(_require(data, "i"), "pair index"),
-        j=_int(_require(data, "j"), "pair index"),
-        interiors_disjoint=_bool(_require(data, "interiors_disjoint"), "interiors_disjoint"),
-        contacts=tuple(_parse_contact(c) for c in contacts),
-        segment_length_total=_int(_require(data, "segment_length_total"), "segment length"),
+        i, j, bool(data["interiors_disjoint"]), contacts, total_contact_length(contacts)
     )
 
 
 def parse(data: bytes) -> Document:
-    """Parse and validate a document produced by serialize()."""
+    """The shape, scene or certificate whose serialize() bytes are exactly data.
+
+    Raises MalformedDocument, or a subclass of it, for any other input.
+    """
     try:
         doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an oversized int
@@ -157,36 +143,17 @@ def parse(data: bytes) -> Document:
         if len(data) < len(pieces) * (40 + len(str(m))):
             raise DocumentInvariantError(f"{len(data)} bytes are too few for {len(pieces)} pieces")
     built = build_disk(m, n) if kind == "shape" else place_translates(m, n)
-    if kind != "certificate":
-        if serialize(built) != data:
-            raise DocumentInvariantError(f"{kind} is not what serialize writes for m={m}, n={n}")
-        return built
-
-    items = _list(_require(doc, "offsets"), "offsets")
-    offsets = tuple(Vec2(*_ints(od, 2, "offset")) for od in items)
-    if offsets != built.offsets:
-        raise DocumentInvariantError(f"offsets are not those of the construction for m={m}, n={n}")
-    verdicts = tuple(_parse_verdict(v) for v in _list(_require(doc, "pair_verdicts"), "pair_verdicts"))
-    if [(v.i, v.j) for v in verdicts] != list(combinations(range(n + 1), 2)):
-        raise DocumentInvariantError(f"pair_verdicts must list the pairs i < j <= {n} in order")
-    for v in verdicts:
-        if v.segment_length_total != total_contact_length(v.contacts):
-            raise DocumentInvariantError(
-                f"pair ({v.i}, {v.j}): segment_length_total is not the sum of its contact lengths"
+    try:
+        if kind == "certificate":
+            pairs = combinations(range(n + 1), 2)
+            # popped, so the decoded JSON is freed before serialize runs
+            verdicts = tuple(
+                _verdict(i, j, v) for (i, j), v in zip(pairs, doc.pop("pair_verdicts"), strict=True)
             )
-    touching, ok = _verdict_totals(n, verdicts)
-    cert = Certificate(
-        m=m,
-        n=n,
-        offsets=offsets,
-        pair_verdicts=verdicts,
-        touching_count=_int(_require(doc, "touching_count"), "touching_count"),
-        ok=_bool(_require(doc, "ok"), "ok"),
-    )
-    if (cert.touching_count, cert.ok) != (touching, ok):
-        raise DocumentInvariantError(
-            f"touching_count and ok must be {touching} and {ok} by the verdicts, "
-            f"got {cert.touching_count} and {cert.ok}"
-        )
-    return cert
-
+            built = Certificate(m, n, built.offsets, verdicts, *_verdict_totals(n, verdicts))
+        exact = serialize(built) == data
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise DocumentInvariantError(f"{kind} does not decode: {type(exc).__name__}: {exc}") from exc
+    if not exact:
+        raise DocumentInvariantError(f"{kind} is not what serialize writes for m={m}, n={n}")
+    return built

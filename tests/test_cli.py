@@ -7,10 +7,12 @@ import pytest
 
 from translate_kiss import (
     ConstructionBroken,
+    ContactComponent,
     ContractViolation,
     Lemma2Case,
     ParameterError,
     PrefixTable,
+    Rect,
     SubCopyRef,
     build_disk,
     check_lemma1_exhaustive,
@@ -28,6 +30,7 @@ from translate_kiss import (
 )
 from translate_kiss import cli
 from translate_kiss.cli import main
+from translate_kiss.rect import POINT, hseg
 
 
 def test_build_writes_shape(tmp_path, capsys):
@@ -142,6 +145,9 @@ TABLE = PrefixTable.build(16)
         lambda: theorem_pair_witness(4, 3, BIG, BIG + 1),
         lambda: verify_touching_heights(4, 3, BIG),
         lambda: render_svg(build_disk(2, 2), unit_px=-BIG),
+        lambda: Rect(BIG, 0, 0, 1),
+        lambda: ContactComponent(POINT, (BIG, 0), (0, 0), 0),
+        lambda: hseg(0, BIG, 0),
     ],
     ids=[
         "build_disk-m",
@@ -157,6 +163,9 @@ TABLE = PrefixTable.build(16)
         "theorem_pair_witness",
         "verify_touching_heights",
         "render_svg",
+        "Rect",
+        "point",
+        "horizontal-segment",
     ],
 )
 def test_huge_ints_raise_parameter_error(call):

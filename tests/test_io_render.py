@@ -67,19 +67,19 @@ class TestSerialization:
         doc = json.loads(serialize(build_disk(2, 1)))
         doc["pieces"][0]["rect"] = [0, 0, 0, 1]
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_wrong_piece_count_rejected(self):
         doc = json.loads(serialize(build_disk(2, 1)))
         doc["pieces"] = doc["pieces"][:2]
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_float_coordinate_rejected(self):
         doc = json.loads(serialize(build_disk(2, 1)))
         doc["pieces"][0]["rect"] = [0, 0, 2.0, 1]
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_canonical_bytes(self):
         a = serialize(verify_construction(4, 3))
@@ -110,6 +110,13 @@ def document_paths(node, path=()):
         yield from document_paths(child, path + (key,))
 
 
+# the same document in bytes that serialize does not write
+OTHER_BYTES = {
+    "pretty": lambda data: json.dumps(json.loads(data), indent=1).encode(),
+    "no-newline": lambda data: data[:-1],
+    "trailing-space": lambda data: data + b" ",
+    "reordered": lambda data: canonical(dict(reversed(json.loads(data).items()))),
+}
 SMALL_DOCUMENTS = [
     json.loads(serialize(obj))
     for obj in (build_disk(2, 1), place_translates(2, 2), verify_construction(2, 2))
@@ -132,7 +139,7 @@ class TestStrictParse:
         doc = json.loads(serialize(build_disk(2, 1)))
         doc["m"] = 1
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_scene_with_negative_n(self):
         with pytest.raises(DocumentInvariantError):
@@ -146,7 +153,7 @@ class TestStrictParse:
         doc = json.loads(serialize(verify_construction(2, 2)))
         doc["n"], doc["offsets"] = 1, doc["offsets"][:2]
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_n_above_cap(self):
         with pytest.raises(DocumentInvariantError):
@@ -173,27 +180,27 @@ class TestStrictParse:
         doc = json.loads(serialize(verify_construction(2, 2)))
         doc["ok"] = value
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     @pytest.mark.parametrize("value", ["no", "true", 1, []])
     def test_interiors_disjoint_must_be_a_json_bool(self, value):
         doc = json.loads(serialize(verify_construction(2, 2)))
         doc["pair_verdicts"][0]["interiors_disjoint"] = value
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_false_verdicts_round_trip(self):
         doc = json.loads(serialize(verify_construction(2, 2)))
         doc["ok"] = False
         doc["pair_verdicts"][0]["interiors_disjoint"] = False
-        cert = parse(json.dumps(doc).encode())
+        cert = parse(canonical(doc))
         assert cert.ok is False and cert.pair_verdicts[0].interiors_disjoint is False
 
     def test_touching_count_must_match_verdicts(self):
         doc = json.loads(serialize(verify_construction(3, 2)))
         doc["touching_count"] = 7
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     @pytest.mark.parametrize("verdict", [0, 2])
     def test_ok_must_match_verdicts(self, verdict):
@@ -205,13 +212,13 @@ class TestStrictParse:
         else:
             doc["ok"] = False
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_segment_length_total_must_sum_contacts(self):
         doc = json.loads(serialize(verify_construction(3, 2)))
         doc["pair_verdicts"][0]["segment_length_total"] += 1
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     @pytest.mark.parametrize("edit", ["reorder", "drop", "duplicate"])
     def test_pairs_must_be_all_pairs_in_order(self, edit):
@@ -224,14 +231,27 @@ class TestStrictParse:
         else:
             pairs[2] = copy.deepcopy(pairs[1])
         with pytest.raises(DocumentInvariantError):
-            parse(json.dumps(doc).encode())
+            parse(canonical(doc))
 
     def test_one_dimensional_contact_point(self):
+        # [x], [x, y, 0] and [x.0, y]: a point is exactly two integers
+        for point in (lambda p: p[:1], lambda p: p + [0], lambda p: [float(p[0]), p[1]]):
+            doc = json.loads(serialize(verify_construction(2, 2)))
+            contact = next(c for v in doc["pair_verdicts"] for c in v["contacts"])
+            contact["a"] = point(contact["a"])
+            with pytest.raises(MalformedDocument):
+                parse(canonical(doc))
+
+    @pytest.mark.parametrize("length", [b"1.0", b"true", b"1e400"], ids=["float", "bool", "infinite"])
+    def test_contact_length_must_be_an_int(self, length):
+        # the first contact of (2, 2) is a segment of length 1, so true and 1.0
+        # pass every consistency check; only their bytes differ from serialize's
         doc = json.loads(serialize(verify_construction(2, 2)))
-        contact = next(c for v in doc["pair_verdicts"] for c in v["contacts"])
-        contact["a"] = contact["a"][:1]
-        with pytest.raises(MalformedDocument):
-            parse(json.dumps(doc).encode())
+        contact = doc["pair_verdicts"][0]["contacts"][0]
+        assert contact["length"] == 1
+        contact["length"] = "LENGTH"
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc).replace(b'"LENGTH"', length))
 
     @pytest.mark.parametrize(
         "data",
@@ -262,22 +282,32 @@ class TestStrictParse:
         with pytest.raises(DocumentInvariantError):
             parse(canonical(doc))
 
-    @pytest.mark.parametrize("where", ["document", "piece"])
+    @pytest.mark.parametrize(
+        "where",
+        ["document", "piece", "certificate-document", "certificate-verdict", "certificate-contact"],
+    )
     def test_shape_extra_key(self, where):
-        doc = shape_doc()
-        (doc if where == "document" else doc["pieces"][1])["note"] = 0
+        if where.startswith("certificate"):
+            doc = json.loads(serialize(verify_construction(3, 2)))
+            verdict = doc["pair_verdicts"][0]
+            target = {"document": doc, "verdict": verdict, "contact": verdict["contacts"][0]}
+        else:
+            doc = shape_doc()
+            target = {"document": doc, "piece": doc["pieces"][1]}
+        target[where.rpartition("-")[2]]["note"] = 0
         with pytest.raises(DocumentInvariantError):
             parse(canonical(doc))
 
-    @pytest.mark.parametrize("edit", ["pretty", "no-newline", "trailing-space"])
-    def test_valid_shape_in_other_bytes(self, edit):
-        data = serialize(build_disk(3, 2))
-        data = {
-            "pretty": json.dumps(json.loads(data), indent=1).encode(),
-            "no-newline": data[:-1],
-            "trailing-space": data + b" ",
-        }[edit]
-        assert json.loads(data) == shape_doc()
+    @pytest.mark.parametrize(
+        "obj, edit",
+        [(o, e) for o in ("shape", "certificate") for e in OTHER_BYTES],
+        ids=list(OTHER_BYTES) + [f"certificate-{e}" for e in OTHER_BYTES],
+    )
+    def test_valid_shape_in_other_bytes(self, obj, edit):
+        data = serialize(build_disk(3, 2) if obj == "shape" else verify_construction(3, 2))
+        doc = json.loads(data)
+        data = OTHER_BYTES[edit](data)
+        assert json.loads(data) == doc
         with pytest.raises(DocumentInvariantError):
             parse(data)
 
@@ -286,6 +316,11 @@ class TestStrictParse:
         doc["offsets"][2][1] -= 1
         with pytest.raises(DocumentInvariantError):
             parse(canonical(doc))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_certificate_round_trips_exactly(self, n):
+        data = serialize(verify_construction(n, n))
+        assert serialize(parse(data)) == data
 
     def test_certificate_offsets_changed(self):
         # the verdicts stay consistent with each other; only the offsets lie
@@ -361,6 +396,9 @@ class TestStrictParse:
         if original["kind"] != "certificate":
             # a shape or scene is accepted exactly when the mutation left its bytes unchanged
             assert accepted == (encoded == canonical(original))
+        elif accepted:
+            # a certificate is accepted only as the bytes serialize writes for it
+            assert serialize(parse(encoded)) == encoded
 
 
 class TestRenderSvg:

@@ -183,6 +183,11 @@ class TestContactComponents:
         assert len(comps) == 1
         assert (comps[0].a, comps[0].b, comps[0].length) == ((1, 0), (1, 2), 2)
 
+    def test_nested_segment_absorbed(self):
+        # B's two rects overlap each other; the shorter edge lies inside the longer
+        comps = contact_components([Rect(0, 0, 1, 10)], [Rect(1, 0, 2, 10), Rect(1, 2, 2, 3)])
+        assert [(c.kind, c.a, c.b) for c in comps] == [("vertical-segment", (1, 0), (1, 10))]
+
     def test_contract_violation(self):
         with pytest.raises(ContractViolation):
             contact_components([Rect(0, 0, 2, 2)], [Rect(1, 1, 3, 3)])
