@@ -6,8 +6,9 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 * 1 for a verification FAIL, or a broken construction (ConstructionBroken);
 * 2 for usage or parameter errors (ParameterError, including n > 20,
   m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall, a lemma 2 profile wider
-  than 2^24 columns, and lemma1 with k_max < 1 or r_max above 2^22) and
-  broken preconditions (ContractViolation);
+  than 2^24 columns, and lemma1 with k_max < 1, r_max above 2^22 or
+  min(k_max, r_max) * r_max above 2^30 window sums) and broken
+  preconditions (ContractViolation);
 * 3 for I/O errors.
 
 Each error exit prints one ``error:`` (or ``i/o error:``) line on stderr.
@@ -22,7 +23,7 @@ from .disk import build_disk
 from .errors import ConstructionBroken, ContractViolation, ParameterError
 from .placement import check_lemma2_exhaustive, place_translates
 from .render import render_svg
-from .ruler import PrefixTable, check_lemma1_exhaustive
+from .ruler import PrefixTable, _check_windows, check_lemma1_exhaustive
 from .serial import serialize
 from .verify import verify_construction
 
@@ -78,6 +79,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
+    _check_windows(args.k_max, args.r_max)  # before the table is built
     table = PrefixTable.build(args.r_max)
     failure = check_lemma1_exhaustive(args.k_max, args.r_max, table)
     if failure is None:

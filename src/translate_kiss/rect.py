@@ -6,13 +6,15 @@ coordinates are Python ints, so every test here is exact.  The pairwise
 sweep behind union_interiors_disjoint and contact_components runs on int64
 numpy arrays; it only compares, takes max/min and subtracts, and it rejects
 any coordinate with |v| >= 2**61 (RangeError), so it stays exact too.
+
+A contact is the closed segment between its ends a and b, a point if a == b.
+The sweep puts each touching pair on the line of its zero x-gap and on the
+line of its zero y-gap, so a point contact lies on both of its lines.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -67,38 +69,28 @@ class Rect:
 
 @dataclass(frozen=True, order=True, slots=True)
 class ContactComponent:
-    """A maximal point or axis-parallel segment of shared boundary."""
+    """A maximal point or axis-parallel segment of shared boundary, given by
+    its ends: a point when a == b, else a segment from a up or to the right
+    to b.  kind and length are derived from the ends."""
 
-    kind: str
+    kind: str = field(init=False)
     a: tuple[int, int]
     b: tuple[int, int]
-    length: int
+    length: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.kind == POINT:
-            consistent = self.a == self.b and self.length == 0
-        elif self.kind == HSEG:
-            consistent = self.a[1] == self.b[1] and self.b[0] - self.a[0] == self.length >= 1
-        elif self.kind == VSEG:
-            consistent = self.a[0] == self.b[0] and self.b[1] - self.a[1] == self.length >= 1
+        (xa, ya), (xb, yb) = self.a, self.b
+        if ya == yb and xa < xb:
+            kind = HSEG
+        elif xa == xb and ya < yb:
+            kind = VSEG
+        elif self.a == self.b:
+            kind = POINT
         else:
-            raise ParameterError(f"unknown component kind {_show(self.kind)}")
-        if not consistent:
             a, b = (", ".join(map(_show, p)) for p in (self.a, self.b))
-            length = _show(self.length)
-            raise ParameterError(f"inconsistent {self.kind} ({a})-({b}) of length {length}")
-
-
-def point_component(p: tuple[int, int]) -> ContactComponent:
-    return ContactComponent(POINT, p, p, 0)
-
-
-def hseg(y: int, xa: int, xb: int) -> ContactComponent:
-    return ContactComponent(HSEG, (xa, y), (xb, y), xb - xa)
-
-
-def vseg(x: int, ya: int, yb: int) -> ContactComponent:
-    return ContactComponent(VSEG, (x, ya), (x, yb), yb - ya)
+            raise ParameterError(f"contact ({a})-({b}) is not a point or a segment going up or right")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "length", xb - xa + yb - ya)
 
 
 def bounding_box(rects: Iterable[Rect]) -> Rect:
@@ -109,8 +101,8 @@ def bounding_box(rects: Iterable[Rect]) -> Rect:
 
 
 _LIMIT = 2**61
-# rows [x, y0, y1] of vertical, [y, x0, x1] of horizontal and [x, y] of point contacts
-_Contacts = tuple[list[list[int]], list[list[int]], list[list[int]]]
+# rows [x, y0, y1] of contacts with zero x-gap and [y, x0, x1] of those with zero y-gap
+_Contacts = tuple[list[list[int]], list[list[int]]]
 
 
 def _rect_array(rects: Iterable[Rect]) -> np.ndarray:
@@ -135,7 +127,7 @@ def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
         if arr.size and (arr.min() <= -_LIMIT or arr.max() >= _LIMIT):
             raise RangeError("rect coordinates exceed the int64 sweep bound 2**61")
     if not len(A) or not len(B):
-        return [], [], []
+        return [], []
     B = B[np.argsort(B[:, 0], kind="stable")]
     lo = np.searchsorted(B[:, 0], A[:, 0] - (B[:, 2] - B[:, 0]).max(), "left")
     hi = np.searchsorted(B[:, 0], A[:, 2], "right")
@@ -149,10 +141,9 @@ def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
         return None
     meet = (gap >= 0).all(axis=1)
     low, high, gap = low[meet], high[meet], gap[meet]
-    flat_x, flat_y = gap[:, 0] == 0, gap[:, 1] == 0
-    vertical = np.column_stack((low[:, 0], low[:, 1], high[:, 1]))[flat_x & ~flat_y]
-    horizontal = np.column_stack((low[:, 1], low[:, 0], high[:, 0]))[flat_y & ~flat_x]
-    return vertical.tolist(), horizontal.tolist(), low[flat_x & flat_y].tolist()
+    vertical = np.column_stack((low[:, 0], low[:, 1], high[:, 1]))[gap[:, 0] == 0]
+    horizontal = np.column_stack((low[:, 1], low[:, 0], high[:, 0]))[gap[:, 1] == 0]
+    return vertical.tolist(), horizontal.tolist()
 
 
 def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
@@ -163,34 +154,28 @@ def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
     return _sweep(_rect_array(A), _rect_array(B)) is not None
 
 
-def _merge_lines(rows: Iterable[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
-    """Rows (line, lo, hi) merged into maximal sorted runs per line; runs that
-    overlap or share an endpoint merge."""
-    lines: dict[int, list[tuple[int, int]]] = {}
-    for line, lo, hi in sorted(rows):
-        runs = lines.setdefault(line, [])
-        if runs and lo <= runs[-1][1]:
-            runs[-1] = (runs[-1][0], max(runs[-1][1], hi))
+def _merge_lines(rows: Iterable[list[int]]) -> list[list[int]]:
+    """Rows [line, lo, hi] merged into the maximal runs of each line, sorted;
+    runs that overlap or share an endpoint merge.  Each run is the first of
+    its rows, extended in place, so rows must be lists the caller gives up."""
+    runs: list[list[int]] = []
+    for row in sorted(rows):
+        if runs and row[0] == runs[-1][0] and row[1] <= runs[-1][2]:
+            runs[-1][2] = max(runs[-1][2], row[2])
         else:
-            runs.append((lo, hi))
-    return lines
-
-
-def _on_runs(runs: list[tuple[int, int]], v: int) -> bool:
-    """True iff v lies in one of the sorted, disjoint closed runs."""
-    i = bisect_right(runs, v, key=itemgetter(0))
-    return i > 0 and v <= runs[i - 1][1]
+            runs.append(row)
+    return runs
 
 
 def _components(contacts: _Contacts) -> list[ContactComponent]:
-    """Touching pairs from _sweep as maximal components in canonical order."""
-    vertical, horizontal, points = contacts
-    verticals, horizontals = _merge_lines(vertical), _merge_lines(horizontal)
-    components = [vseg(x, ya, yb) for x, runs in verticals.items() for ya, yb in runs]
-    components += [hseg(y, xa, xb) for y, runs in horizontals.items() for xa, xb in runs]
-    for x, y in set(map(tuple, points)):
-        if not (_on_runs(verticals.get(x, []), y) or _on_runs(horizontals.get(y, []), x)):
-            components.append(point_component((x, y)))
+    """Touching pairs from _sweep as maximal components in canonical order; a
+    point is a zero-length run that merging leaves alone on both its lines."""
+    vertical, horizontal = map(_merge_lines, contacts)
+    lone = {(x, y) for x, y, y1 in vertical if y == y1}
+    lone &= {(x, y) for y, x, x1 in horizontal if x == x1}
+    components = [ContactComponent(p, p) for p in lone]
+    components += [ContactComponent((x, ya), (x, yb)) for x, ya, yb in vertical if ya < yb]
+    components += [ContactComponent((xa, y), (xb, y)) for y, xa, xb in horizontal if xa < xb]
     return sorted(components, key=lambda c: (c.kind, c.a, c.b))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ParameterError, RangeError, _show
 
 MAX_TABLE_LIMIT = 2**22  # building 2^20 terms peaks near 50 MiB, so about 200 MiB at the cap
+MAX_WINDOW_WORK = 2**30  # bound on min(k_max, r_max) * r_max window sums; 2^28 of them take 1.5 s
 
 
 def ruler(i: int) -> int:
@@ -64,6 +65,18 @@ def prefix_sum(i: int, table: PrefixTable) -> int:
     return table.sums[i]
 
 
+def _check_windows(k_max: int, r_max: int) -> None:
+    """Raise ParameterError unless lemma 1 has a window to check and at most
+    MAX_WINDOW_WORK window sums to take."""
+    if k_max < 1 or r_max < 1:
+        raise ParameterError(f"need k_max, r_max >= 1, got k_max={_show(k_max)}, r_max={_show(r_max)}")
+    if min(k_max, r_max) * r_max > MAX_WINDOW_WORK:
+        raise ParameterError(
+            f"min(k_max, r_max) * r_max = {_show(min(k_max, r_max) * r_max)} window sums "
+            f"exceed the supported maximum {MAX_WINDOW_WORK}"
+        )
+
+
 def check_lemma1_exhaustive(
     k_max: int, r_max: int, table: PrefixTable
 ) -> tuple[int, int] | None:
@@ -73,8 +86,7 @@ def check_lemma1_exhaustive(
     lexicographic order.  Vectorized per k so the full desk-scale sweep
     stays well under a second.
     """
-    if k_max < 1 or r_max < 1:
-        raise ParameterError(f"need k_max, r_max >= 1, got k_max={_show(k_max)}, r_max={_show(r_max)}")
+    _check_windows(k_max, r_max)
     if r_max > table.limit:
         raise RangeError(f"r_max {_show(r_max)} exceeds table limit {table.limit}")
     sums = np.asarray(table.sums[: r_max + 1], dtype=np.int64)

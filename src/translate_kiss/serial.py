@@ -8,8 +8,8 @@ parse holds every document to one rule: it rebuilds the object and accepts
 the input only if it is exactly the bytes serialize writes for that object.
 A shape or a scene is fixed by its (m, n).  A certificate takes its offsets
 from the (m, n) construction too; only each pair's interiors_disjoint and
-contacts are decoded, and the segment totals, touching_count and ok are
-derived from them.
+the two ends of each contact are decoded, and each contact's kind and
+length, the segment totals, touching_count and ok are derived from them.
 """
 
 from __future__ import annotations
@@ -99,10 +99,7 @@ def _point(p: Any) -> tuple[int, int]:
 
 def _verdict(i: int, j: int, data: Any) -> PairVerdict:
     """The verdict for pair (i, j) from its free fields; the total is derived."""
-    contacts = tuple(
-        ContactComponent(c["kind"], _point(c["a"]), _point(c["b"]), int(c["length"]))
-        for c in data["contacts"]
-    )
+    contacts = tuple(ContactComponent(_point(c["a"]), _point(c["b"])) for c in data["contacts"])
     return PairVerdict(
         i, j, bool(data["interiors_disjoint"]), contacts, total_contact_length(contacts)
     )

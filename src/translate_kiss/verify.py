@@ -97,8 +97,8 @@ class VerticalRun:
 
 def rightward_runs(shape: Shape) -> list[VerticalRun]:
     """Maximal vertical runs formed by merging collinear piece right edges."""
-    columns = _merge_lines((p.rect.x1, p.rect.y0, p.rect.y1) for p in shape.pieces)
-    return [VerticalRun(x, y0, y1) for x in sorted(columns) for y0, y1 in columns[x]]
+    edges = ([p.rect.x1, p.rect.y0, p.rect.y1] for p in shape.pieces)
+    return [VerticalRun(*run) for run in _merge_lines(edges)]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ loops, per-case sweeps, rect-to-column scatters, bit-free recursions, copy
 scans), and each has one definition, here.
 """
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from translate_kiss import (
     prefix_sum,
 )
 from translate_kiss import disk
-from translate_kiss.rect import ContactComponent, _rect_array, _sweep, hseg, point_component, vseg
+from translate_kiss.rect import _rect_array, _sweep
 
 
 def ruler_by_halving(i):
@@ -52,10 +52,19 @@ def interiors_overlap(a: Rect, b: Rect) -> bool:
     return max(a.x0, b.x0) < min(a.x1, b.x1) and max(a.y0, b.y0) < min(a.y1, b.y1)
 
 
-def closed_contact(a: Rect, b: Rect) -> Optional[ContactComponent]:
+class Contact(NamedTuple):
+    """A contact with its kind and length decided here, not by ContactComponent."""
+
+    kind: str
+    a: tuple[int, int]
+    b: tuple[int, int]
+    length: int
+
+
+def closed_contact(a: Rect, b: Rect) -> Optional[Contact]:
     """Intersection of the closed rects, given disjoint interiors.
 
-    Returns a point or segment component, or None when the closed rects do
+    Returns a point or segment contact, or None when the closed rects do
     not meet at all.
     """
     if interiors_overlap(a, b):
@@ -65,11 +74,11 @@ def closed_contact(a: Rect, b: Rect) -> Optional[ContactComponent]:
     if ix0 > ix1 or iy0 > iy1:
         return None
     if ix0 == ix1 and iy0 == iy1:
-        return point_component((ix0, iy0))
+        return Contact("point", (ix0, iy0), (ix0, iy0), 0)
     if ix0 == ix1:
-        return vseg(ix0, iy0, iy1)
+        return Contact("vertical-segment", (ix0, iy0), (ix0, iy1), iy1 - iy0)
     # iy0 == iy1 is forced: a 2D closed intersection would mean open overlap
-    return hseg(iy0, ix0, ix1)
+    return Contact("horizontal-segment", (ix0, iy0), (ix1, iy0), ix1 - ix0)
 
 
 def naive_union_disjoint(A, B):

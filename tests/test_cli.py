@@ -30,7 +30,6 @@ from translate_kiss import (
 )
 from translate_kiss import cli
 from translate_kiss.cli import main
-from translate_kiss.rect import POINT, hseg
 
 
 def test_build_writes_shape(tmp_path, capsys):
@@ -91,6 +90,11 @@ def test_lemma1_without_windows_exits_2(capsys, k_max):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_lemma1_with_too_many_windows_exits_2(capsys):
+    assert main(["lemma1", "--k-max", "65536", "--r-max", "65536"]) == 2
+    assert "window sums" in capsys.readouterr().err
+
+
 def test_lemma2_pass(capsys):
     assert main(["lemma2", "-m", "2", "-n", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -146,8 +150,8 @@ TABLE = PrefixTable.build(16)
         lambda: verify_touching_heights(4, 3, BIG),
         lambda: render_svg(build_disk(2, 2), unit_px=-BIG),
         lambda: Rect(BIG, 0, 0, 1),
-        lambda: ContactComponent(POINT, (BIG, 0), (0, 0), 0),
-        lambda: hseg(0, BIG, 0),
+        lambda: ContactComponent((BIG, 0), (0, 1)),
+        lambda: ContactComponent((BIG, 0), (0, 0)),
     ],
     ids=[
         "build_disk-m",
@@ -217,6 +221,8 @@ HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default
         ["lemma2", "-m", str(2**22 + 1), "-n", "2"],
         ["lemma2", "-m", str(10**12), "-n", "20"],
         ["lemma1", "--k-max", "1", "--r-max", "10000000000"],
+        ["lemma1", "--k-max", "1", "--r-max", str(2**22 + 1)],
+        ["lemma1", "--k-max", "4194304", "--r-max", "4194304"],
         ["build", "-m", HUGE, "-n", "1"],
         ["render", "-m", HUGE, "-n", "2"],
         ["render", "-m", "2", "-n", "2", "--unit-px", HUGE],
@@ -228,6 +234,8 @@ HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default
         "lemma2-wide",
         "lemma2-huge-m",
         "lemma1-huge-r",
+        "lemma1-big-table",
+        "lemma1-many-windows",
         "build-huge-m",
         "render-huge-m",
         "render-huge-unit-px",

@@ -242,16 +242,28 @@ class TestStrictParse:
             with pytest.raises(MalformedDocument):
                 parse(canonical(doc))
 
-    @pytest.mark.parametrize("length", [b"1.0", b"true", b"1e400"], ids=["float", "bool", "infinite"])
+    @pytest.mark.parametrize(
+        "length", [b"1.0", b"true", b"1e400", b"2"], ids=["float", "bool", "infinite", "off-by-one"]
+    )
     def test_contact_length_must_be_an_int(self, length):
         # the first contact of (2, 2) is a segment of length 1, so true and 1.0
-        # pass every consistency check; only their bytes differ from serialize's
+        # equal its derived length; only their bytes differ from serialize's
         doc = json.loads(serialize(verify_construction(2, 2)))
         contact = doc["pair_verdicts"][0]["contacts"][0]
         assert contact["length"] == 1
         contact["length"] = "LENGTH"
         with pytest.raises(DocumentInvariantError):
             parse(canonical(doc).replace(b'"LENGTH"', length))
+
+    @pytest.mark.parametrize("kind", ["vertical-segment", "point"])
+    def test_contact_kind_must_match_its_ends(self, kind):
+        # parse decodes only a contact's ends; a kind they do not give is refused
+        doc = json.loads(serialize(verify_construction(2, 2)))
+        contact = doc["pair_verdicts"][0]["contacts"][0]
+        assert contact["kind"] == "horizontal-segment"
+        contact["kind"] = kind
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
 
     @pytest.mark.parametrize(
         "data",

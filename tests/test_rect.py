@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from translate_kiss import (
+    ContactComponent,
     ContractViolation,
     ParameterError,
     RangeError,
@@ -145,6 +146,32 @@ class TestUnionDisjoint:
         assert union_interiors_disjoint(A, B) == union_interiors_disjoint(B, A)
 
 
+class TestContactEnds:
+    """A contact is its two ends; its kind and length follow from them."""
+
+    @pytest.mark.parametrize(
+        "a, b, kind, length",
+        [
+            ((2, 3), (2, 3), "point", 0),
+            ((-1, 3), (4, 3), "horizontal-segment", 5),
+            ((2, -3), (2, 3), "vertical-segment", 6),
+        ],
+        ids=["point", "horizontal-segment", "vertical-segment"],
+    )
+    def test_kind_and_length_from_ends(self, a, b, kind, length):
+        c = ContactComponent(a, b)
+        assert (c.kind, c.a, c.b, c.length) == (kind, a, b, length)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [((0, 0), (1, 1)), ((0, 1), (1, 0)), ((4, 3), (-1, 3)), ((2, 3), (2, -3))],
+        ids=["diagonal", "anti-diagonal", "reversed-horizontal", "reversed-vertical"],
+    )
+    def test_other_ends_rejected(self, a, b):
+        with pytest.raises(ParameterError):
+            ContactComponent(a, b)
+
+
 class TestContactComponents:
     def test_shared_edge(self):
         comps = contact_components([Rect(0, 0, 1, 1)], [Rect(1, 0, 2, 1)])
@@ -170,11 +197,24 @@ class TestContactComponents:
         assert [(c.kind, c.a, c.b) for c in comps] == [
             ("horizontal-segment", (1, 1), (2, 1)),
         ]
+        # a corner contact at either end of a collinear segment is absorbed too
+        for A, B, segment in [
+            ([Rect(0, 1, 1, 2)], [Rect(1, 1, 2, 2), Rect(1, 0, 2, 1)], ((1, 1), (1, 2))),
+            ([Rect(0, 1, 1, 2)], [Rect(1, 1, 2, 2), Rect(1, 2, 2, 3)], ((1, 1), (1, 2))),
+            ([Rect(1, 0, 2, 1)], [Rect(1, 1, 2, 2), Rect(0, 1, 1, 2)], ((1, 1), (2, 1))),
+            ([Rect(1, 0, 2, 1)], [Rect(1, 1, 2, 2), Rect(2, 1, 3, 2)], ((1, 1), (2, 1))),
+        ]:
+            comps = contact_components(A, B)
+            assert [(c.a, c.b, c.length) for c in comps] == [(*segment, 1)], (A, B)
 
     def test_isolated_point_kept(self):
         comps = contact_components([Rect(0, 0, 1, 1)], [Rect(1, 1, 2, 2)])
         assert [c.kind for c in comps] == ["point"]
         assert total_contact_length(comps) == 0
+        # four rect pairs meet only at (1, 1): one point, reported once
+        A = [Rect(0, 0, 1, 1), Rect(-1, -1, 1, 1)]
+        B = [Rect(1, 1, 2, 2), Rect(1, 1, 3, 3)]
+        assert contact_components(A, B) == [ContactComponent((1, 1), (1, 1))]
 
     def test_abutting_segments_merge(self):
         A = [Rect(0, 0, 1, 1), Rect(0, 1, 1, 2)]

@@ -13,7 +13,7 @@ from translate_kiss import (
     prefix_sum,
     ruler,
 )
-from translate_kiss.ruler import MAX_TABLE_LIMIT, ruler_sum
+from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, ruler_sum
 
 from oracles import lemma1_first_failure, ruler_by_halving
 
@@ -132,6 +132,21 @@ class TestLemma1:
     def test_exhaustive_needs_a_window(self, k_max, r_max):
         with pytest.raises(ParameterError):
             check_lemma1_exhaustive(k_max, r_max, PrefixTable.build(16))
+
+    def test_window_work_bounded_before_table_limit(self):
+        # 2**44 window sums would run for days; the refusal comes before the
+        # table's own RangeError and before any window is summed
+        with pytest.raises(ParameterError, match="window sums") as excinfo:
+            check_lemma1_exhaustive(2**22, 2**22, PrefixTable.build(16))
+        assert excinfo.type is ParameterError
+
+    def test_window_work_limit_is_inclusive(self):
+        k = 2**15
+        assert k * k == MAX_WINDOW_WORK
+        with pytest.raises(RangeError):  # within the work limit, beyond the table
+            check_lemma1_exhaustive(k, k, PrefixTable.build(16))
+        with pytest.raises(ParameterError, match="window sums"):
+            check_lemma1_exhaustive(k, k + 1, PrefixTable.build(16))
 
     def test_even_reduction_identity(self):
         # halving the prefix length: sum of first k terms = k + sum of first k/2
