@@ -18,8 +18,9 @@ out_dir = Path(__file__).parent
 
 shape = build_disk(4, 3)
 print(f"Disk (m=4, n=3): {len(shape.pieces)} pieces, bounding box {shape.bounding_box()}")
-for p in shape.pieces[:6]:
-    print(f"  {p.name}: {p.rect}")
+# piece k of the path is bar k // 2 + 1 when k is even, connector k // 2 + 1 when odd
+for k, r in enumerate(shape.pieces[:6]):
+    print(f"  {'V' if k % 2 else 'B'}{k // 2 + 1}: {r}")
 print("  ...")
 
 print("\nRecursive structure: the right half is a fresh copy of the (4, 2) disk:")

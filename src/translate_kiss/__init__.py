@@ -2,7 +2,7 @@
 disks are unbounded: staircase disk construction, translate placement,
 machine-checkable certificates, and SVG figures."""
 
-from .disk import Piece, Shape, SubCopyRef, build_disk, extract_sub_copy, sub_copy_offset
+from .disk import Shape, SubCopyRef, build_disk, extract_sub_copy, sub_copy_offset
 from .errors import (
     ConstructionBroken,
     ContractViolation,
@@ -58,7 +58,6 @@ __all__ = [
     "PairVerdict",
     "PairWitness",
     "ParameterError",
-    "Piece",
     "PrefixTable",
     "RangeError",
     "Rect",

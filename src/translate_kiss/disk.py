@@ -3,7 +3,11 @@
 A disk with parameters (m, n) is the union of 2^n horizontal bars of size
 m x 1 and 2^n - 1 vertical connectors of width 1, where connector i has
 height ruler(i).  Bars i and i+1 are joined through connector i, so the
-whole union is a topological disk whose pieces form a single path.
+whole union is a topological disk whose pieces form a single path.  The
+(m, 0) disk is one bar, and the (m, k) disk is two (m, k - 1) disks joined
+by a connector.  A piece's role and index are its position in the path:
+piece k is bar k // 2 + 1 when k is even and connector k // 2 + 1 when k
+is odd.
 """
 
 from __future__ import annotations
@@ -16,37 +20,22 @@ from .errors import ParameterError, _show
 from .rect import _LIMIT, Rect, Vec2, bounding_box
 from .ruler import ruler_sum
 
-BAR = "bar"
-CONNECTOR = "connector"
 MAX_N = 20  # 2^21 - 1 pieces; much beyond that, building the disk exhausts memory
 
 
 @dataclass(frozen=True)
-class Piece:
-    """One named rectangle of the union: bar B_i or connector V_i."""
-
-    role: str
-    index: int
-    rect: Rect
-
-    @property
-    def name(self) -> str:
-        return ("B" if self.role == BAR else "V") + str(self.index)
-
-
-@dataclass(frozen=True)
 class Shape:
-    """A built disk: pieces in construction order B1, V1, B2, ..., B_{2^n}."""
+    """A built disk: its rects in path order B1, V1, B2, ..., B_{2^n}."""
 
     m: int
     n: int
-    pieces: tuple[Piece, ...]
+    pieces: tuple[Rect, ...]
 
     def rects(self) -> list[Rect]:
-        return [p.rect for p in self.pieces]
+        return list(self.pieces)
 
     def bounding_box(self) -> Rect:
-        return bounding_box(self.rects())
+        return bounding_box(self.pieces)
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,7 @@ class SubCopyRef:
     """Copy number `copy` among the 2^(n-level) sub-disks at a given level.
 
     level k addresses the tiling of the bars by 2^(n-k) translates of the
-    (m, k) disk; level 0 addresses single bars.
+    (m, k) disk; level 0 addresses single bars, each the (m, 0) disk.
     """
 
     level: int
@@ -73,8 +62,8 @@ def _validate_ref(n: int, ref: SubCopyRef) -> None:
 def _check_disk_params(m: int, n: int) -> None:
     if m < 2:
         raise ParameterError(f"need bar width m >= 2, got {_show(m)}")
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {_show(n)}")
+    if n < 0:
+        raise ParameterError(f"need n >= 0, got {_show(n)}")
     if n > MAX_N:
         raise ParameterError(f"n={_show(n)} exceeds the supported maximum {MAX_N}")
     # every coordinate of the disk and its translates lies below m * 2^(n+1)
@@ -86,12 +75,12 @@ def build_disk(m: int, n: int) -> Shape:
     """Build the (m, n) disk from the closed-form bar/connector coordinates."""
     _check_disk_params(m, n)
     bars = 2**n
-    pieces: list[Piece] = []
+    pieces: list[Rect] = []
     for i in range(1, bars + 1):
         y = ruler_sum(i - 1)
-        pieces.append(Piece(BAR, i, Rect((i - 1) * m, y, i * m, y + 1)))
+        pieces.append(Rect((i - 1) * m, y, i * m, y + 1))
         if i < bars:
-            pieces.append(Piece(CONNECTOR, i, Rect(i * m - 1, y + 1, i * m, ruler_sum(i) + 1)))
+            pieces.append(Rect(i * m - 1, y + 1, i * m, ruler_sum(i) + 1))
     return Shape(m=m, n=n, pieces=tuple(pieces))
 
 
@@ -115,19 +104,14 @@ def sub_copy_offset(m: int, n: int, ref: SubCopyRef) -> Vec2:
 
 
 def extract_sub_copy(shape: Shape, ref: SubCopyRef) -> Shape:
-    """The pieces of one sub-copy, re-based and re-indexed to a fresh disk.
+    """The pieces of one sub-copy, moved so its first bar sits at the origin.
 
-    For level >= 1 the result equals build_disk(shape.m, level) exactly;
-    level 0 yields a single bar at the origin.
+    The result equals build_disk(shape.m, ref.level) exactly.
     """
     _validate_ref(shape.n, ref)
     base = (ref.copy - 1) * 2**ref.level
     last = ref.copy * 2**ref.level
     # pieces are interleaved B1 V1 B2 ... B_{2^n}: bar i sits at slot 2(i-1)
     span = shape.pieces[2 * base : 2 * (last - 1) + 1]
-    first_bar = span[0].rect
-    off = Vec2(first_bar.x0, first_bar.y0)
-    pieces = tuple(
-        Piece(p.role, p.index - base, p.rect.translate(-off)) for p in span
-    )
-    return Shape(m=shape.m, n=ref.level, pieces=pieces)
+    off = Vec2(-span[0].x0, -span[0].y0)
+    return Shape(m=shape.m, n=ref.level, pieces=tuple(r.translate(off) for r in span))

@@ -37,9 +37,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.dx - other.dx, self.dy - other.dy)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.dx, -self.dy)
-
 
 @dataclass(frozen=True, order=True)
 class Rect:

@@ -46,13 +46,13 @@ def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     if unit_px < 1:
         raise ParameterError(f"unit_px must be >= 1, got {_show(unit_px)}")
     if isinstance(obj, Shape):
-        groups = [obj.rects()]
+        groups = [obj.pieces]
         fills = [FILLS[0]]
         labels = ["shape"]
     elif isinstance(obj, Scene):
         shape = build_disk(obj.m, obj.n)
         groups = [
-            [r.translate(t) for r in shape.rects()] for t in obj.offsets
+            [r.translate(t) for r in shape.pieces] for t in obj.offsets
         ]
         fills = [FILL_A0] + [FILLS[(i - 1) % len(FILLS)] for i in range(1, len(groups))]
         labels = [f"A{i}" for i in range(len(groups))]

@@ -18,7 +18,7 @@ import json
 from itertools import combinations
 from typing import Any, Union
 
-from .disk import Piece, Shape, _check_disk_params, build_disk
+from .disk import Shape, _check_disk_params, build_disk
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene, _check_theorem_params, place_translates
 from .rect import ContactComponent, Rect, total_contact_length
@@ -34,8 +34,9 @@ def _rect_json(r: Rect) -> list[int]:
     return [r.x0, r.y0, r.x1, r.y1]
 
 
-def _piece_json(p: Piece) -> dict[str, Any]:
-    return {"role": p.role, "index": p.index, "rect": _rect_json(p.rect)}
+def _piece_json(k: int, r: Rect) -> dict[str, Any]:
+    """Piece k of the path: bar k // 2 + 1 when k is even, else connector k // 2 + 1."""
+    return {"role": "connector" if k % 2 else "bar", "index": k // 2 + 1, "rect": _rect_json(r)}
 
 
 def _contact_json(c: ContactComponent) -> dict[str, Any]:
@@ -59,7 +60,7 @@ def to_document(obj: Document) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION, "kind": _KINDS[type(obj)], "m": obj.m, "n": obj.n
     }
     if isinstance(obj, Shape):
-        doc["pieces"] = [_piece_json(p) for p in obj.pieces]
+        doc["pieces"] = [_piece_json(k, r) for k, r in enumerate(obj.pieces)]
     else:
         doc["offsets"] = [[t.dx, t.dy] for t in obj.offsets]
     if isinstance(obj, Certificate):

@@ -55,7 +55,7 @@ def verify_construction(m: int, n: int) -> Certificate:
     _check_theorem_params(m, n)
     shape = build_disk(m, n)
     scene = place_translates(m, n)
-    rects = _rect_array(shape.rects())
+    rects = _rect_array(shape.pieces)
     placed = [rects + (t.dx, t.dy, t.dx, t.dy) for t in scene.offsets]
 
     verdicts: list[PairVerdict] = []
@@ -97,7 +97,7 @@ class VerticalRun:
 
 def rightward_runs(shape: Shape) -> list[VerticalRun]:
     """Maximal vertical runs formed by merging collinear piece right edges."""
-    edges = ([p.rect.x1, p.rect.y0, p.rect.y1] for p in shape.pieces)
+    edges = ([r.x1, r.y0, r.y1] for r in shape.pieces)
     return [VerticalRun(*run) for run in _merge_lines(edges)]
 
 
@@ -150,8 +150,8 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     tallest = max(runs, key=lambda r: r.height)
     unique = sum(1 for r in runs if r.height == tallest.height) == 1
 
-    d_rects = [r.translate(d_offset) for r in sub.rects()]
-    d_prime_rects = [r.translate(d_prime_offset) for r in sub.rects()]
+    d_rects = [r.translate(d_offset) for r in sub.pieces]
+    d_prime_rects = [r.translate(d_prime_offset) for r in sub.pieces]
     contacts = tuple(contact_components(d_rects, d_prime_rects))
     has_segment = any(c.length >= 1 for c in contacts)
 

@@ -46,6 +46,25 @@ def test_build_to_stdout(capsys):
     assert doc["kind"] == "shape"
 
 
+def test_build_zero_disk_to_stdout(capsysbinary):
+    # the (m, 0) disk is one bar, and its document parses back
+    assert main(["build", "-m", "4", "-n", "0"]) == 0
+    assert parse(capsysbinary.readouterr().out) == build_disk(4, 0)
+
+
+def test_build_negative_n_exits_2(capsys):
+    assert main(["build", "-m", "4", "-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_render_zero_disk(tmp_path):
+    out = tmp_path / "fig.svg"
+    assert main(["render", "-m", "4", "-n", "0", "--shape", "--out", str(out)]) == 0
+    assert out.read_bytes() == render_svg(build_disk(4, 0))
+
+
 def test_verify_pass(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert main(["verify", "-m", "4", "-n", "3", "--json", str(cert_path)]) == 0

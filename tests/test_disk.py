@@ -8,10 +8,13 @@ from translate_kiss import (
     Vec2,
     build_disk,
     extract_sub_copy,
+    parse,
     prefix_sum,
     ruler,
+    serialize,
     sub_copy_offset,
 )
+from translate_kiss.serial import to_document
 
 from oracles import closed_contact, naive_union_disjoint
 
@@ -22,7 +25,7 @@ def adjacency_path_ok(shape):
     pieces = shape.pieces
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            c = closed_contact(pieces[i].rect, pieces[j].rect)
+            c = closed_contact(pieces[i], pieces[j])
             positive = c is not None and c.length >= 1
             if j == i + 1:
                 if not positive or c.length != 1:
@@ -35,34 +38,49 @@ def adjacency_path_ok(shape):
 class TestBuildDisk:
     def test_smallest(self):
         shape = build_disk(2, 1)
-        assert [p.name for p in shape.pieces] == ["B1", "V1", "B2"]
-        assert shape.pieces[0].rect == Rect(0, 0, 2, 1)
-        assert shape.pieces[1].rect == Rect(1, 1, 2, 2)
-        assert shape.pieces[2].rect == Rect(2, 1, 4, 2)
+        doc = to_document(shape)
+        assert [(p["role"], p["index"]) for p in doc["pieces"]] == [
+            ("bar", 1), ("connector", 1), ("bar", 2)
+        ]
+        assert shape.pieces == (Rect(0, 0, 2, 1), Rect(1, 1, 2, 2), Rect(2, 1, 4, 2))
+        assert [p["rect"] for p in doc["pieces"]] == [[0, 0, 2, 1], [1, 1, 2, 2], [2, 1, 4, 2]]
 
     def test_tallest_connector_4_3(self):
         shape = build_disk(4, 3)
-        v4 = next(p for p in shape.pieces if p.name == "V4")
-        assert v4.rect == Rect(15, 5, 16, 8)
-        assert v4.rect.height == 3
+        v4 = shape.pieces[1::2][3]
+        assert v4 == Rect(15, 5, 16, 8)
+        assert v4.height == 3
+
+    def test_zero_disk_is_one_bar(self):
+        # the base of the recursion: the (m, k) disk is two (m, k - 1) disks
+        # joined by a connector, and the (m, 0) disk is one m x 1 bar
+        shape = build_disk(4, 0)
+        assert shape.pieces == (Rect(0, 0, 4, 1),)
+        data = serialize(shape)
+        assert data == (
+            b'{"schema_version":"tk-1","kind":"shape","m":4,"n":0,'
+            b'"pieces":[{"role":"bar","index":1,"rect":[0,0,4,1]}]}\n'
+        )
+        assert parse(data) == shape
 
     def test_piece_count(self):
         for m, n in [(2, 1), (3, 2), (4, 3), (5, 5)]:
             shape = build_disk(m, n)
             assert len(shape.pieces) == 2 ** (n + 1) - 1
-            bars = [p for p in shape.pieces if p.role == "bar"]
-            conns = [p for p in shape.pieces if p.role == "connector"]
+            bars, conns = shape.pieces[0::2], shape.pieces[1::2]
             assert len(bars) == 2**n
             assert len(conns) == 2**n - 1
+            roles = [p["role"] for p in to_document(shape)["pieces"]]
+            assert roles.count("bar") == 2**n
+            assert roles.count("connector") == 2**n - 1
 
     def test_piece_dimensions(self):
         shape = build_disk(5, 4)
-        for p in shape.pieces:
-            if p.role == "bar":
-                assert (p.rect.width, p.rect.height) == (5, 1)
-            else:
-                assert p.rect.width == 1
-                assert p.rect.height == ruler(p.index)
+        for bar in shape.pieces[0::2]:
+            assert (bar.width, bar.height) == (5, 1)
+        for k, conn in enumerate(shape.pieces[1::2], start=1):
+            assert conn.width == 1
+            assert conn.height == ruler(k)
 
     def test_bounding_box(self):
         for m, n in [(2, 1), (4, 3), (6, 4)]:
@@ -73,7 +91,7 @@ class TestBuildDisk:
         table = PrefixTable.build(2**8)
         for n in range(1, 9):
             shape = build_disk(3, n)
-            bars = [p.rect for p in shape.pieces if p.role == "bar"]
+            bars = shape.pieces[0::2]
             assert [r.y0 for r in bars] == list(table.sums[: 2**n])
             assert shape.bounding_box().height == 2 ** (n + 1) - n - 1
 
@@ -88,7 +106,7 @@ class TestBuildDisk:
         with pytest.raises(ParameterError):
             build_disk(1, 3)
         with pytest.raises(ParameterError):
-            build_disk(4, 0)
+            build_disk(4, -1)
         with pytest.raises(ParameterError):
             build_disk(2, 21)
 
@@ -141,8 +159,8 @@ class TestSubCopies:
     def test_extract_single_bar(self):
         shape = build_disk(4, 3)
         sub = extract_sub_copy(shape, SubCopyRef(level=0, copy=5))
-        assert len(sub.pieces) == 1
-        assert sub.pieces[0].rect == Rect(0, 0, 4, 1)
+        assert sub.pieces == (Rect(0, 0, 4, 1),)
+        assert sub == build_disk(4, 0)
 
     def test_recursive_identity_all_levels(self):
         for m, n in [(2, 2), (4, 3), (4, 4)]:
@@ -158,18 +176,29 @@ class TestSubCopies:
         left = extract_sub_copy(shape, SubCopyRef(level=n - 1, copy=1))
         right = extract_sub_copy(shape, SubCopyRef(level=n - 1, copy=2))
         off = sub_copy_offset(m, n, SubCopyRef(level=n - 1, copy=2))
-        rebuilt = {p.rect for p in left.pieces}
-        rebuilt |= {p.rect.translate(off) for p in right.pieces}
-        middle = next(
-            p for p in shape.pieces if p.role == "connector" and p.index == 2 ** (n - 1)
-        )
-        rebuilt.add(middle.rect)
-        assert rebuilt == {p.rect for p in shape.pieces}
+        rebuilt = set(left.pieces)
+        rebuilt |= {r.translate(off) for r in right.pieces}
+        middle = shape.pieces[1::2][2 ** (n - 1) - 1]  # connector 2^(n-1)
+        rebuilt.add(middle)
+        assert rebuilt == set(shape.pieces)
 
     def test_tallest_connector_unique(self):
         for m, n in [(2, 2), (4, 3), (5, 5)]:
-            conns = [p for p in build_disk(m, n).pieces if p.role == "connector"]
-            heights = sorted((p.rect.height, p.index) for p in conns)
+            conns = build_disk(m, n).pieces[1::2]
+            heights = sorted((r.height, k) for k, r in enumerate(conns, start=1))
             assert heights[-1] == (n, 2 ** (n - 1))
             if len(heights) > 1:
                 assert heights[-2][0] < n
+
+    def test_every_sub_copy_is_a_fresh_disk_and_round_trips(self):
+        # level 0 included: a single bar is the (m, 0) disk
+        for n in range(0, 7):
+            for m in (2, n + 2):
+                shape = build_disk(m, n)
+                for level in range(n + 1):
+                    fresh = build_disk(m, level)
+                    for copy in range(1, 2 ** (n - level) + 1):
+                        sub = extract_sub_copy(shape, SubCopyRef(level=level, copy=copy))
+                        assert sub == fresh, (m, n, level, copy)
+                        assert parse(serialize(sub)) == sub, (m, n, level, copy)
+

@@ -8,7 +8,6 @@ from translate_kiss import (
     ConstructionBroken,
     Lemma2Case,
     ParameterError,
-    Piece,
     PrefixTable,
     Rect,
     Scene,
@@ -99,7 +98,7 @@ class TestLemma2:
         A, B = lemma2_instance(Lemma2Case(m=4, n=3, r=5, xstar=3, ystar=2))
         # first bar of the shifted copy sits on bar 5 moved right 3, down 2
         shape = build_disk(4, 3)
-        b5 = next(p.rect for p in shape.pieces if p.name == "B5")
+        b5 = shape.pieces[8]  # bar k sits at position 2 (k - 1)
         assert B[0] == b5.translate(Vec2(3, -2))
         assert B[0].x0 - A[0].x0 == 19
         assert B[0].y0 - A[0].y0 == 5
@@ -173,7 +172,7 @@ class TestLemma2:
         for x in rng.sample(sorted(cols), rng.randint(1, 3)):
             k = rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])
             cols[x] = (cols[x][0] + k, cols[x][1] + k)
-        pieces = tuple(Piece("bar", x + 1, Rect(x, lo, x + 1, hi)) for x, (lo, hi) in cols.items())
+        pieces = tuple(Rect(x, lo, x + 1, hi) for x, (lo, hi) in cols.items())
         patch_disk(monkeypatch, Shape(m, n, pieces))
         assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
 
@@ -183,7 +182,7 @@ class TestLemma2:
         # the only overlap is at ystar = h, so the cut at the last ystar
         # (6 here) shows; for r = 2 the flat part overlaps at ystar = 1
         h = 6 + lift
-        pieces = (Piece("bar", 1, Rect(0, h, 1, h + 1)), Piece("bar", 2, Rect(1, 0, 8, 1)))
+        pieces = (Rect(0, h, 1, h + 1), Rect(1, 0, 8, 1))
         patch_disk(monkeypatch, Shape(2, 2, pieces))
         got = check_lemma2_exhaustive(2, 2)
         assert (got.r, got.xstar, got.ystar) == expected
@@ -193,8 +192,7 @@ class TestLemma2:
         # the rect-derived profile is the evidence that the built disk is
         # vertically convex, so it must notice a column that is not
         good = build_disk(4, 3)
-        v1 = good.pieces[1]
-        lifted = Piece(v1.role, v1.index, v1.rect.translate(Vec2(0, 1)))
+        lifted = good.pieces[1].translate(Vec2(0, 1))
         broken = Shape(4, 3, good.pieces[:1] + (lifted,) + good.pieces[2:])
         with pytest.raises(ConstructionBroken):
             rect_column_profile(_rect_array(broken.rects()))

@@ -4,8 +4,10 @@ import pytest
 
 from translate_kiss import (
     ParameterError,
+    SubCopyRef,
     Vec2,
     build_disk,
+    extract_sub_copy,
     rightward_runs,
     serialize,
     verify_construction,
@@ -35,6 +37,35 @@ GOLDEN_CERTIFICATES = {
     (10, 10): "67bcb9248f6bcac2a04c06095267733052e79b0ffb28a979c06cafa829c4477c",
     (12, 10): "ebfae977786d4892c08849089699f878b07725f9759d2e8c44fb21857589e189",
 }
+
+# sha256 of serialize(build_disk(m, n)), schema tk-1, for n = 1..10 and
+# m in {2, n + 2}; they pin the role and index serialize derives from each
+# piece's position in the path
+GOLDEN_SHAPES = {
+    (2, 1): "4cbc78fc6a335f2128eb37536fd3988dc2c5124e67ee3e03f6c16ccd2ccd695c",
+    (3, 1): "3e580ac4da21281cbaab27c142489001cc65cb0a381ba8fe7570f8c69df8e800",
+    (2, 2): "dd243853f088b1864a66f7e89ae84195e4cfc2a6afbfc7c504ba43c3a6f52582",
+    (4, 2): "18885ed781a7837dd576f45cbad815fdb99476b3988ba671a0ecede33d671cf6",
+    (2, 3): "7c3ae452f64a5a01ade60cab3148a346a5ea54894e086060a2da6f2a8dbd0aea",
+    (5, 3): "163cc17bd94c96bc3e6143180dffa961448b181baaabe4d1dd2cdfd9d76d4b79",
+    (2, 4): "f1e35d2ed3b0fcd2579d059bf67016f361c9defda9035e95468b78eec2c4c1f9",
+    (6, 4): "7bf51ed5b3142e7005458e91b485228c49ada0cbfed28b0fed65d0576e4a6454",
+    (2, 5): "bf4f49adde8d7bec5118bc112ca5b35bc5343cea47d8a7027441451098c1426a",
+    (7, 5): "1afcb785bd2f60f2c5eaf68e04672f1f018f2b8787afdcb4d3bd05b022ead1a5",
+    (2, 6): "07ee386417b9c3b7abfd3895577cb9fce4da9d0d712b56d389e4d5f76ef25361",
+    (8, 6): "ab1d8b4b86298a555d86dc532923599a086b992003b4f22a30327d253e4b12d9",
+    (2, 7): "c37a2f832b531b9ff77671243c01a72c71ad1a058b651b6e545ba7be5b2869a9",
+    (9, 7): "6ad421cf133b745d72d962b17984edfe86a1db71a2599894ec8713b362acbc99",
+    (2, 8): "5eeaae89cc8c529ab9830b82bae0726bb9875aa2ee16305d9e0179812db6adbc",
+    (10, 8): "c9b90b97cdf5cf674603c52c07f48c018bf6958fd98b6900e3d0ecf4f4a33e10",
+    (2, 9): "732a1f3eacabf8b0561ec02dcf5dc2dbd04dc9c335c293491cd766d14c658f29",
+    (11, 9): "9586a56b3f9272dd303a5b9766ca77b52ce947c67e5354e2645ea38723de9bdb",
+    (2, 10): "939bd4298ac981874bce23af28ace361b5aca34de9e6c033bc5c92d129e3ebdc",
+    (12, 10): "b700a7c1c6d09877534720f8d4ebbc3c4a8eee7ad937b8f1a20d0876ebbbf002",
+}
+# sha256 over the concatenated serialize bytes of every sub-copy with
+# level >= 1 of the (5, 6) disk, by level and then by copy
+GOLDEN_SUB_COPIES_5_6 = "36ce8c4039ba042ec6497f95037ae47aee476584088960c036732583511648d9"
 
 
 def find_verdict(cert, i, j):
@@ -105,6 +136,17 @@ class TestVerifyConstruction:
 def test_certificate_bytes_golden(m, n):
     data = serialize(verify_construction(m, n))
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CERTIFICATES[(m, n)]
+
+
+def test_shape_bytes_golden():
+    for (m, n), digest in GOLDEN_SHAPES.items():
+        assert hashlib.sha256(serialize(build_disk(m, n))).hexdigest() == digest, (m, n)
+    shape = build_disk(5, 6)
+    h = hashlib.sha256()
+    for level in range(1, 7):
+        for copy in range(1, 2 ** (6 - level) + 1):
+            h.update(serialize(extract_sub_copy(shape, SubCopyRef(level, copy))))
+    assert h.hexdigest() == GOLDEN_SUB_COPIES_5_6
 
 
 class TestRightwardRuns:
