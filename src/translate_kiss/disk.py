@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, _show
-from .rect import _LIMIT, Rect, Vec2, bounding_box
+from .rect import _LIMIT, Rect, Vec2
 from .ruler import ruler_sum
 
 MAX_N = 20  # 2^21 - 1 pieces; much beyond that, building the disk exhausts memory
@@ -35,7 +35,9 @@ class Shape:
         return list(self.pieces)
 
     def bounding_box(self) -> Rect:
-        return bounding_box(self.pieces)
+        ps = self.pieces
+        x0, y0 = min(r.x0 for r in ps), min(r.y0 for r in ps)
+        return Rect(x0, y0, max(r.x1 for r in ps), max(r.y1 for r in ps))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Closed-rectangle semantics throughout: two rects "touch" when their closed
 intersection is nonempty while their interiors are disjoint.  All
 coordinates are Python ints, so every test here is exact.  The pairwise
-sweep behind union_interiors_disjoint and contact_components runs on int64
-numpy arrays; it only compares, takes max/min and subtracts, and it rejects
-any coordinate with |v| >= 2**61 (RangeError), so it stays exact too.
+sweep runs on int64 numpy arrays; it only compares, takes max/min and
+subtracts, and it rejects any coordinate with |v| >= 2**61 (RangeError), so
+it stays exact too.  Both verifiers reach it through _placed_contacts, two
+copies of one rect array at two offsets; union_interiors_disjoint and
+contact_components wrap it for Rect lists, and no package code calls them.
 
 A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
@@ -90,13 +92,6 @@ class ContactComponent:
         object.__setattr__(self, "length", xb - xa + yb - ya)
 
 
-def bounding_box(rects: Iterable[Rect]) -> Rect:
-    """Smallest rect containing every rect of a nonempty collection."""
-    rs = list(rects)
-    x0, y0 = min(r.x0 for r in rs), min(r.y0 for r in rs)
-    return Rect(x0, y0, max(r.x1 for r in rs), max(r.y1 for r in rs))
-
-
 _LIMIT = 2**61
 # rows [x, y0, y1] of contacts with zero x-gap and [y, x0, x1] of those with zero y-gap
 _Contacts = tuple[list[list[int]], list[list[int]]]
@@ -174,6 +169,13 @@ def _components(contacts: _Contacts) -> list[ContactComponent]:
     components += [ContactComponent((x, ya), (x, yb)) for x, ya, yb in vertical if ya < yb]
     components += [ContactComponent((xa, y), (xb, y)) for y, xa, xb in horizontal if xa < xb]
     return sorted(components, key=lambda c: (c.kind, c.a, c.b))
+
+
+def _placed_contacts(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[tuple[ContactComponent, ...]]:
+    """Contacts between two copies of the (k, 4) rect array rows placed at
+    offsets a and b, in _components' order, or None on interior overlap."""
+    raw = _sweep(rows + (a.dx, a.dy, a.dx, a.dy), rows + (b.dx, b.dy, b.dx, b.dy))
+    return None if raw is None else tuple(_components(raw))
 
 
 def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:

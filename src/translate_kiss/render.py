@@ -2,8 +2,10 @@
 
 Stored geometry uses mathematical orientation (y up); the flip to screen
 coordinates happens only here.  Coordinates are integer unit counts times
-unit_px, so no rounding ever occurs and output is byte-identical across
-runs.
+an integer unit_px, so no rounding ever occurs and output is byte-identical
+across runs.  A shape is drawn as a scene of one translate at the origin:
+each group writes the disk's rects with its offset added while formatting,
+and the picture's box is the disk's box widened by the spread of the offsets.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Union
 from .disk import Shape, build_disk
 from .errors import ParameterError, _show
 from .placement import Scene
-from .rect import Rect, bounding_box
+from .rect import Vec2
 
 # A_0 is drawn in grey; A_1.. cycle through the colour list.
 FILL_A0 = "#9e9e9e"
@@ -31,47 +33,42 @@ FILLS = [
 ]
 
 
-def _svg_rect(r: Rect, bbox: Rect, unit_px: int, fill: str) -> str:
-    x = (r.x0 - bbox.x0 + 1) * unit_px
-    y = (bbox.y1 + 1 - r.y1) * unit_px
-    return (
-        f'<rect x="{x}" y="{y}" width="{r.width * unit_px}" '
-        f'height="{r.height * unit_px}" fill="{fill}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-
-
 def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     """Render a single disk or a placed scene, one group per translate."""
-    if unit_px < 1:
-        raise ParameterError(f"unit_px must be >= 1, got {_show(unit_px)}")
+    if not isinstance(unit_px, int) or unit_px < 1:
+        raise ParameterError(f"unit_px must be an int >= 1, got {_show(unit_px)}")
     if isinstance(obj, Shape):
-        groups = [obj.pieces]
-        fills = [FILLS[0]]
-        labels = ["shape"]
+        shape, offsets, fills, labels = obj, (Vec2(0, 0),), [FILLS[0]], ["shape"]
     elif isinstance(obj, Scene):
-        shape = build_disk(obj.m, obj.n)
-        groups = [
-            [r.translate(t) for r in shape.pieces] for t in obj.offsets
-        ]
-        fills = [FILL_A0] + [FILLS[(i - 1) % len(FILLS)] for i in range(1, len(groups))]
-        labels = [f"A{i}" for i in range(len(groups))]
+        shape, offsets = build_disk(obj.m, obj.n), obj.offsets
+        fills = [FILL_A0] + [FILLS[(i - 1) % len(FILLS)] for i in range(1, len(offsets))]
+        labels = [f"A{i}" for i in range(len(offsets))]
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
 
-    bbox = bounding_box(r for group in groups for r in group)
-    width = (bbox.x1 - bbox.x0 + 2) * unit_px
-    height = (bbox.y1 - bbox.y0 + 2) * unit_px
+    box = shape.bounding_box()
+    x0 = box.x0 + min(t.dx for t in offsets)
+    y0 = box.y0 + min(t.dy for t in offsets)
+    x1 = box.x1 + max(t.dx for t in offsets)
+    y1 = box.y1 + max(t.dy for t in offsets)
+    width = (x1 - x0 + 2) * unit_px
+    height = (y1 - y0 + 2) * unit_px
     if max(width, height) >= 2**61:  # unit_px stays out of the message: it may pass int-to-str's limit
         raise ParameterError("SVG width or height reaches 2**61 px at this unit_px")
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'height="{height}" viewBox="0 0 {width} {height}">\n'.encode()
     ]
-    for label, fill, group in zip(labels, fills, groups):
-        lines.append(f'<g id="{label}">')
-        lines.extend(_svg_rect(r, bbox, unit_px, fill) for r in group)
-        lines.append("</g>")
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    for label, fill, t in zip(labels, fills, offsets):
+        # a rect's screen corner is its top-left one, one unit in from the box
+        left, top = t.dx - x0 + 1, y1 + 1 - t.dy
+        rects = "".join(
+            f'<rect x="{(r.x0 + left) * unit_px}" y="{(top - r.y1) * unit_px}" '
+            f'width="{r.width * unit_px}" height="{r.height * unit_px}" fill="{fill}" '
+            f'stroke="black" stroke-width="1"/>\n'
+            for r in shape.pieces
+        )
+        parts.append(f'<g id="{label}">\n{rects}</g>\n'.encode())
+    parts.append(b"</svg>\n")
+    return b"".join(parts)

@@ -11,16 +11,14 @@ from itertools import combinations
 from typing import Sequence
 
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
-from .errors import ParameterError, _show
+from .errors import ContractViolation, ParameterError, _show
 from .placement import _check_theorem_params, place_translates
 from .rect import (
     ContactComponent,
     Vec2,
-    _components,
     _merge_lines,
+    _placed_contacts,
     _rect_array,
-    _sweep,
-    contact_components,
     total_contact_length,
 )
 
@@ -53,16 +51,14 @@ def verify_construction(m: int, n: int) -> Certificate:
     broken build.
     """
     _check_theorem_params(m, n)
-    shape = build_disk(m, n)
     scene = place_translates(m, n)
-    rects = _rect_array(shape.pieces)
-    placed = [rects + (t.dx, t.dy, t.dx, t.dy) for t in scene.offsets]
+    rows = _rect_array(build_disk(m, n).pieces)
 
     verdicts: list[PairVerdict] = []
     for i, j in combinations(range(n + 1), 2):
-        raw = _sweep(placed[i], placed[j])
-        contacts = () if raw is None else tuple(_components(raw))
-        verdicts.append(PairVerdict(i, j, raw is not None, contacts, total_contact_length(contacts)))
+        found = _placed_contacts(rows, scene.offsets[i], scene.offsets[j])
+        contacts = () if found is None else found
+        verdicts.append(PairVerdict(i, j, found is not None, contacts, total_contact_length(contacts)))
     touching, ok = _verdict_totals(n, verdicts)
     return Certificate(
         m=m,
@@ -150,9 +146,9 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     tallest = max(runs, key=lambda r: r.height)
     unique = sum(1 for r in runs if r.height == tallest.height) == 1
 
-    d_rects = [r.translate(d_offset) for r in sub.pieces]
-    d_prime_rects = [r.translate(d_prime_offset) for r in sub.pieces]
-    contacts = tuple(contact_components(d_rects, d_prime_rects))
+    contacts = _placed_contacts(_rect_array(sub.pieces), d_offset, d_prime_offset)
+    if contacts is None:
+        raise ContractViolation("unions have overlapping interiors")
     has_segment = any(c.length >= 1 for c in contacts)
 
     return TouchingReport(

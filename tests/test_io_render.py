@@ -465,6 +465,12 @@ class TestRenderSvg:
         with pytest.raises(ParameterError):
             render_svg(build_disk(3, 1), unit_px=2**58)
 
+    @pytest.mark.parametrize("unit_px", [2.5, 10.0])
+    def test_unit_px_must_be_an_int(self, unit_px):
+        # a float would write coordinates such as width="15.0"
+        with pytest.raises(ParameterError):
+            render_svg(build_disk(2, 1), unit_px=unit_px)
+
     def test_a0_visually_distinct(self):
         svg = render_svg(place_translates(4, 3)).decode()
         groups = svg.split("<g ")[1:]

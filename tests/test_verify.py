@@ -3,16 +3,23 @@ import hashlib
 import pytest
 
 from translate_kiss import (
+    ContractViolation,
     ParameterError,
+    Rect,
     SubCopyRef,
     Vec2,
     build_disk,
     extract_sub_copy,
+    place_translates,
+    render_svg,
     rightward_runs,
     serialize,
     verify_construction,
     verify_touching_heights,
 )
+from translate_kiss import rect, render, verify
+
+from oracles import naive_contacts
 
 # sha256 of serialize(verify_construction(m, n)), schema tk-1, for the
 # parameters of acceptance criterion 5, as the pure-Python rect sweep
@@ -66,6 +73,30 @@ GOLDEN_SHAPES = {
 # sha256 over the concatenated serialize bytes of every sub-copy with
 # level >= 1 of the (5, 6) disk, by level and then by copy
 GOLDEN_SUB_COPIES_5_6 = "36ce8c4039ba042ec6497f95037ae47aee476584088960c036732583511648d9"
+
+# sha256 over the concatenated render_svg bytes of place_translates(m, n)
+# and then build_disk(m, n), each at unit_px 1, 7 and 10, for n = 2..9 and
+# m in {n, n + 2}; recorded while render_svg still drew translated rect copies
+GOLDEN_SVGS = {
+    (2, 2): "026b1b41e2dc3becd3a60c3c7211448cdf8d43c8f7901f24e63b2c6fc8d07374",
+    (4, 2): "208c9351f3c1edafe39fb24b0126b50422809333b379edbb7d70c8467714b592",
+    (3, 3): "05d43561979fdebb488e5a901325795c564ebf9d04164cd803b83473a981b5e3",
+    (5, 3): "a6f03ab27be3e6753f40dd2b1897498c8381a69cffba55cd1d91c338d6048635",
+    (4, 4): "8311575a1d660b96627e81cef0f3284d8b9038f990429c0ed892857881bf50ba",
+    (6, 4): "a2437c755f17bac5e5b6737026a24172a857bdc4c9ad11dbc73820300311f0f4",
+    (5, 5): "c26d863d90c0b74fbc7b415502684d966e3e1377321d6ae677673201351d9f7c",
+    (7, 5): "d2cbf44f79bdf0a99df09429b1615968e5fa1cc162b72a90333ede428c0d237a",
+    (6, 6): "2f5807fc1d30d32c8eee32046894a334c192d80373e9df8561c1557e3322b016",
+    (8, 6): "06fdb56bc96d55a8319756f1df57a6488fb20012e1f7e54f78a8cf0239693c59",
+    (7, 7): "bc41941f37de1050df8d20527e906a083fcda440bd2d2f6377d019dbf933c112",
+    (9, 7): "d74d44528c92a35ba5d7f66495e469d336c979b2b0953072fd28219a395d7488",
+    (8, 8): "32a8cfbe584130636609a32d5688b76a11f90a7e0e62696bf0e09f29314472c0",
+    (10, 8): "b98046df70e48c963ea9492551fa333f495d95d653c9c24c68f2bf991037c6ec",
+    (9, 9): "677872823c6742a61a79ad1a0d96ef787c422ad414c47301b18fce4e3d2a6357",
+    (11, 9): "63eefcc0b8a205854a861b0905ba12f310fbb8b4e8924031c9a084539434c60b",
+}
+# sha256 of render_svg(build_disk(3, 1), unit_px=2**58 - 1), the largest unit_px it accepts
+GOLDEN_SVG_3_1_HUGE = "c906b664289b308dbc4c5485d6d8a4a72889296a10d2764ec950b07df7261ca5"
 
 
 def find_verdict(cert, i, j):
@@ -149,6 +180,17 @@ def test_shape_bytes_golden():
     assert h.hexdigest() == GOLDEN_SUB_COPIES_5_6
 
 
+def test_svg_bytes_golden():
+    for (m, n), digest in GOLDEN_SVGS.items():
+        h = hashlib.sha256()
+        for obj in (place_translates(m, n), build_disk(m, n)):
+            for unit_px in (1, 7, 10):
+                h.update(render_svg(obj, unit_px))
+        assert h.hexdigest() == digest, (m, n)
+    huge = render_svg(build_disk(3, 1), unit_px=2**58 - 1)
+    assert hashlib.sha256(huge).hexdigest() == GOLDEN_SVG_3_1_HUGE
+
+
 class TestRightwardRuns:
     def test_runs_of_4_3(self):
         runs = rightward_runs(build_disk(4, 3))
@@ -190,6 +232,42 @@ class TestTouchingHeights:
                 assert rep.offset == Vec2(i - 1, n + 2 - i)
                 assert rep.tallest_run.height == n + 2 - i
                 assert rep.ok
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_contacts_match_naive_oracle(self, n):
+        # the facing sub-copies sliced out of the placed disks, without
+        # sub_copy_offset: A_0's last level sub-copy and A_i's first
+        for m in (n, n + 2):
+            pieces = build_disk(m, n).pieces
+            offsets = place_translates(m, n).offsets
+            for i in range(1, n + 1):
+                k = 2 ** (n + 2 - i) - 1  # pieces in a level n+1-i sub-copy
+                A = [r.translate(offsets[0]) for r in pieces[-k:]]
+                B = [r.translate(offsets[i]) for r in pieces[:k]]
+                want = {(kind, a, b, b[0] - a[0] + b[1] - a[1]) for kind, a, b in naive_contacts(A, B)}
+                got = verify_touching_heights(m, n, i).contacts
+                assert {(c.kind, c.a, c.b, c.length) for c in got} == want, (m, n, i)
+
+    def test_no_translated_rect_copies(self, monkeypatch):
+        # a translate is its offset: render_svg and the touching report build
+        # no translated Rect and never go through contact_components
+        scene = place_translates(5, 4)
+        want = [render_svg(scene)] + [verify_touching_heights(5, 4, i) for i in range(1, 5)]
+
+        def refuse(*args):
+            raise AssertionError("a translated rect copy was built")
+
+        monkeypatch.setattr(Rect, "translate", refuse)
+        for module in (rect, render, verify):
+            monkeypatch.setattr(module, "contact_components", refuse, raising=False)
+        assert [render_svg(scene)] + [verify_touching_heights(5, 4, i) for i in range(1, 5)] == want
+
+    def test_overlapping_sub_copies_raise(self, monkeypatch):
+        # a sub-copy offset that lands A_0's facing copy on A_1's
+        offsets = place_translates(4, 3).offsets
+        monkeypatch.setattr(verify, "sub_copy_offset", lambda m, n, ref: offsets[1] - offsets[0])
+        with pytest.raises(ContractViolation):
+            verify_touching_heights(4, 3, 1)
 
     def test_invalid_index(self):
         with pytest.raises(ParameterError):
