@@ -8,10 +8,11 @@ from pathlib import Path
 
 from translate_kiss import (
     SubCopyRef,
+    Vec2,
     build_disk,
-    extract_sub_copy,
     place_translates,
     render_svg,
+    sub_copy_offset,
 )
 
 out_dir = Path(__file__).parent
@@ -24,8 +25,11 @@ for k, r in enumerate(shape.pieces[:6]):
 print("  ...")
 
 print("\nRecursive structure: the right half is a fresh copy of the (4, 2) disk:")
-right_half = extract_sub_copy(shape, SubCopyRef(level=2, copy=2))
-print(f"  matches build_disk(4, 2): {right_half.pieces == build_disk(4, 2).pieces}")
+off = sub_copy_offset(4, 3, SubCopyRef(level=2, copy=2))
+# B5 sits at path position 8; B5..B8 and the connectors between them are the half
+right_half = tuple(r.translate(Vec2(-off.dx, -off.dy)) for r in shape.pieces[8:])
+same = right_half == build_disk(4, 2).pieces
+print(f"  pieces 8.. moved back by {off} match build_disk(4, 2): {same}")
 
 for name, obj in [
     ("disk_4_2.svg", build_disk(4, 2)),

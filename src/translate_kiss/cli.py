@@ -5,7 +5,8 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 * 0 for success/PASS;
 * 1 for a verification FAIL, or a broken construction (ConstructionBroken);
 * 2 for usage or parameter errors (ParameterError, including n > 20,
-  m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall, a lemma 2 profile wider
+  m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall or of more than 2^23
+  rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), a lemma 2 profile wider
   than 2^24 columns, and lemma1 with k_max < 1, r_max above 2^22 or
   min(k_max, r_max) * r_max above 2^30 window sums) and broken
   preconditions (ContractViolation);

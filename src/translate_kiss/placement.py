@@ -7,7 +7,7 @@ right by one and down by one.  A_0 is A_1 shifted down by n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -22,11 +22,25 @@ MAX_PROFILE_COLUMNS = 2**24
 
 @dataclass(frozen=True)
 class Scene:
-    """Offsets of the translates A_0..A_n of one shared disk."""
+    """The translates A_0..A_n of the (m, n) disk, checked on creation; their
+    offsets are derived from (m, n) by the recursion above."""
 
     m: int
     n: int
-    offsets: tuple[Vec2, ...]
+    offsets: tuple[Vec2, ...] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        m, n = self.m, self.n
+        if n < 2:
+            raise ParameterError(f"construction needs n >= 2, got {_show(n)}")
+        if m < n:
+            raise ParameterError(f"construction needs m >= n, got m={_show(m)}, n={_show(n)}")
+        _check_disk_params(m, n)
+        offsets = [Vec2(0, 0)]
+        for i in range(2, n + 1):
+            step = sub_copy_offset(m, n, SubCopyRef(level=n + 1 - i, copy=2))
+            offsets.append(offsets[-1] + step + Vec2(1, -1))
+        object.__setattr__(self, "offsets", (Vec2(0, -(n + 1)), *offsets))
 
 
 @dataclass(frozen=True)
@@ -60,22 +74,9 @@ class Lemma2Case:
         return Vec2((self.r - 1) * self.m + self.xstar, ruler_sum(self.r - 1) - self.ystar)
 
 
-def _check_theorem_params(m: int, n: int) -> None:
-    if n < 2:
-        raise ParameterError(f"construction needs n >= 2, got {_show(n)}")
-    if m < n:
-        raise ParameterError(f"construction needs m >= n, got m={_show(m)}, n={_show(n)}")
-    _check_disk_params(m, n)
-
-
 def place_translates(m: int, n: int) -> Scene:
-    """Offsets t_0..t_n of the full construction, by the literal recursion."""
-    _check_theorem_params(m, n)
-    offsets = [Vec2(0, 0)]
-    for i in range(2, n + 1):
-        step = sub_copy_offset(m, n, SubCopyRef(level=n + 1 - i, copy=2))
-        offsets.append(offsets[-1] + step + Vec2(1, -1))
-    return Scene(m=m, n=n, offsets=(Vec2(0, -(n + 1)), *offsets))
+    """The full (m, n) construction: ParameterError unless 2 <= n <= m, and as for a disk."""
+    return Scene(m, n)
 
 
 def _last_ystar(n: int) -> int:
@@ -151,10 +152,9 @@ def theorem_pair_witness(m: int, n: int, i: int, j: int) -> PairWitness:
     Sub-copy `copy` starts at bar first + 1 = (copy - 1) * 2^level + 1, at
     x = first * m, so the target's dx fixes the copy and its dy must agree.
     """
-    _check_theorem_params(m, n)
+    scene = place_translates(m, n)
     if not 1 <= i < j <= n:
         raise ParameterError(f"need 1 <= i < j <= n, got i={_show(i)}, j={_show(j)}")
-    scene = place_translates(m, n)
     level = n + 1 - j
     shift = j - i
     target = scene.offsets[j] - scene.offsets[i] - Vec2(shift, -shift)

@@ -6,16 +6,19 @@ an integer unit_px, so no rounding ever occurs and output is byte-identical
 across runs.  A shape is drawn as a scene of one translate at the origin:
 each group writes the disk's rects with its offset added while formatting,
 and the picture's box is the disk's box widened by the spread of the offsets.
+The rect budget and the 2^61 px bound are checked before any rect is made.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
-from .disk import Shape, build_disk
+from .disk import Shape
 from .errors import ParameterError, _show
 from .placement import Scene
 from .rect import Vec2
+
+MAX_RENDER_RECTS = 2**23  # the n = 17 scene draws 4,718,574 rects, the n = 18 one 9,961,453
 
 # A_0 is drawn in grey; A_1.. cycle through the colour list.
 FILL_A0 = "#9e9e9e"
@@ -34,17 +37,21 @@ FILLS = [
 
 
 def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
-    """Render a single disk or a placed scene, one group per translate."""
+    """Render a single disk or a placed scene, one group per translate;
+    ParameterError beyond MAX_RENDER_RECTS rects or 2^61 px."""
     if not isinstance(unit_px, int) or unit_px < 1:
         raise ParameterError(f"unit_px must be an int >= 1, got {_show(unit_px)}")
     if isinstance(obj, Shape):
         shape, offsets, fills, labels = obj, (Vec2(0, 0),), [FILLS[0]], ["shape"]
     elif isinstance(obj, Scene):
-        shape, offsets = build_disk(obj.m, obj.n), obj.offsets
+        shape, offsets = Shape(obj.m, obj.n), obj.offsets
         fills = [FILL_A0] + [FILLS[(i - 1) % len(FILLS)] for i in range(1, len(offsets))]
         labels = [f"A{i}" for i in range(len(offsets))]
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
+    count = len(offsets) * (2 ** (shape.n + 1) - 1)
+    if count > MAX_RENDER_RECTS:
+        raise ParameterError(f"an SVG of {count} rects exceeds the budget of {MAX_RENDER_RECTS}")
 
     box = shape.bounding_box()
     x0 = box.x0 + min(t.dx for t in offsets)

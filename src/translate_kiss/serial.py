@@ -6,10 +6,11 @@ bytes, and parse(serialize(x)) round-trips exactly.  Schema version "tk-1".
 
 parse holds every document to one rule: it rebuilds the object and accepts
 the input only if it is exactly the bytes serialize writes for that object.
-A shape or a scene is fixed by its (m, n).  A certificate takes its offsets
-from the (m, n) construction too; only each pair's interiors_disjoint and
-the two ends of each contact are decoded, and each contact's kind and
-length, the segment totals, touching_count and ok are derived from them.
+A Shape or a Scene is its (m, n), so parse makes it from those two fields
+alone.  A certificate takes its offsets from the (m, n) Scene too; only each
+pair's interiors_disjoint and the two ends of each contact are decoded, and
+each contact's kind and length, the segment totals, touching_count and ok
+are derived from them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import json
 from itertools import combinations
 from typing import Any, Union
 
-from .disk import Shape, _check_disk_params, build_disk
+from .disk import Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
-from .placement import Scene, _check_theorem_params, place_translates
+from .placement import Scene
 from .rect import ContactComponent, Rect, total_contact_length
 from .verify import Certificate, PairVerdict, _verdict_totals
 
@@ -126,7 +127,7 @@ def parse(data: bytes) -> Document:
     m = _int(_require(doc, "m"), "m")
     n = _int(_require(doc, "n"), "n")
     try:
-        (_check_disk_params if kind == "shape" else _check_theorem_params)(m, n)
+        built = Shape(m, n) if kind == "shape" else Scene(m, n)
     except ParameterError as exc:
         raise DocumentInvariantError(str(exc)) from exc
 
@@ -137,10 +138,9 @@ def parse(data: bytes) -> Document:
                 f"shape with n={n} must have 2**{n + 1} - 1 pieces, got {len(pieces)}"
             )
         # every piece serialize writes takes at least 40 bytes plus the digits of its
-        # x1 = i * m, so shorter input is rejected before the disk is built
+        # x1 = i * m, so shorter input is rejected before the pieces are made
         if len(data) < len(pieces) * (40 + len(str(m))):
             raise DocumentInvariantError(f"{len(data)} bytes are too few for {len(pieces)} pieces")
-    built = build_disk(m, n) if kind == "shape" else place_translates(m, n)
     try:
         if kind == "certificate":
             pairs = combinations(range(n + 1), 2)

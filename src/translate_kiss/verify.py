@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
-from .placement import _check_theorem_params, place_translates
+from .placement import place_translates
 from .rect import (
     ContactComponent,
     Vec2,
@@ -50,7 +50,6 @@ def verify_construction(m: int, n: int) -> Certificate:
     ok is a verdict, not an error: a False certificate faithfully reports a
     broken build.
     """
-    _check_theorem_params(m, n)
     scene = place_translates(m, n)
     rows = _rect_array(build_disk(m, n).pieces)
 
@@ -129,11 +128,10 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     sub-copy, height n+2-i, must sit alone at its middle column so the
     upward shift produces contact without overlap.
     """
-    _check_theorem_params(m, n)
+    scene = place_translates(m, n)
     if not 1 <= i <= n:
         raise ParameterError(f"translate index i={_show(i)} out of range 1..{n}")
     level = n + 1 - i
-    scene = place_translates(m, n)
     sub = build_disk(m, level)
 
     last_copy = SubCopyRef(level=level, copy=2 ** (n - level))

@@ -131,6 +131,17 @@ def lemma2_instance(case: Lemma2Case) -> tuple[list[Rect], list[Rect]]:
     return rects, [r.translate(case.offset) for r in rects]
 
 
+def sliced_sub_copy(shape, ref):
+    """The pieces of one sub-copy, sliced from the disk's path and moved so
+    its first bar sits at the origin: the oracle for extract_sub_copy."""
+    base = (ref.copy - 1) * 2**ref.level
+    last = ref.copy * 2**ref.level
+    # pieces are interleaved B1 V1 B2 ... B_{2^n}: bar i sits at slot 2(i-1)
+    span = shape.pieces[2 * base : 2 * (last - 1) + 1]
+    off = Vec2(-span[0].x0, -span[0].y0)
+    return tuple(r.translate(off) for r in span)
+
+
 def rect_column_profile(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell range [lo[c], hi[c]) of each unit column c of interior-disjoint rects.
 

@@ -30,6 +30,7 @@ from oracles import (
     lemma2_instance,
     naive_union_disjoint,
     ruler_by_halving,
+    sliced_sub_copy,
 )
 
 
@@ -100,10 +101,11 @@ def test_criterion_3_shape_invariants():
             cache = {}
             for level in range(1, n + 1):
                 for copy in range(1, 2 ** (n - level) + 1):
-                    sub = extract_sub_copy(shape, SubCopyRef(level=level, copy=copy))
+                    ref = SubCopyRef(level=level, copy=copy)
                     if level not in cache:
                         cache[level] = build_disk(m, level)
-                    assert sub.pieces == cache[level].pieces, (m, n, level, copy)
+                    assert extract_sub_copy(shape, ref) == cache[level], (m, n, level, copy)
+                    assert sliced_sub_copy(shape, ref) == cache[level].pieces, (m, n, level, copy)
     elapsed = time.perf_counter() - start
     report(
         3,

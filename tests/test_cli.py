@@ -245,6 +245,8 @@ HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default
         ["build", "-m", HUGE, "-n", "1"],
         ["render", "-m", HUGE, "-n", "2"],
         ["render", "-m", "2", "-n", "2", "--unit-px", HUGE],
+        ["render", "--shape", "-m", "2", "-n", "20", "--unit-px", str(2**58)],
+        ["render", "-m", "20", "-n", "20"],
     ],
     ids=[
         "build-n21",
@@ -258,6 +260,8 @@ HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default
         "build-huge-m",
         "render-huge-m",
         "render-huge-unit-px",
+        "render-n20-shape-wide",
+        "render-n20-too-many-rects",
     ],
 )
 def test_oversized_input_exits_2_without_allocating(capsys, argv):

@@ -4,6 +4,7 @@ from translate_kiss import (
     ParameterError,
     PrefixTable,
     Rect,
+    Shape,
     SubCopyRef,
     Vec2,
     build_disk,
@@ -16,7 +17,7 @@ from translate_kiss import (
 )
 from translate_kiss.serial import to_document
 
-from oracles import closed_contact, naive_union_disjoint
+from oracles import closed_contact, naive_union_disjoint, sliced_sub_copy
 
 
 def adjacency_path_ok(shape):
@@ -87,6 +88,30 @@ class TestBuildDisk:
             bb = build_disk(m, n).bounding_box()
             assert bb == Rect(0, 0, 2**n * m, 2 ** (n + 1) - n - 1)
 
+    def test_closed_form_bounding_box_spans_the_pieces(self):
+        for n in range(13):
+            for m in sorted({2, 3, n + 2}):
+                ps = build_disk(m, n).pieces
+                want = Rect(
+                    min(r.x0 for r in ps), min(r.y0 for r in ps),
+                    max(r.x1 for r in ps), max(r.y1 for r in ps),
+                )
+                assert build_disk(m, n).bounding_box() == want, (m, n)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (4, -1), (4, 21)])
+    def test_invalid_shape_refused(self, m, n):
+        with pytest.raises(ParameterError):
+            Shape(m, n)
+
+    def test_a_shape_is_its_m_and_n(self):
+        assert Shape(4, 3) == build_disk(4, 3)
+        assert hash(Shape(4, 3)) == hash(build_disk(4, 3))
+        assert Shape(4, 3) != Shape(5, 3)
+
+    def test_pieces_are_made_once(self):
+        shape = Shape(4, 3)
+        assert shape.pieces is shape.pieces
+
     def test_bars_sit_at_prefix_table_sums(self):
         table = PrefixTable.build(2**8)
         for n in range(1, 9):
@@ -147,19 +172,21 @@ class TestSubCopies:
 
     def test_extract_whole(self):
         shape = build_disk(4, 3)
-        assert extract_sub_copy(shape, SubCopyRef(level=3, copy=1)) == shape
+        ref = SubCopyRef(level=3, copy=1)
+        assert extract_sub_copy(shape, ref) == shape
+        assert sliced_sub_copy(shape, ref) == shape.pieces
 
     def test_extract_equals_fresh_build(self):
         shape = build_disk(4, 3)
-        assert (
-            extract_sub_copy(shape, SubCopyRef(level=2, copy=2)).pieces
-            == build_disk(4, 2).pieces
-        )
+        ref = SubCopyRef(level=2, copy=2)
+        assert extract_sub_copy(shape, ref) == build_disk(4, 2)
+        assert sliced_sub_copy(shape, ref) == build_disk(4, 2).pieces
 
     def test_extract_single_bar(self):
         shape = build_disk(4, 3)
-        sub = extract_sub_copy(shape, SubCopyRef(level=0, copy=5))
-        assert sub.pieces == (Rect(0, 0, 4, 1),)
+        ref = SubCopyRef(level=0, copy=5)
+        sub = extract_sub_copy(shape, ref)
+        assert sub.pieces == sliced_sub_copy(shape, ref) == (Rect(0, 0, 4, 1),)
         assert sub == build_disk(4, 0)
 
     def test_recursive_identity_all_levels(self):
@@ -167,8 +194,9 @@ class TestSubCopies:
             shape = build_disk(m, n)
             for level in range(1, n + 1):
                 for copy in range(1, 2 ** (n - level) + 1):
-                    sub = extract_sub_copy(shape, SubCopyRef(level=level, copy=copy))
-                    assert sub.pieces == build_disk(m, level).pieces
+                    ref = SubCopyRef(level=level, copy=copy)
+                    assert extract_sub_copy(shape, ref) == build_disk(m, level)
+                    assert sliced_sub_copy(shape, ref) == build_disk(m, level).pieces
 
     def test_split_into_halves_plus_connector(self):
         m, n = 4, 3
@@ -190,6 +218,16 @@ class TestSubCopies:
             if len(heights) > 1:
                 assert heights[-2][0] < n
 
+    def test_sliced_sub_copy_oracle(self):
+        # level 0 included: a single bar is the (m, 0) disk
+        for n in range(9):
+            for m in (2, n + 2):
+                shape = build_disk(m, n)
+                for level in range(n + 1):
+                    for copy in range(1, 2 ** (n - level) + 1):
+                        ref = SubCopyRef(level=level, copy=copy)
+                        assert sliced_sub_copy(shape, ref) == extract_sub_copy(shape, ref).pieces
+
     def test_every_sub_copy_is_a_fresh_disk_and_round_trips(self):
         # level 0 included: a single bar is the (m, 0) disk
         for n in range(0, 7):
@@ -198,7 +236,9 @@ class TestSubCopies:
                 for level in range(n + 1):
                     fresh = build_disk(m, level)
                     for copy in range(1, 2 ** (n - level) + 1):
-                        sub = extract_sub_copy(shape, SubCopyRef(level=level, copy=copy))
+                        ref = SubCopyRef(level=level, copy=copy)
+                        sub = extract_sub_copy(shape, ref)
                         assert sub == fresh, (m, n, level, copy)
+                        assert sliced_sub_copy(shape, ref) == fresh.pieces, (m, n, level, copy)
                         assert parse(serialize(sub)) == sub, (m, n, level, copy)
 

@@ -11,6 +11,7 @@ from translate_kiss import (
     MalformedDocument,
     ParameterError,
     SchemaVersionMismatch,
+    Shape,
     build_disk,
     parse,
     place_translates,
@@ -18,7 +19,6 @@ from translate_kiss import (
     serialize,
     verify_construction,
 )
-from translate_kiss import serial
 
 
 class TestSerialization:
@@ -347,11 +347,11 @@ class TestStrictParse:
         ids=["zero", "empty-object", "key-shaped-huge-m"],
     )
     def test_junk_pieces_rejected_before_building(self, monkeypatch, m, junk):
-        # the disk built for a huge m would be far larger than these few MB of input
-        def no_build(m, n):
-            raise AssertionError("build_disk called for junk pieces")
+        # the pieces made for a huge m would be far larger than these few MB of input
+        def no_build(shape):
+            raise AssertionError("a shape's pieces were made for junk pieces")
 
-        monkeypatch.setattr(serial, "build_disk", no_build)
+        monkeypatch.setattr(Shape, "pieces", property(no_build))
         data = probe(kind="shape", m=m, n=16, pieces=[junk] * (2**17 - 1))
         start = time.perf_counter()
         with pytest.raises(DocumentInvariantError):

@@ -1,5 +1,6 @@
 import random
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from translate_kiss import (
     PrefixTable,
     Rect,
     Scene,
-    Shape,
     Vec2,
     build_disk,
     check_lemma2_exhaustive,
@@ -25,6 +25,17 @@ from translate_kiss import disk, placement, rect
 from translate_kiss.rect import _rect_array
 
 from oracles import lemma2_instance, rect_column_profile, scan_pair_witness, sweep_lemma2_exhaustive
+
+
+class FakeDisk:
+    """Rects standing in for a disk: a Shape is its (m, n), so a disk whose
+    rects differ from the closed form can only be faked."""
+
+    def __init__(self, pieces):
+        self.pieces = tuple(pieces)
+
+    def rects(self):
+        return list(self.pieces)
 
 
 def patch_disk(monkeypatch, shape):
@@ -44,6 +55,12 @@ class TestPlaceTranslates:
             Vec2(17, 6),
             Vec2(26, 8),
         )
+
+    def test_a_scene_is_its_m_and_n(self):
+        assert Scene(5, 4) == place_translates(5, 4)
+        assert hash(Scene(5, 4)) == hash(place_translates(5, 4))
+        with pytest.raises(ParameterError):
+            Scene(3, 4)
 
     def test_a0_always_down_by_n_plus_1(self):
         for m, n in [(2, 2), (4, 3), (5, 5), (8, 6)]:
@@ -172,8 +189,8 @@ class TestLemma2:
         for x in rng.sample(sorted(cols), rng.randint(1, 3)):
             k = rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])
             cols[x] = (cols[x][0] + k, cols[x][1] + k)
-        pieces = tuple(Rect(x, lo, x + 1, hi) for x, (lo, hi) in cols.items())
-        patch_disk(monkeypatch, Shape(m, n, pieces))
+        pieces = (Rect(x, lo, x + 1, hi) for x, (lo, hi) in cols.items())
+        patch_disk(monkeypatch, FakeDisk(pieces))
         assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
 
     @pytest.mark.parametrize("lift, expected", [(-1, (1, 1, 5)), (0, (1, 1, 6)), (1, (2, 1, 1))])
@@ -183,7 +200,7 @@ class TestLemma2:
         # (6 here) shows; for r = 2 the flat part overlaps at ystar = 1
         h = 6 + lift
         pieces = (Rect(0, h, 1, h + 1), Rect(1, 0, 8, 1))
-        patch_disk(monkeypatch, Shape(2, 2, pieces))
+        patch_disk(monkeypatch, FakeDisk(pieces))
         got = check_lemma2_exhaustive(2, 2)
         assert (got.r, got.xstar, got.ystar) == expected
         assert got == sweep_lemma2_exhaustive(2, 2)
@@ -191,11 +208,10 @@ class TestLemma2:
     def test_column_with_a_gap_raises(self):
         # the rect-derived profile is the evidence that the built disk is
         # vertically convex, so it must notice a column that is not
-        good = build_disk(4, 3)
-        lifted = good.pieces[1].translate(Vec2(0, 1))
-        broken = Shape(4, 3, good.pieces[:1] + (lifted,) + good.pieces[2:])
+        good = build_disk(4, 3).rects()
+        broken = [good[0], good[1].translate(Vec2(0, 1)), *good[2:]]
         with pytest.raises(ConstructionBroken):
-            rect_column_profile(_rect_array(broken.rects()))
+            rect_column_profile(_rect_array(broken))
 
     def test_parameter_errors(self):
         for m, n in [(1, 3), (3, 1), (2, 0), (3, 21)]:
@@ -273,7 +289,8 @@ class TestTheoremPairWitness:
     def test_broken_scene_raises(self, monkeypatch, nudge):
         m, n = 4, 3
         good = place_translates(m, n)
-        broken = Scene(m, n, good.offsets[:3] + (good.offsets[3] + nudge,))
+        # a Scene derives its offsets from (m, n), so the broken one is a stand-in
+        broken = SimpleNamespace(m=m, n=n, offsets=good.offsets[:3] + (good.offsets[3] + nudge,))
         monkeypatch.setattr(placement, "place_translates", lambda m, n: broken)
         assert theorem_pair_witness(m, n, 1, 2).copy == 2
         with pytest.raises(ConstructionBroken):
