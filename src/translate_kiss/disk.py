@@ -7,7 +7,9 @@ whole union is a topological disk whose pieces form a single path.  The
 (m, 0) disk is one bar, and the (m, k) disk is two (m, k - 1) disks joined
 by a connector.  A piece's role and index are its position in the path:
 piece k is bar k // 2 + 1 when k is even and connector k // 2 + 1 when k
-is odd.
+is odd.  The pieces are the rows of one int64 array computed in closed form
+from the ruler sums S(i) = 2i - popcount(i); Rect objects are made only for
+callers that ask for `pieces`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError, _show
 from .rect import _LIMIT, Rect, Vec2
-from .ruler import ruler_sum
+from .ruler import _ruler_sums, ruler_sum
 
 MAX_N = 20  # 2^21 - 1 pieces; much beyond that, building the disk exhausts memory
 
@@ -27,7 +29,8 @@ MAX_N = 20  # 2^21 - 1 pieces; much beyond that, building the disk exhausts memo
 @dataclass(frozen=True)
 class Shape:
     """The (m, n) disk, checked on creation.  Its rects, in path order B1, V1,
-    B2, ..., B_{2^n}, are derived from (m, n) in closed form on first use."""
+    B2, ..., B_{2^n}, are the `rows` of one read-only int64 array derived from
+    (m, n) in closed form on first use; `pieces` holds them as Rects."""
 
     m: int
     n: int
@@ -36,15 +39,21 @@ class Shape:
         _check_disk_params(self.m, self.n)
 
     @cached_property
-    def pieces(self) -> tuple[Rect, ...]:
+    def rows(self) -> np.ndarray:
+        """Read-only (2^(n+1) - 1, 4) int64 rows [x0, y0, x1, y1] in path order:
+        bar i + 1 is [i m, S(i), (i + 1) m, S(i) + 1] and connector i rises
+        from S(i - 1) + 1 to S(i) + 1 in column i m - 1."""
         m, bars = self.m, 2**self.n
-        pieces: list[Rect] = []
-        for i in range(1, bars + 1):
-            y = ruler_sum(i - 1)
-            pieces.append(Rect((i - 1) * m, y, i * m, y + 1))
-            if i < bars:
-                pieces.append(Rect(i * m - 1, y + 1, i * m, ruler_sum(i) + 1))
-        return tuple(pieces)
+        x, s = np.arange(bars, dtype=np.int64) * m, _ruler_sums(bars)
+        rows = np.empty((2 * bars - 1, 4), np.int64)
+        rows[0::2] = np.column_stack((x, s, x + m, s + 1))
+        rows[1::2] = np.column_stack((x[1:] - 1, s[:-1] + 1, x[1:], s[1:] + 1))
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def pieces(self) -> tuple[Rect, ...]:
+        return tuple(Rect(*r) for r in self.rows.tolist())
 
     def rects(self) -> list[Rect]:
         return list(self.pieces)
@@ -76,6 +85,8 @@ def _validate_ref(n: int, ref: SubCopyRef) -> None:
 
 
 def _check_disk_params(m: int, n: int) -> None:
+    if type(m) is not int or type(n) is not int:  # a float or a bool would reach every coordinate
+        raise ParameterError(f"m and n must be ints, got {type(m).__name__} and {type(n).__name__}")
     if m < 2:
         raise ParameterError(f"need bar width m >= 2, got {_show(m)}")
     if n < 0:
@@ -94,9 +105,10 @@ def build_disk(m: int, n: int) -> Shape:
 
 def _column_profile(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell range [lo[c], hi[c]) of each unit column c of the (m, n) disk, as
-    build_disk lays it out: bar i + 1 at height S(i) = ruler_sum(i), and connector
-    i (1 <= i < 2^n) in column i m - 1 up to S(i) + 1.  The caller checks m, n."""
-    sums = np.fromiter(map(ruler_sum, range(2**n)), np.int64, 2**n)
+    Shape.rows lays it out, from the same ruler sums: bar i + 1 at height S(i),
+    and connector i (1 <= i < 2^n) in column i m - 1 up to S(i) + 1.  The
+    caller checks m, n."""
+    sums = _ruler_sums(2**n)
     lo = np.repeat(sums, m)
     hi = lo + 1
     hi[m - 1 :: m][:-1] = sums[1:] + 1

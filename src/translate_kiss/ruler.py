@@ -31,12 +31,23 @@ def ruler_sum(k: int) -> int:
     return 2 * k - k.bit_count()
 
 
+def _ruler_sums(k: int) -> np.ndarray:
+    """S(0), ..., S(k - 1) as int64, S(i) = ruler_sum(i): term j >= 1 starts
+    at one and gains one for each b >= 1 with 2^b dividing j."""
+    terms = np.ones(k, np.int64)
+    terms[:1] = 0  # S(0) = 0
+    for b in range(1, k.bit_length()):
+        terms[2**b :: 2**b] += 1
+    return np.cumsum(terms)
+
+
 @dataclass(frozen=True)
 class PrefixTable:
     """Cached prefix sums of the ruler sequence.
 
     sums[i] is the sum of the first i terms; sums[0] == 0.  The table is
-    built eagerly, never extends itself and holds at most MAX_TABLE_LIMIT terms.
+    built eagerly from _ruler_sums, never extends itself and holds at most
+    MAX_TABLE_LIMIT terms.
     """
 
     limit: int
@@ -48,12 +59,7 @@ class PrefixTable:
             raise ParameterError(f"table limit must be >= 1, got {_show(limit)}")
         if limit > MAX_TABLE_LIMIT:
             raise ParameterError(f"table limit {_show(limit)} exceeds the supported maximum {MAX_TABLE_LIMIT}")
-        sums = [0] * (limit + 1)
-        acc = 0
-        for i in range(1, limit + 1):
-            acc += ruler(i)
-            sums[i] = acc
-        return cls(limit=limit, sums=tuple(sums))
+        return cls(limit=limit, sums=tuple(_ruler_sums(limit + 1).tolist()))
 
 
 def prefix_sum(i: int, table: PrefixTable) -> int:
@@ -92,7 +98,6 @@ def check_lemma1_exhaustive(
     sums = np.asarray(table.sums[: r_max + 1], dtype=np.int64)
     for k in range(1, min(k_max, r_max) + 1):
         windows = sums[k:] - sums[: r_max + 1 - k]
-        bad = np.nonzero(sums[k] > windows)[0]
-        if bad.size:
-            return (k, int(bad[0]) + 1)
+        if windows.min() < sums[k]:
+            return (k, int(np.argmax(windows < sums[k])) + 1)
     return None

@@ -22,7 +22,7 @@ from typing import Any, Union
 from .disk import Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import ContactComponent, Rect, total_contact_length
+from .rect import ContactComponent, total_contact_length
 from .verify import Certificate, PairVerdict, _verdict_totals
 
 SCHEMA_VERSION = "tk-1"
@@ -31,13 +31,9 @@ Document = Union[Shape, Scene, Certificate]
 _KINDS = {Shape: "shape", Scene: "scene", Certificate: "certificate"}
 
 
-def _rect_json(r: Rect) -> list[int]:
-    return [r.x0, r.y0, r.x1, r.y1]
-
-
-def _piece_json(k: int, r: Rect) -> dict[str, Any]:
+def _piece_json(k: int, rect: list[int]) -> dict[str, Any]:
     """Piece k of the path: bar k // 2 + 1 when k is even, else connector k // 2 + 1."""
-    return {"role": "connector" if k % 2 else "bar", "index": k // 2 + 1, "rect": _rect_json(r)}
+    return {"role": "connector" if k % 2 else "bar", "index": k // 2 + 1, "rect": rect}
 
 
 def _contact_json(c: ContactComponent) -> dict[str, Any]:
@@ -61,7 +57,7 @@ def to_document(obj: Document) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION, "kind": _KINDS[type(obj)], "m": obj.m, "n": obj.n
     }
     if isinstance(obj, Shape):
-        doc["pieces"] = [_piece_json(k, r) for k, r in enumerate(obj.pieces)]
+        doc["pieces"] = [_piece_json(k, r) for k, r in enumerate(obj.rows.tolist())]
     else:
         doc["offsets"] = [[t.dx, t.dy] for t in obj.offsets]
     if isinstance(obj, Certificate):

@@ -13,14 +13,7 @@ from typing import Sequence
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
 from .placement import place_translates
-from .rect import (
-    ContactComponent,
-    Vec2,
-    _merge_lines,
-    _placed_contacts,
-    _rect_array,
-    total_contact_length,
-)
+from .rect import ContactComponent, Vec2, _merge_lines, _placed_contacts, total_contact_length
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,7 @@ def verify_construction(m: int, n: int) -> Certificate:
     broken build.
     """
     scene = place_translates(m, n)
-    rows = _rect_array(build_disk(m, n).pieces)
+    rows = build_disk(m, n).rows
 
     verdicts: list[PairVerdict] = []
     for i, j in combinations(range(n + 1), 2):
@@ -92,7 +85,7 @@ class VerticalRun:
 
 def rightward_runs(shape: Shape) -> list[VerticalRun]:
     """Maximal vertical runs formed by merging collinear piece right edges."""
-    edges = ([r.x1, r.y0, r.y1] for r in shape.pieces)
+    edges = shape.rows[:, [2, 1, 3]].tolist()
     return [VerticalRun(*run) for run in _merge_lines(edges)]
 
 
@@ -144,7 +137,7 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     tallest = max(runs, key=lambda r: r.height)
     unique = sum(1 for r in runs if r.height == tallest.height) == 1
 
-    contacts = _placed_contacts(_rect_array(sub.pieces), d_offset, d_prime_offset)
+    contacts = _placed_contacts(sub.rows, d_offset, d_prime_offset)
     if contacts is None:
         raise ContractViolation("unions have overlapping interiors")
     has_segment = any(c.length >= 1 for c in contacts)

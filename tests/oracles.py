@@ -23,6 +23,7 @@ from translate_kiss import (
 )
 from translate_kiss import disk
 from translate_kiss.rect import _rect_array, _sweep
+from translate_kiss.ruler import ruler_sum
 
 
 def ruler_by_halving(i):
@@ -123,6 +124,20 @@ def naive_contacts(A, B):
     result |= {("vertical-segment", (x, lo), (x, hi)) for x, lo, hi in v}
     result |= {("point", p, p) for p in kept}
     return result
+
+
+def loop_pieces(m, n):
+    """The (m, n) disk's rects, one bar and one connector at a time: bar i
+    at height ruler_sum(i - 1), and connector i up to ruler_sum(i) + 1.
+    The oracle for Shape.rows."""
+    bars = 2**n
+    pieces = []
+    for i in range(1, bars + 1):
+        y = ruler_sum(i - 1)
+        pieces.append(Rect((i - 1) * m, y, i * m, y + 1))
+        if i < bars:
+            pieces.append(Rect(i * m - 1, y + 1, i * m, ruler_sum(i) + 1))
+    return tuple(pieces)
 
 
 def lemma2_instance(case: Lemma2Case) -> tuple[list[Rect], list[Rect]]:

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from translate_kiss import (
+    Lemma2Case,
     ParameterError,
     PrefixTable,
     Rect,
@@ -8,16 +10,19 @@ from translate_kiss import (
     SubCopyRef,
     Vec2,
     build_disk,
+    check_lemma2_exhaustive,
     extract_sub_copy,
     parse,
+    place_translates,
     prefix_sum,
     ruler,
     serialize,
     sub_copy_offset,
+    verify_construction,
 )
 from translate_kiss.serial import to_document
 
-from oracles import closed_contact, naive_union_disjoint, sliced_sub_copy
+from oracles import closed_contact, loop_pieces, naive_union_disjoint, sliced_sub_copy
 
 
 def adjacency_path_ok(shape):
@@ -112,6 +117,29 @@ class TestBuildDisk:
         shape = Shape(4, 3)
         assert shape.pieces is shape.pieces
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_rows_match_the_loop_oracle(self, n):
+        for m in sorted({2, 3, n + 2}):
+            want = loop_pieces(m, n)
+            assert Shape(m, n).rows.tolist() == [[r.x0, r.y0, r.x1, r.y1] for r in want], (m, n)
+            assert Shape(m, n).pieces == want, (m, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_rows_at_the_largest_m(self, n):
+        # the widest disk under the coordinate bound: its last x1 is m * 2^n
+        m = (2**61 - 1) // 2 ** (n + 1)
+        want = loop_pieces(m, n)
+        assert Shape(m, n).rows.tolist() == [[r.x0, r.y0, r.x1, r.y1] for r in want]
+        assert Shape(m, n).pieces == want
+
+    def test_rows_are_read_only_and_made_once(self):
+        shape = Shape(4, 3)
+        assert shape.rows is shape.rows
+        assert shape.rows.dtype == np.int64 and shape.rows.shape == (15, 4)
+        with pytest.raises(ValueError):
+            shape.rows[0, 0] = 1
+        assert shape.rows[0].tolist() == [0, 0, 4, 1]
+
     def test_bars_sit_at_prefix_table_sums(self):
         table = PrefixTable.build(2**8)
         for n in range(1, 9):
@@ -134,6 +162,24 @@ class TestBuildDisk:
             build_disk(4, -1)
         with pytest.raises(ParameterError):
             build_disk(2, 21)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True], ids=repr)
+@pytest.mark.parametrize("which", ["m", "n"])
+@pytest.mark.parametrize("make", [
+    build_disk,
+    place_translates,
+    verify_construction,
+    check_lemma2_exhaustive,
+    lambda m, n: Lemma2Case(m, n, r=1, xstar=1, ystar=1),
+    lambda m, n: sub_copy_offset(m, n, SubCopyRef(1, 1)),
+], ids=["build_disk", "place_translates", "verify_construction", "check_lemma2_exhaustive",
+        "Lemma2Case", "sub_copy_offset"])
+def test_non_integer_parameters_refused(make, which, value):
+    # 3.0 and True compare like 3 and 1, but would reach coordinates and documents
+    args = {"m": 4, "n": 3, which: value}
+    with pytest.raises(ParameterError):
+        make(args["m"], args["n"])
 
 
 class TestSubCopies:

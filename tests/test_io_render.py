@@ -352,6 +352,7 @@ class TestStrictParse:
             raise AssertionError("a shape's pieces were made for junk pieces")
 
         monkeypatch.setattr(Shape, "pieces", property(no_build))
+        monkeypatch.setattr(Shape, "rows", property(no_build))
         data = probe(kind="shape", m=m, n=16, pieces=[junk] * (2**17 - 1))
         start = time.perf_counter()
         with pytest.raises(DocumentInvariantError):
@@ -465,9 +466,9 @@ class TestRenderSvg:
         with pytest.raises(ParameterError):
             render_svg(build_disk(3, 1), unit_px=2**58)
 
-    @pytest.mark.parametrize("unit_px", [2.5, 10.0])
+    @pytest.mark.parametrize("unit_px", [2.5, 10.0, True])
     def test_unit_px_must_be_an_int(self, unit_px):
-        # a float would write coordinates such as width="15.0"
+        # a float would write coordinates such as width="15.0", and True is no size
         with pytest.raises(ParameterError):
             render_svg(build_disk(2, 1), unit_px=unit_px)
 

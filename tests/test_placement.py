@@ -173,6 +173,8 @@ class TestLemma2:
         sums = [0, *accumulate(rng.randint(1, 4) for _ in range(2**n - 1))]
         for module in (disk, placement):
             monkeypatch.setattr(module, "ruler_sum", sums.__getitem__)
+        # the disk's rows and column profile read their heights in one call
+        monkeypatch.setattr(disk, "_ruler_sums", lambda k: np.array(sums[:k], np.int64))
         assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
 
     @pytest.mark.parametrize("seed", range(40))

@@ -13,7 +13,7 @@ from translate_kiss import (
     prefix_sum,
     ruler,
 )
-from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, ruler_sum
+from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, _ruler_sums, ruler_sum
 
 from oracles import lemma1_first_failure, ruler_by_halving
 
@@ -174,6 +174,19 @@ def test_prefix_sum_strictly_monotone(i):
 def test_ruler_sum_closed_form_matches_table():
     table = PrefixTable.build(2**16)
     assert [ruler_sum(k) for k in range(2**16 + 1)] == list(table.sums)
+
+
+def test_ruler_sums_match_the_closed_form():
+    want = [ruler_sum(i) for i in range(2**12)]
+    for k in range(2**12 + 1):
+        got = _ruler_sums(k)
+        assert got.dtype == np.int64 and got.tolist() == want[:k], k
+
+
+def test_table_at_the_cap():
+    table = PrefixTable.build(MAX_TABLE_LIMIT)
+    assert len(table.sums) == MAX_TABLE_LIMIT + 1
+    assert table.sums[-1] == ruler_sum(2**22)
 
 
 def popcount(i):

@@ -5,11 +5,15 @@ import pytest
 from translate_kiss import (
     ContractViolation,
     ParameterError,
+    PrefixTable,
     Rect,
     SubCopyRef,
     Vec2,
     build_disk,
+    check_lemma1_exhaustive,
+    check_lemma2_exhaustive,
     extract_sub_copy,
+    parse,
     place_translates,
     render_svg,
     rightward_runs,
@@ -189,6 +193,30 @@ def test_svg_bytes_golden():
         assert h.hexdigest() == digest, (m, n)
     huge = render_svg(build_disk(3, 1), unit_px=2**58 - 1)
     assert hashlib.sha256(huge).hexdigest() == GOLDEN_SVG_3_1_HUGE
+
+
+@pytest.mark.parametrize("call, rects_allowed", [
+    pytest.param(lambda: render_svg(place_translates(5, 4)), 1, id="render-scene"),
+    pytest.param(lambda: render_svg(build_disk(5, 4)), 1, id="render-shape"),
+    pytest.param(lambda: parse(serialize(build_disk(5, 4))), 0, id="serialize-parse-shape"),
+    pytest.param(lambda: verify_construction(5, 4), 0, id="verify"),
+    pytest.param(lambda: [verify_touching_heights(5, 4, i) for i in range(1, 5)], 0, id="touching"),
+    pytest.param(lambda: check_lemma2_exhaustive(5, 4), 0, id="lemma2"),
+    pytest.param(lambda: check_lemma1_exhaustive(16, 256, PrefixTable.build(256)), 0, id="lemma1"),
+])
+def test_no_rect_is_built(monkeypatch, call, rects_allowed):
+    # the disk is its int64 rows: only render_svg's bounding box is a Rect
+    want = call()
+    made = []
+    post_init = Rect.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Rect, "__post_init__", counted)
+    assert call() == want
+    assert len(made) == rects_allowed, made[:3]
 
 
 class TestRightwardRuns:
