@@ -24,6 +24,7 @@ from .rect import _LIMIT, Rect, Vec2
 from .ruler import _ruler_sums, ruler_sum
 
 MAX_N = 20  # 2^21 - 1 pieces; much beyond that, building the disk exhausts memory
+_CHUNK = 2**16  # rows per % call where a disk's rows are formatted, so few of tolist's ints are alive at once
 
 
 @dataclass(frozen=True)

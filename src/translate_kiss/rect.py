@@ -11,12 +11,20 @@ contact_components wrap it for Rect lists, and no package code calls them.
 
 A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
-line of its zero y-gap, so a point contact lies on both of its lines.
+line of its zero y-gap, so a point contact lies on both of its lines.  From
+the sweep to the contacts everything stays an int64 array: the rows of each
+line are merged into maximal runs by one sort and one running maximum
+(_merge), a point is a zero-length run on both of its lines, and the runs
+are put in canonical order by one sort per kind.  Only then does a single
+bulk step (_bulk) turn the rows of ends [xa, ya, xb, yb] into
+ContactComponent tuples, without per-contact checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -66,35 +74,43 @@ class Rect:
         return Rect(self.x0 + v.dx, self.y0 + v.dy, self.x1 + v.dx, self.y1 + v.dy)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ContactComponent:
+class ContactComponent(tuple):
     """A maximal point or axis-parallel segment of shared boundary, given by
     its ends: a point when a == b, else a segment from a up or to the right
-    to b.  kind and length are derived from the ends."""
+    to b.  kind and length are derived from the ends.  It is the immutable
+    tuple (kind, a, b, length), so it compares, hashes and sorts as that tuple."""
 
-    kind: str = field(init=False)
-    a: tuple[int, int]
-    b: tuple[int, int]
-    length: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        (xa, ya), (xb, yb) = self.a, self.b
+    def __new__(cls, a: tuple[int, int], b: tuple[int, int]) -> "ContactComponent":
+        (xa, ya), (xb, yb) = a, b
         if ya == yb and xa < xb:
             kind = HSEG
         elif xa == xb and ya < yb:
             kind = VSEG
-        elif self.a == self.b:
+        elif a == b:
             kind = POINT
         else:
-            a, b = (", ".join(map(_show, p)) for p in (self.a, self.b))
+            a, b = (", ".join(map(_show, p)) for p in (a, b))
             raise ParameterError(f"contact ({a})-({b}) is not a point or a segment going up or right")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "length", xb - xa + yb - ya)
+        return tuple.__new__(cls, (kind, a, b, xb - xa + yb - ya))
+
+    # fields read by index in C, so reading one runs no Python code
+    kind = property(itemgetter(0), doc="POINT, HSEG or VSEG")
+    a = property(itemgetter(1), doc="the lower or left end")
+    b = property(itemgetter(2), doc="the upper or right end")
+    length = property(itemgetter(3), doc="|b - a|, 0 for a point")
+
+    def __getnewargs__(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return self[1], self[2]
+
+    def __repr__(self) -> str:
+        return "ContactComponent(kind=%r, a=%r, b=%r, length=%r)" % self
 
 
 _LIMIT = 2**61
 # rows [x, y0, y1] of contacts with zero x-gap and [y, x0, x1] of those with zero y-gap
-_Contacts = tuple[list[list[int]], list[list[int]]]
+_Contacts = tuple[np.ndarray, np.ndarray]
 
 
 def _rect_array(rects: Iterable[Rect]) -> np.ndarray:
@@ -105,21 +121,27 @@ def _rect_array(rects: Iterable[Rect]) -> np.ndarray:
         raise RangeError("rect coordinates exceed the int64 sweep bound 2**61") from None
 
 
+def _in_bound(arr: np.ndarray) -> None:
+    if arr.size and (arr.min() <= -_LIMIT or arr.max() >= _LIMIT):
+        raise RangeError("coordinates exceed the int64 sweep bound 2**61")
+
+
 def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
     """Touching pairs of two (k, 4) int64 rect arrays, or None on interior overlap.
 
     B is sorted by x0; each rect a of A is paired with the B rects whose x0
     lies in [a.x0 - max width of B, a.x1], which holds every B rect whose
     closed x-range meets a's.  All closed intersections are taken at once;
-    one open in both axes is an interior overlap.  Only the touching pairs
-    go back to Python ints.  Coordinates with |v| >= 2**61 raise RangeError,
-    so every width, window bound and intersection fits in int64.
+    one open in both axes is an interior overlap.  The touching pairs come
+    back as two (k, 3) int64 row arrays.  Coordinates with |v| >= 2**61
+    raise RangeError, so every width, window bound and intersection fits in
+    int64.
     """
-    for arr in (A, B):
-        if arr.size and (arr.min() <= -_LIMIT or arr.max() >= _LIMIT):
-            raise RangeError("rect coordinates exceed the int64 sweep bound 2**61")
+    _in_bound(A)
+    _in_bound(B)
     if not len(A) or not len(B):
-        return [], []
+        none = np.empty((0, 3), np.int64)
+        return none, none
     B = B[np.argsort(B[:, 0], kind="stable")]
     lo = np.searchsorted(B[:, 0], A[:, 0] - (B[:, 2] - B[:, 0]).max(), "left")
     hi = np.searchsorted(B[:, 0], A[:, 2], "right")
@@ -135,7 +157,7 @@ def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
     low, high, gap = low[meet], high[meet], gap[meet]
     vertical = np.column_stack((low[:, 0], low[:, 1], high[:, 1]))[gap[:, 0] == 0]
     horizontal = np.column_stack((low[:, 1], low[:, 0], high[:, 0]))[gap[:, 1] == 0]
-    return vertical.tolist(), horizontal.tolist()
+    return vertical, horizontal
 
 
 def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
@@ -146,36 +168,81 @@ def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
     return _sweep(_rect_array(A), _rect_array(B)) is not None
 
 
-def _merge_lines(rows: Iterable[list[int]]) -> list[list[int]]:
-    """Rows [line, lo, hi] merged into the maximal runs of each line, sorted;
-    runs that overlap or share an endpoint merge.  Each run is the first of
-    its rows, extended in place, so rows must be lists the caller gives up."""
-    runs: list[list[int]] = []
-    for row in sorted(rows):
-        if runs and row[0] == runs[-1][0] and row[1] <= runs[-1][2]:
-            runs[-1][2] = max(runs[-1][2], row[2])
-        else:
-            runs.append(row)
-    return runs
+def _merge(rows: np.ndarray) -> np.ndarray:
+    """(k, 3) int64 rows [line, lo, hi] with lo <= hi, merged into the maximal
+    runs of each line and sorted by (line, lo); runs that overlap or share
+    an endpoint merge.
+
+    After sorting by (line, lo, hi), a run starts where the line changes or
+    where lo passes the largest hi of the line so far.  That running maximum
+    is one np.maximum.accumulate over the keys line rank * (number of
+    distinct his) + rank of hi: every key of a line exceeds every key of the
+    lines before it, so the maximum never reaches back across a line.
+    """
+    if not len(rows):
+        return rows.reshape(0, 3)
+    line, lo, hi = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))].T
+    start = np.ones(len(line), bool)
+    start[1:] = line[1:] != line[:-1]
+    his, hi_rank = np.unique(hi, return_inverse=True)
+    reach = np.maximum.accumulate((np.cumsum(start) - 1) * len(his) + hi_rank)
+    start[1:] |= lo[1:] > his[reach[:-1] % len(his)]
+    last = np.append(np.flatnonzero(start)[1:] - 1, len(line) - 1)
+    return np.column_stack((line[start], lo[start], his[reach[last] % len(his)]))
 
 
-def _components(contacts: _Contacts) -> list[ContactComponent]:
-    """Touching pairs from _sweep as maximal components in canonical order; a
-    point is a zero-length run that merging leaves alone on both its lines."""
-    vertical, horizontal = map(_merge_lines, contacts)
-    lone = {(x, y) for x, y, y1 in vertical if y == y1}
-    lone &= {(x, y) for y, x, x1 in horizontal if x == x1}
-    components = [ContactComponent(p, p) for p in lone]
-    components += [ContactComponent((x, ya), (x, yb)) for x, ya, yb in vertical if ya < yb]
-    components += [ContactComponent((xa, y), (xb, y)) for y, xa, xb in horizontal if xa < xb]
-    return sorted(components, key=lambda c: (c.kind, c.a, c.b))
+# builds a ContactComponent from its four fields without __new__'s checks
+_trusted = partial(tuple.__new__, ContactComponent)
+
+
+def _bulk(kinds: list[str], ends: np.ndarray) -> tuple[ContactComponent, ...]:
+    """Contacts of the given kinds from (k, 4) int64 rows of ends [xa, ya, xb,
+    yb], which the caller guarantees agree with the kinds."""
+    xa, ya, xb, yb = ends.T.tolist()
+    lengths = (ends[:, 2] - ends[:, 0] + ends[:, 3] - ends[:, 1]).tolist()
+    return tuple(map(_trusted, zip(kinds, zip(xa, ya), zip(xb, yb), lengths)))
+
+
+_KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
+
+
+def _contacts_from_ends(ends: np.ndarray) -> tuple[ContactComponent, ...]:
+    """ContactComponent(a, b) for each (k, 4) int64 row of ends [xa, ya, xb, yb],
+    checked at once: ParameterError unless each row is a point or a segment
+    going up or right, RangeError for |v| >= 2**61."""
+    _in_bound(ends)
+    xa, ya, xb, yb = ends.T
+    kind = np.select([(ya == yb) & (xa < xb), (xa == xb) & (ya == yb), (xa == xb) & (ya < yb)], [0, 1, 2], 3)
+    bad = np.flatnonzero(kind == 3)
+    if bad.size:
+        ContactComponent(*ends[bad[0]].reshape(2, 2).tolist())  # raises, naming the ends
+    return _bulk(_KIND_NAMES[kind].tolist(), ends)
+
+
+def _components(contacts: _Contacts) -> tuple[ContactComponent, ...]:
+    """Touching pairs from _sweep as maximal components in canonical order,
+    sorted by (kind, a, b); a point is a zero-length run that merging leaves
+    alone on both its lines."""
+    vertical, horizontal = map(_merge, contacts)
+    v_zero = vertical[:, 1] == vertical[:, 2]
+    h_zero = horizontal[:, 1] == horizontal[:, 2]
+    # (x, y) of every zero-length run; a point is one seen on both its lines
+    cells, seen = np.unique(
+        np.concatenate((vertical[v_zero, :2], horizontal[h_zero][:, [1, 0]])), axis=0, return_counts=True
+    )
+    points = cells[seen == 2]  # sorted by (x, y)
+    hseg = horizontal[~h_zero]
+    hseg = hseg[np.lexsort((hseg[:, 2], hseg[:, 0], hseg[:, 1]))]  # by (xa, y, xb)
+    vseg = vertical[~v_zero]  # _merge sorted it by (x, ya), and ya fixes yb
+    ends = np.concatenate((hseg[:, [1, 0, 2, 0]], points[:, [0, 1, 0, 1]], vseg[:, [0, 1, 0, 2]]))
+    return _bulk([HSEG] * len(hseg) + [POINT] * len(points) + [VSEG] * len(vseg), ends)
 
 
 def _placed_contacts(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[tuple[ContactComponent, ...]]:
     """Contacts between two copies of the (k, 4) rect array rows placed at
     offsets a and b, in _components' order, or None on interior overlap."""
     raw = _sweep(rows + (a.dx, a.dy, a.dx, a.dy), rows + (b.dx, b.dy, b.dx, b.dy))
-    return None if raw is None else tuple(_components(raw))
+    return None if raw is None else _components(raw)
 
 
 def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
@@ -188,9 +255,9 @@ def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
     contacts = _sweep(_rect_array(A), _rect_array(B))
     if contacts is None:
         raise ContractViolation("unions have overlapping interiors")
-    return _components(contacts)
+    return list(_components(contacts))
 
 
 def total_contact_length(components: list[ContactComponent]) -> int:
     """Summed length of segment components; points contribute nothing."""
-    return sum(c.length for c in components)
+    return sum(map(attrgetter("length"), components))

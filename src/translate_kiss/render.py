@@ -16,13 +16,12 @@ from typing import Union
 
 import numpy as np
 
-from .disk import Shape
+from .disk import _CHUNK, Shape
 from .errors import ParameterError, _show
 from .placement import Scene
 from .rect import Vec2
 
 MAX_RENDER_RECTS = 2**23  # the n = 17 scene draws 4,718,574 rects, the n = 18 one 9,961,453
-_CHUNK = 2**16  # rects per % call, so few of tolist's ints are alive at once
 
 # A_0 is drawn in grey; A_1.. cycle through the colour list.
 FILL_A0 = "#9e9e9e"

@@ -13,7 +13,7 @@ from typing import Sequence
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
 from .placement import place_translates
-from .rect import ContactComponent, Vec2, _merge_lines, _placed_contacts, total_contact_length
+from .rect import ContactComponent, Vec2, _merge, _placed_contacts, total_contact_length
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ class VerticalRun:
 
 def rightward_runs(shape: Shape) -> list[VerticalRun]:
     """Maximal vertical runs formed by merging collinear piece right edges."""
-    edges = shape.rows[:, [2, 1, 3]].tolist()
-    return [VerticalRun(*run) for run in _merge_lines(edges)]
+    return [VerticalRun(*run) for run in _merge(shape.rows[:, [2, 1, 3]]).tolist()]
 
 
 @dataclass(frozen=True)

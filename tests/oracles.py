@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 Each one is written independently of the fast path it checks (all-pairs
-loops, per-case sweeps, rect-to-column scatters, bit-free recursions, copy
-scans), and each has one definition, here.
+loops, run-at-a-time merges, per-case sweeps, rect-to-column scatters,
+bit-free recursions, copy scans), and each has one definition, here.
 """
 
 from typing import NamedTuple, Optional
@@ -80,6 +80,33 @@ def closed_contact(a: Rect, b: Rect) -> Optional[Contact]:
         return Contact("vertical-segment", (ix0, iy0), (ix0, iy1), iy1 - iy0)
     # iy0 == iy1 is forced: a 2D closed intersection would mean open overlap
     return Contact("horizontal-segment", (ix0, iy0), (ix1, iy0), ix1 - ix0)
+
+
+def merge_lines(rows):
+    """Rows [line, lo, hi] merged into the maximal runs of each line, sorted;
+    runs that overlap or share an endpoint merge.  One run at a time, in a
+    Python loop: the oracle for rect._merge."""
+    runs = []
+    for line, lo, hi in sorted(map(list, rows)):
+        if runs and line == runs[-1][0] and lo <= runs[-1][2]:
+            runs[-1][2] = max(runs[-1][2], hi)
+        else:
+            runs.append([line, lo, hi])
+    return runs
+
+
+def loop_components(contacts):
+    """_sweep's (vertical, horizontal) rows as contacts, one at a time:
+    merge_lines on each kind, a point where a zero-length run is alone on
+    both its lines, one Contact per component with its kind and length
+    decided here, sorted by (kind, a, b).  The oracle for rect._components."""
+    vertical, horizontal = (merge_lines(rows.tolist()) for rows in contacts)
+    lone = {(x, y) for x, y, y1 in vertical if y == y1}
+    lone &= {(x, y) for y, x, x1 in horizontal if x == x1}
+    found = [Contact("point", p, p, 0) for p in lone]
+    found += [Contact("vertical-segment", (x, ya), (x, yb), yb - ya) for x, ya, yb in vertical if ya < yb]
+    found += [Contact("horizontal-segment", (xa, y), (xb, y), xb - xa) for y, xa, xb in horizontal if xa < xb]
+    return sorted(found)
 
 
 def naive_union_disjoint(A, B):

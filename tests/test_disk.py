@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from translate_kiss import (
     sub_copy_offset,
     verify_construction,
 )
-from translate_kiss.serial import to_document
 
 from oracles import closed_contact, loop_pieces, naive_union_disjoint, sliced_sub_copy
 
@@ -44,7 +45,7 @@ def adjacency_path_ok(shape):
 class TestBuildDisk:
     def test_smallest(self):
         shape = build_disk(2, 1)
-        doc = to_document(shape)
+        doc = json.loads(serialize(shape))
         assert [(p["role"], p["index"]) for p in doc["pieces"]] == [
             ("bar", 1), ("connector", 1), ("bar", 2)
         ]
@@ -76,7 +77,7 @@ class TestBuildDisk:
             bars, conns = shape.pieces[0::2], shape.pieces[1::2]
             assert len(bars) == 2**n
             assert len(conns) == 2**n - 1
-            roles = [p["role"] for p in to_document(shape)["pieces"]]
+            roles = [p["role"] for p in json.loads(serialize(shape))["pieces"]]
             assert roles.count("bar") == 2**n
             assert roles.count("connector") == 2**n - 1
 

@@ -243,6 +243,27 @@ class TestStrictParse:
                 parse(canonical(doc))
 
     @pytest.mark.parametrize(
+        "edit", ["three-and-one", "string-coordinate", "coordinate-2**70", "missing-b", "list"]
+    )
+    def test_malformed_contact_ends(self, edit):
+        # decoded as an int64 array, but refused like any other bytes serialize does not write
+        doc = json.loads(serialize(verify_construction(2, 2)))
+        contacts = doc["pair_verdicts"][0]["contacts"]
+        contact = contacts[0]
+        if edit == "three-and-one":  # four numbers in all, as two ends would have
+            contact["a"], contact["b"] = contact["a"] + contact["b"][:1], contact["b"][1:]
+        elif edit == "string-coordinate":  # the same number, as a string numpy would convert
+            contact["a"][0] = str(contact["a"][0])
+        elif edit == "coordinate-2**70":
+            contact["a"][0] = 2**70
+        elif edit == "missing-b":
+            del contact["b"]
+        else:
+            contacts[0] = list(contact.values())
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    @pytest.mark.parametrize(
         "length", [b"1.0", b"true", b"1e400", b"2"], ids=["float", "bool", "infinite", "off-by-one"]
     )
     def test_contact_length_must_be_an_int(self, length):

@@ -1,11 +1,17 @@
+import copy
+import dataclasses
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from translate_kiss import (
+    Certificate,
     ContactComponent,
     ContractViolation,
+    PairVerdict,
     ParameterError,
     RangeError,
     Rect,
@@ -17,7 +23,16 @@ from translate_kiss import (
     verify_construction,
 )
 
-from oracles import closed_contact, interiors_overlap, naive_contacts, naive_union_disjoint
+from translate_kiss.rect import _contacts_from_ends, _merge, _rect_array, _sweep
+
+from oracles import (
+    closed_contact,
+    interiors_overlap,
+    loop_components,
+    merge_lines,
+    naive_contacts,
+    naive_union_disjoint,
+)
 
 coords = st.integers(min_value=-8, max_value=8)
 
@@ -170,6 +185,141 @@ class TestContactEnds:
     def test_other_ends_rejected(self, a, b):
         with pytest.raises(ParameterError):
             ContactComponent(a, b)
+
+
+ends = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3), st.booleans()).map(
+    lambda t: ((t[0], t[1]), (t[0] + t[2], t[1]) if t[3] else (t[0], t[1] + t[2]))
+)
+
+
+class TestContactContract:
+    """What callers may rely on, pinned apart from how the class is built:
+    a contact behaves as the tuple (kind, a, b, length)."""
+
+    @given(st.lists(ends, max_size=6))
+    def test_equal_hashed_and_ordered_like_its_fields(self, pairs):
+        contacts = [ContactComponent(a, b) for a, b in pairs]
+        fields = [(c.kind, c.a, c.b, c.length) for c in contacts]
+        for c, f, (a, b) in zip(contacts, fields, pairs):
+            assert c == ContactComponent(a, b) and hash(c) == hash(f)
+        for c, f in zip(contacts, fields):
+            for d, g in zip(contacts, fields):
+                assert (c == d, c < d, c <= d, c > d) == (f == g, f < g, f <= g, f > g)
+        assert [(c.kind, c.a, c.b, c.length) for c in sorted(contacts)] == sorted(fields)
+        assert len(set(contacts)) == len(set(fields))
+
+    @pytest.mark.parametrize("name", ["kind", "a", "b", "length", "other"])
+    def test_immutable(self, name):
+        c = ContactComponent((0, 0), (2, 0))
+        with pytest.raises(AttributeError):
+            setattr(c, name, 1)
+        assert c == ContactComponent((0, 0), (2, 0))
+
+    def test_repr_names_its_fields(self):
+        assert repr(ContactComponent((1, 2), (1, 5))) == (
+            "ContactComponent(kind='vertical-segment', a=(1, 2), b=(1, 5), length=3)"
+        )
+
+    def test_copies_are_equal(self):
+        c = ContactComponent((-1, 3), (4, 3))
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert twin == c and type(twin) is ContactComponent
+
+    def test_verdict_and_certificate_fields(self):
+        c = ContactComponent((0, 0), (0, 2))
+        v = PairVerdict(i=0, j=1, interiors_disjoint=True, contacts=(c,), segment_length_total=2)
+        cert = Certificate(m=3, n=1, offsets=(Vec2(0, 0),), pair_verdicts=(v,), touching_count=1, ok=True)
+        assert [f.name for f in dataclasses.fields(PairVerdict)] == [
+            "i", "j", "interiors_disjoint", "contacts", "segment_length_total"
+        ]
+        assert [f.name for f in dataclasses.fields(Certificate)] == [
+            "m", "n", "offsets", "pair_verdicts", "touching_count", "ok"
+        ]
+        assert cert.pair_verdicts[0].contacts == (c,) and v == PairVerdict(0, 1, True, (c,), 2)
+
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=8))
+    def test_bulk_ends_match_the_constructor(self, rows):
+        # the checked bulk path parse uses accepts and refuses what ContactComponent(a, b) does
+        try:
+            expected = tuple(ContactComponent((xa, ya), (xb, yb)) for xa, ya, xb, yb in rows)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                _contacts_from_ends(np.array(rows, np.int64).reshape(-1, 4))
+            return
+        got = _contacts_from_ends(np.array(rows, np.int64).reshape(-1, 4))
+        assert got == expected and all(type(c) is ContactComponent for c in got)
+        assert [tuple(c) for c in got] == [tuple(c) for c in expected]
+
+    @pytest.mark.parametrize("v", [2**61, -(2**61)])
+    def test_bulk_ends_out_of_range(self, v):
+        with pytest.raises(RangeError):
+            _contacts_from_ends(np.array([[v, 0, v, 0]], np.int64))
+
+
+line_rows = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-10, 10), st.integers(0, 6)).map(
+        lambda t: (t[0], t[1], t[1] + t[2])
+    ),
+    max_size=40,
+)
+
+
+class TestMerge:
+    """The vectorised line merge against the one-run-at-a-time loop."""
+
+    @staticmethod
+    def check(rows):
+        got = _merge(np.array(rows, np.int64).reshape(-1, 3))
+        assert got.dtype == np.int64 and got.shape[1:] == (3,)
+        assert got.tolist() == merge_lines(rows)
+
+    @given(line_rows)
+    def test_matches_loop(self, rows):
+        self.check(rows)
+
+    @given(line_rows, st.data())
+    def test_duplicates_and_nesting(self, rows, data):
+        # repeated rows and rows inside others, so one run covers many
+        extra = data.draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+        nested = [(line, lo + (hi - lo) // 3, hi - (hi - lo) // 3) for line, lo, hi in rows]
+        self.check(rows + extra + nested)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(0, 5, 5)],
+            [(0, 0, 2), (0, 2, 4), (0, 4, 4), (0, 5, 5)],  # shared endpoints merge, a gap does not
+            [(1, 0, 9), (0, 3, 4), (1, 2, 3), (0, 0, 1)],  # nested, and lines given out of order
+            [(0, 0, 10), (1, 1, 2), (0, 11, 12)],  # a long run of line 0 must not reach line 1
+            [(-(2**61) + 1, -(2**61) + 1, 2**61 - 1), (2**61 - 1, -5, -5), (2**61 - 1, -5, 3)],
+        ],
+        ids=["empty", "one-point", "touching", "nested", "lines-apart", "int64-extremes"],
+    )
+    def test_cases(self, rows):
+        self.check(rows)
+
+
+class TestContactsMatchLoopPath:
+    """Every pair's contacts against the loop path: the same _sweep rows,
+    merged by the loop and made one Contact at a time."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_pair(self, n):
+        for m in (n, n + 2):
+            cert = verify_construction(m, n)
+            rows = build_disk(m, n).rows
+            for v in cert.pair_verdicts:
+                a, b = cert.offsets[v.i], cert.offsets[v.j]
+                raw = _sweep(rows + (a.dx, a.dy, a.dx, a.dy), rows + (b.dx, b.dy, b.dx, b.dy))
+                assert [tuple(c) for c in v.contacts] == [tuple(c) for c in loop_components(raw)]
+                assert v.segment_length_total == sum(c.length for c in loop_components(raw))
+
+    @given(pair=disjoint_soups())
+    def test_soups(self, pair):
+        A, B = pair
+        raw = _sweep(_rect_array(A), _rect_array(B))
+        assert [tuple(c) for c in contact_components(A, B)] == [tuple(c) for c in loop_components(raw)]
 
 
 class TestContactComponents:
