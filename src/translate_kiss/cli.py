@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
+from typing import Iterator
 
 from .disk import build_disk
 from .errors import ConstructionBroken, ContractViolation, ParameterError
 from .placement import check_lemma2_exhaustive, place_translates
-from .render import render_svg
+from .render import _svg_chunks
 from .ruler import PrefixTable, _check_windows, check_lemma1_exhaustive
-from .serial import serialize
+from .serial import _chunks
 from .verify import verify_construction
 
 EXIT_OK = 0
@@ -39,20 +41,23 @@ def _say(args: argparse.Namespace, msg: str) -> None:
         print(msg)
 
 
-def _write_out(args: argparse.Namespace, data: bytes, path: str | None, summary: str) -> None:
-    """Write data to path, or to stdout for None or "-"; the summary line
-    follows only when stdout does not carry the data."""
+def _write_out(args: argparse.Namespace, chunks: Iterator[bytes], path: str | None, summary: str) -> None:
+    """Write the chunks as they are made to path, or to stdout for None or
+    "-"; the summary line follows only when stdout does not carry them.  The
+    first chunk is made before path is opened, so an input the writer
+    refuses creates no file."""
+    first = next(chunks)
     if path is None or path == "-":
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chain((first,), chunks))
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chain((first,), chunks))
         _say(args, summary)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     shape = build_disk(args.m, args.n)
-    _write_out(args, serialize(shape), args.out, f"wrote shape m={args.m} n={args.n} to {args.out}")
+    _write_out(args, _chunks(shape), args.out, f"wrote shape m={args.m} n={args.n} to {args.out}")
     return EXIT_OK
 
 
@@ -66,7 +71,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.json is None:
         _say(args, summary)
     else:
-        _write_out(args, serialize(cert), args.json, summary)
+        _write_out(args, _chunks(cert), args.json, summary)
     return EXIT_OK if cert.ok else EXIT_FAIL
 
 
@@ -75,7 +80,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         obj = build_disk(args.m, args.n)
     else:
         obj = place_translates(args.m, args.n)
-    _write_out(args, render_svg(obj, unit_px=args.unit_px), args.out, f"wrote SVG to {args.out}")
+    _write_out(args, _svg_chunks(obj, args.unit_px), args.out, f"wrote SVG to {args.out}")
     return EXIT_OK
 
 

@@ -5,9 +5,17 @@ intersection is nonempty while their interiors are disjoint.  All
 coordinates are Python ints, so every test here is exact.  The pairwise
 sweep runs on int64 numpy arrays; it only compares, takes max/min and
 subtracts, and it rejects any coordinate with |v| >= 2**61 (RangeError), so
-it stays exact too.  Both verifiers reach it through _placed_contacts, two
-copies of one rect array at two offsets; union_interiors_disjoint and
-contact_components wrap it for Rect lists, and no package code calls them.
+it stays exact too.  One pair core (_pairs) pairs each rect of A with a
+window of B rows, and two rules make the windows.  _sweep, for Rect lists
+in any order, sorts B by x0 and pads each window by B's widest rect, so
+it bounds the window in x only; union_interiors_disjoint and
+contact_components wrap it, and no package code calls them.
+_placed_contacts, which both verifiers call, places two copies of the
+disk's rows, which are nondecreasing in all four columns; the rows meeting
+a rect are then one index range, found by four binary searches, so the
+window is tight in x and y.  Blocks that build many acyclic objects (the
+contacts, the verdicts, a certificate's decoded JSON) run under _gc_paused,
+so the cyclic garbage collector does not walk them again and again.
 
 A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
@@ -22,10 +30,12 @@ ContactComponent tuples, without per-contact checks.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -126,26 +136,15 @@ def _in_bound(arr: np.ndarray) -> None:
         raise RangeError("coordinates exceed the int64 sweep bound 2**61")
 
 
-def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
-    """Touching pairs of two (k, 4) int64 rect arrays, or None on interior overlap.
-
-    B is sorted by x0; each rect a of A is paired with the B rects whose x0
-    lies in [a.x0 - max width of B, a.x1], which holds every B rect whose
-    closed x-range meets a's.  All closed intersections are taken at once;
-    one open in both axes is an interior overlap.  The touching pairs come
-    back as two (k, 3) int64 row arrays.  Coordinates with |v| >= 2**61
-    raise RangeError, so every width, window bound and intersection fits in
-    int64.
-    """
-    _in_bound(A)
-    _in_bound(B)
-    if not len(A) or not len(B):
-        none = np.empty((0, 3), np.int64)
-        return none, none
-    B = B[np.argsort(B[:, 0], kind="stable")]
-    lo = np.searchsorted(B[:, 0], A[:, 0] - (B[:, 2] - B[:, 0]).max(), "left")
-    hi = np.searchsorted(B[:, 0], A[:, 2], "right")
-    counts = hi - lo
+def _pairs(A: np.ndarray, B: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[_Contacts]:
+    """Touching pairs of rect arrays A and B, or None on interior overlap,
+    where rect a of A is paired with B rows lo[a] <= k < hi[a] (an empty
+    window when hi[a] <= lo[a]), a window that holds every B rect whose
+    closed box meets a's.  All closed intersections are taken at once; one
+    open in both axes is an interior overlap.  The touching pairs come back
+    as two (k, 3) int64 row arrays.  The caller has bounded every coordinate
+    below 2**61, so every intersection fits in int64."""
+    counts = np.maximum(hi - lo, 0)
     ia = np.repeat(np.arange(len(A)), counts)
     ib = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     low = np.maximum(A[ia, :2], B[ib, :2])
@@ -158,6 +157,26 @@ def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
     vertical = np.column_stack((low[:, 0], low[:, 1], high[:, 1]))[gap[:, 0] == 0]
     horizontal = np.column_stack((low[:, 1], low[:, 0], high[:, 0]))[gap[:, 1] == 0]
     return vertical, horizontal
+
+
+def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
+    """Touching pairs of two (k, 4) int64 rect arrays in any order, or None
+    on interior overlap.
+
+    B is sorted by x0; each rect a of A is paired with the B rects whose x0
+    lies in [a.x0 - max width of B, a.x1], which holds every B rect whose
+    closed x-range meets a's.  Coordinates with |v| >= 2**61 raise
+    RangeError, so every width and window bound fits in int64.
+    """
+    _in_bound(A)
+    _in_bound(B)
+    if not len(A) or not len(B):
+        none = np.empty((0, 3), np.int64)
+        return none, none
+    B = B[np.argsort(B[:, 0], kind="stable")]
+    lo = np.searchsorted(B[:, 0], A[:, 0] - (B[:, 2] - B[:, 0]).max(), "left")
+    hi = np.searchsorted(B[:, 0], A[:, 2], "right")
+    return _pairs(A, B, lo, hi)
 
 
 def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
@@ -203,6 +222,21 @@ def _bulk(kinds: list[str], ends: np.ndarray) -> tuple[ContactComponent, ...]:
     return tuple(map(_trusted, zip(kinds, zip(xa, ya), zip(xb, yb), lengths)))
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """The cyclic garbage collector off for the block, then enabled again
+    only if it was enabled before.  For blocks that build many acyclic
+    objects, which reference counting frees and each collector pass walks
+    in vain."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 _KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
 
 
@@ -240,8 +274,22 @@ def _components(contacts: _Contacts) -> tuple[ContactComponent, ...]:
 
 def _placed_contacts(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[tuple[ContactComponent, ...]]:
     """Contacts between two copies of the (k, 4) rect array rows placed at
-    offsets a and b, in _components' order, or None on interior overlap."""
-    raw = _sweep(rows + (a.dx, a.dy, a.dx, a.dy), rows + (b.dx, b.dy, b.dx, b.dy))
+    offsets a and b, in _components' order, or None on interior overlap.
+
+    rows must be nondecreasing in each of its four columns, as Shape.rows is
+    in path order.  Then the B rows whose closed box meets a rect a of A
+    are one index range: it starts past every row with x1 < a.x0 or
+    y1 < a.y0 and ends before the first row with x0 > a.x1 or y0 > a.y1,
+    so four binary searches give each window, tight in x and y.
+    """
+    A = rows + (a.dx, a.dy, a.dx, a.dy)
+    B = rows + (b.dx, b.dy, b.dx, b.dy)
+    _in_bound(A)
+    _in_bound(B)
+    x0, y0, x1, y1 = A.T
+    lo = np.maximum(np.searchsorted(B[:, 2], x0, "left"), np.searchsorted(B[:, 3], y0, "left"))
+    hi = np.minimum(np.searchsorted(B[:, 0], x1, "right"), np.searchsorted(B[:, 1], y1, "right"))
+    raw = _pairs(A, B, lo, hi)
     return None if raw is None else _components(raw)
 
 

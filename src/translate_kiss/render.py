@@ -8,11 +8,13 @@ each group's x and y columns are the disk's rows with its offset added, in
 one numpy expression, and its rects are formatted by one % template; the
 picture's box is the disk's box widened by the spread of the offsets.
 The rect budget and the 2^61 px bound are checked before any rect is made.
+_svg_chunks yields the SVG in chunks; render_svg joins them, and the CLI
+writes them as they are made, so it never holds the whole SVG.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -42,6 +44,11 @@ FILLS = [
 def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     """Render a single disk or a placed scene, one group per translate;
     ParameterError beyond MAX_RENDER_RECTS rects or 2^61 px."""
+    return b"".join(_svg_chunks(obj, unit_px))
+
+
+def _svg_chunks(obj: Union[Shape, Scene], unit_px: int) -> Iterator[bytes]:
+    """render_svg's bytes, in order; every check runs before the first chunk."""
     if type(unit_px) is not int or unit_px < 1:
         raise ParameterError(f"unit_px must be an int >= 1, got {_show(unit_px)}")
     if isinstance(obj, Shape):
@@ -65,11 +72,11 @@ def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
     height = (y1 - y0 + 2) * unit_px
     if max(width, height) >= 2**61:  # unit_px stays out of the message: it may pass int-to-str's limit
         raise ParameterError("SVG width or height reaches 2**61 px at this unit_px")
-    parts = [
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">\n'.encode()
-    ]
+    )
     rows = shape.rows
     cols = np.empty_like(rows)  # x, y, width, height of each rect, in px
     cols[:, 2:] = (rows[:, 2:] - rows[:, :2]) * unit_px
@@ -78,10 +85,9 @@ def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
         left, top = t.dx - x0 + 1, y1 + 1 - t.dy
         cols[:, :2] = (rows[:, [0, 3]] * (1, -1) + (left, top)) * unit_px
         rect = f'<rect x="%d" y="%d" width="%d" height="%d" fill="{fill}" stroke="black" stroke-width="1"/>\n'
-        parts.append(f'<g id="{label}">\n'.encode())
+        yield f'<g id="{label}">\n'.encode()
         for start in range(0, len(cols), _CHUNK):  # the template, once per rect, takes a chunk in one %
             chunk = cols[start : start + _CHUNK]
-            parts.append((rect * len(chunk) % tuple(chunk.ravel().tolist())).encode())
-        parts.append(b"</g>\n")
-    parts.append(b"</svg>\n")
-    return b"".join(parts)
+            yield (rect * len(chunk) % tuple(chunk.ravel().tolist())).encode()
+        yield b"</g>\n"
+    yield b"</svg>\n"

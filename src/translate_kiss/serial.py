@@ -8,7 +8,8 @@ One writer, _chunks, yields a document's bytes in order: a header, then the
 pieces in chunks of _CHUNK rows or each pair verdict's fields and contacts,
 then a trailer.  Each chunk is one bytes % template applied to a flat tuple
 of fields, so no dict is built per piece or per contact and nothing is
-encoded; serialize joins the chunks.
+encoded; serialize joins the chunks, and the CLI writes them as they are
+made.
 
 parse holds every document to one rule: it rebuilds the object and accepts
 the input only if it is exactly the bytes serialize writes for that object.
@@ -35,7 +36,7 @@ import numpy as np
 from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import HSEG, POINT, VSEG, ContactComponent, _contacts_from_ends, total_contact_length
+from .rect import HSEG, POINT, VSEG, ContactComponent, _contacts_from_ends, _gc_paused, total_contact_length
 from .verify import Certificate, PairVerdict, _verdict_totals
 
 SCHEMA_VERSION = "tk-1"
@@ -169,7 +170,8 @@ def parse(data: bytes) -> Document:
     Raises MalformedDocument, or a subclass of it, for any other input.
     """
     try:
-        doc = json.loads(data.decode("utf-8"))
+        with _gc_paused():  # decoded JSON holds no cycles
+            doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an oversized int
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     version = _require(doc, "schema_version")
@@ -200,7 +202,8 @@ def parse(data: bytes) -> Document:
     try:
         if kind == "certificate":
             # popped, so the decoded JSON is freed as the verdicts are made
-            verdicts = _verdicts(n, doc.pop("pair_verdicts"))
+            with _gc_paused():
+                verdicts = _verdicts(n, doc.pop("pair_verdicts"))
             built = Certificate(m, n, built.offsets, verdicts, *_verdict_totals(n, verdicts))
         exact = _writes(built, data)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:

@@ -13,7 +13,7 @@ from typing import Sequence
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
 from .placement import place_translates
-from .rect import ContactComponent, Vec2, _merge, _placed_contacts, total_contact_length
+from .rect import ContactComponent, Vec2, _gc_paused, _merge, _placed_contacts, total_contact_length
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,11 @@ def verify_construction(m: int, n: int) -> Certificate:
     rows = build_disk(m, n).rows
 
     verdicts: list[PairVerdict] = []
-    for i, j in combinations(range(n + 1), 2):
-        found = _placed_contacts(rows, scene.offsets[i], scene.offsets[j])
-        contacts = () if found is None else found
-        verdicts.append(PairVerdict(i, j, found is not None, contacts, total_contact_length(contacts)))
+    with _gc_paused():  # the contacts and verdicts hold no cycles
+        for i, j in combinations(range(n + 1), 2):
+            found = _placed_contacts(rows, scene.offsets[i], scene.offsets[j])
+            contacts = () if found is None else found
+            verdicts.append(PairVerdict(i, j, found is not None, contacts, total_contact_length(contacts)))
     touching, ok = _verdict_totals(n, verdicts)
     return Certificate(
         m=m,

@@ -98,6 +98,15 @@ def test_render_shape(tmp_path):
     assert out.read_bytes().count(b"<rect") == 3
 
 
+@pytest.mark.parametrize("argv", [["-m", "20", "-n", "20"], ["-m", "2", "-n", "2", "--unit-px", "0"]])
+def test_refused_render_creates_no_file(tmp_path, capsys, argv):
+    # render's checks run when its first chunk is made, before the file is opened
+    out = tmp_path / "fig.svg"
+    assert main(["render", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lemma1_pass(capsys):
     assert main(["lemma1", "--k-max", "64", "--r-max", "512"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import time
 import xml.dom.minidom
@@ -433,6 +434,25 @@ class TestStrictParse:
         elif accepted:
             # a certificate is accepted only as the bytes serialize writes for it
             assert serialize(parse(encoded)) == encoded
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_keeps_the_collector_state(enabled):
+    # parse pauses the cyclic collector while it decodes, and restores it
+    # whether the document is accepted or refused
+    was = gc.isenabled()
+    data = serialize(verify_construction(3, 2))
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert parse(data).ok
+        assert gc.isenabled() == enabled
+        # refused while the verdicts are decoded, and after
+        for edit in (data.replace(b'"a":', b'"z":', 1), data.replace(b'"ok":true', b'"ok":false')):
+            with pytest.raises(DocumentInvariantError):
+                parse(edit)
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestRenderSvg:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 
@@ -23,7 +24,7 @@ from translate_kiss import (
     verify_construction,
 )
 
-from translate_kiss.rect import _contacts_from_ends, _merge, _rect_array, _sweep
+from translate_kiss.rect import _contacts_from_ends, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
 
 from oracles import (
     closed_contact,
@@ -469,18 +470,95 @@ class TestTranslatesMatchNaive:
     def test_random_offsets_5_4(self):
         # offsets up to the bounding box size reach every relative position
         # in which the two translates can meet
-        rects = build_disk(5, 4).rects()
+        shape = build_disk(5, 4)
+        rects = shape.rects()
         w = max(r.x1 for r in rects) - min(r.x0 for r in rects)
         h = max(r.y1 for r in rects) - min(r.y0 for r in rects)
         rng = random.Random(4)
         for _ in range(3000):
             v = Vec2(rng.randint(-w, w), rng.randint(-h, h))
             B = [r.translate(v) for r in rects]
-            try:  # closed_contact raises on the first overlapping pair
-                expected = naive_contacts(rects, B)
-            except ContractViolation:
-                expected = None
+            expected = naive_placed(rects, B)
             assert union_interiors_disjoint(rects, B) == (expected is not None), v
+            assert placed(shape.rows, v) == expected, v
             if expected is not None:
-                got = {(c.kind, c.a, c.b) for c in contact_components(rects, B)}
+                got = sorted((c.kind, c.a, c.b) for c in contact_components(rects, B))
                 assert got == expected, v
+
+
+def naive_placed(A, B):
+    """naive_contacts in canonical order, or None on interior overlap."""
+    try:  # closed_contact raises on the first overlapping pair
+        return sorted(naive_contacts(A, B))
+    except ContractViolation:
+        return None
+
+
+def placed(rows, v):
+    """_placed_contacts between rows at the origin and at v, as (kind, a, b)."""
+    found = _placed_contacts(rows, Vec2(0, 0), v)
+    return None if found is None else [(c.kind, c.a, c.b) for c in found]
+
+
+class TestTightWindow:
+    """_placed_contacts' window, tight in x and y, needs rows that are
+    nondecreasing in every column; the disk's rows in path order are."""
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_rows_nondecreasing(self, n):
+        for m in (2, 3, n + 2):
+            assert (np.diff(build_disk(m, n).rows, axis=0) >= 0).all(), (m, n)
+
+    @pytest.mark.parametrize("m, n", [(3, 0), (3, 1), (4, 2)])
+    def test_every_offset_in_the_box(self, m, n):
+        # overlapping offsets included: their answer is None
+        shape = build_disk(m, n)
+        rects, box = shape.rects(), shape.bounding_box()
+        for dx in range(-box.width, box.width + 1):
+            for dy in range(-box.height, box.height + 1):
+                v = Vec2(dx, dy)
+                B = [r.translate(v) for r in rects]
+                assert placed(shape.rows, v) == naive_placed(rects, B), v
+
+
+class TestGcPaused:
+    """_gc_paused leaves the collector as it found it."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_restores_an_enabled_collector(self, collector):
+        gc.enable()
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self, collector):
+        gc.disable()
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_nests(self, collector):
+        gc.enable()
+        with _gc_paused():
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restores_after_an_exception(self, collector):
+        gc.enable()
+        with pytest.raises(KeyError):
+            with _gc_paused():
+                raise KeyError("x")
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_verify_construction_keeps_the_state(self, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert verify_construction(4, 3).ok
+        assert gc.isenabled() == enabled
