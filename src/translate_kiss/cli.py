@@ -19,16 +19,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
+from functools import partial
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .disk import build_disk
 from .errors import ConstructionBroken, ContractViolation, ParameterError
 from .placement import check_lemma2_exhaustive, place_translates
+from .rect import _NO_ENDS, _lengths
 from .render import _svg_chunks
 from .ruler import PrefixTable, _check_windows, check_lemma1_exhaustive
-from .serial import _chunks
-from .verify import verify_construction
+from .serial import _certificate_chunks, _chunks
+from .verify import PairVerdict, _pair_rows, _verdict_totals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,38 +46,54 @@ def _say(args: argparse.Namespace, msg: str) -> None:
         print(msg)
 
 
-def _write_out(args: argparse.Namespace, chunks: Iterator[bytes], path: str | None, summary: str) -> None:
+def _write_out(
+    args: argparse.Namespace, chunks: Iterator[bytes], path: str | None, summary: Callable[[], str]
+) -> None:
     """Write the chunks as they are made to path, or to stdout for None or
-    "-"; the summary line follows only when stdout does not carry them.  The
-    first chunk is made before path is opened, so an input the writer
-    refuses creates no file."""
+    "-"; the summary line, made after the last chunk, follows only when
+    stdout does not carry them.  The first chunk is made before path is
+    opened, so an input the writer refuses creates no file."""
     first = next(chunks)
     if path is None or path == "-":
         sys.stdout.buffer.writelines(chain((first,), chunks))
     else:
         with open(path, "wb") as fh:
             fh.writelines(chain((first,), chunks))
-        _say(args, summary)
+        _say(args, summary())
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     shape = build_disk(args.m, args.n)
-    _write_out(args, _chunks(shape), args.out, f"wrote shape m={args.m} n={args.n} to {args.out}")
+    _write_out(args, _chunks(shape), args.out, lambda: f"wrote shape m={args.m} n={args.n} to {args.out}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cert = verify_construction(args.m, args.n)
-    summary = (
-        f"{'PASS' if cert.ok else 'FAIL'} m={cert.m} n={cert.n}: "
-        f"{len(cert.pair_verdicts)} pairs checked, "
-        f"{cert.touching_count}/{cert.n} translates touch A0"
-    )
+    m, n = args.m, args.n
+    scene = place_translates(m, n)
+    # each pair's verdict so far without its contacts: only the pair being written holds them
+    verdicts: list[PairVerdict] = []
+    totals = partial(_verdict_totals, n, verdicts)
+
+    def pairs() -> Iterator[tuple[PairVerdict, np.ndarray]]:
+        for i, j, ends in _pair_rows(m, n):
+            found = _NO_ENDS if ends is None else ends
+            verdicts.append(PairVerdict(i, j, ends is not None, (), int(_lengths(found).sum())))
+            yield verdicts[-1], found
+
+    def summary() -> str:
+        touching, ok = totals()
+        return (
+            f"{'PASS' if ok else 'FAIL'} m={m} n={n}: {len(verdicts)} pairs checked, "
+            f"{touching}/{n} translates touch A0"
+        )
+
     if args.json is None:
-        _say(args, summary)
+        deque(pairs(), maxlen=0)  # the verdicts alone, nothing formatted
+        _say(args, summary())
     else:
-        _write_out(args, _chunks(cert), args.json, summary)
-    return EXIT_OK if cert.ok else EXIT_FAIL
+        _write_out(args, _certificate_chunks(scene, pairs(), totals), args.json, summary)
+    return EXIT_OK if totals()[1] else EXIT_FAIL
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -80,7 +101,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         obj = build_disk(args.m, args.n)
     else:
         obj = place_translates(args.m, args.n)
-    _write_out(args, _svg_chunks(obj, args.unit_px), args.out, f"wrote SVG to {args.out}")
+    _write_out(args, _svg_chunks(obj, args.unit_px), args.out, lambda: f"wrote SVG to {args.out}")
     return EXIT_OK
 
 

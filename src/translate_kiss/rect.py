@@ -10,12 +10,13 @@ window of B rows, and two rules make the windows.  _sweep, for Rect lists
 in any order, sorts B by x0 and pads each window by B's widest rect, so
 it bounds the window in x only; union_interiors_disjoint and
 contact_components wrap it, and no package code calls them.
-_placed_contacts, which both verifiers call, places two copies of the
-disk's rows, which are nondecreasing in all four columns; the rows meeting
-a rect are then one index range, found by four binary searches, so the
-window is tight in x and y.  Blocks that build many acyclic objects (the
-contacts, the verdicts, a certificate's decoded JSON) run under _gc_paused,
-so the cyclic garbage collector does not walk them again and again.
+_placed_ends, which both verifiers call, places two copies of the disk's
+rows, which are nondecreasing in all four columns; the rows meeting a box
+are then one index range, found by four binary searches (_window).  A is
+first cut to the range that meets B's bounding box, and each rect left in
+A gets its own window of B, tight in x and y.  Blocks that build many
+acyclic objects (the contacts, the verdicts) run under _gc_paused, so the
+cyclic garbage collector does not walk them again and again.
 
 A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
@@ -23,9 +24,11 @@ line of its zero y-gap, so a point contact lies on both of its lines.  From
 the sweep to the contacts everything stays an int64 array: the rows of each
 line are merged into maximal runs by one sort and one running maximum
 (_merge), a point is a zero-length run on both of its lines, and the runs
-are put in canonical order by one sort per kind.  Only then does a single
-bulk step (_bulk) turn the rows of ends [xa, ya, xb, yb] into
-ContactComponent tuples, without per-contact checks.
+are put in canonical order by one sort per kind (_canonical).  _placed_ends
+returns these rows of ends [xa, ya, xb, yb], which the CLI formats as they
+come and drops; only a caller that keeps contacts turns the rows into
+ContactComponent tuples, in one bulk step (_bulk) without per-contact
+checks, each row's kind given by _kinds.
 """
 
 from __future__ import annotations
@@ -121,6 +124,9 @@ class ContactComponent(tuple):
 _LIMIT = 2**61
 # rows [x, y0, y1] of contacts with zero x-gap and [y, x0, x1] of those with zero y-gap
 _Contacts = tuple[np.ndarray, np.ndarray]
+# the ends of no contacts, as (0, 4) int64 rows [xa, ya, xb, yb]
+_NO_ENDS = np.empty((0, 4), np.int64)
+_NO_ENDS.flags.writeable = False
 
 
 def _rect_array(rects: Iterable[Rect]) -> np.ndarray:
@@ -212,14 +218,29 @@ def _merge(rows: np.ndarray) -> np.ndarray:
 
 # builds a ContactComponent from its four fields without __new__'s checks
 _trusted = partial(tuple.__new__, ContactComponent)
+_KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
 
 
-def _bulk(kinds: list[str], ends: np.ndarray) -> tuple[ContactComponent, ...]:
-    """Contacts of the given kinds from (k, 4) int64 rows of ends [xa, ya, xb,
-    yb], which the caller guarantees agree with the kinds."""
+def _kinds(ends: np.ndarray) -> np.ndarray:
+    """The kind of each (k, 4) int64 row of ends [xa, ya, xb, yb] as an index
+    into _KIND_NAMES: 0, 1 or 2 for a horizontal segment going right, a point
+    or a vertical segment going up, 3 for a row that is none of these."""
+    xa, ya, xb, yb = ends.T
+    return np.select([(ya == yb) & (xa < xb), (xa == xb) & (ya == yb), (xa == xb) & (ya < yb)], [0, 1, 2], 3)
+
+
+def _lengths(ends: np.ndarray) -> np.ndarray:
+    """|b - a| for each (k, 4) int64 row of ends [xa, ya, xb, yb] of a point
+    or a segment going up or right."""
+    return ends[:, 2] - ends[:, 0] + ends[:, 3] - ends[:, 1]
+
+
+def _bulk(ends: np.ndarray) -> tuple[ContactComponent, ...]:
+    """Contacts from (k, 4) int64 rows of ends [xa, ya, xb, yb], which the
+    caller guarantees are each a point or a segment going up or right."""
+    kinds = _KIND_NAMES[_kinds(ends)].tolist()
     xa, ya, xb, yb = ends.T.tolist()
-    lengths = (ends[:, 2] - ends[:, 0] + ends[:, 3] - ends[:, 1]).tolist()
-    return tuple(map(_trusted, zip(kinds, zip(xa, ya), zip(xb, yb), lengths)))
+    return tuple(map(_trusted, zip(kinds, zip(xa, ya), zip(xb, yb), _lengths(ends).tolist())))
 
 
 @contextmanager
@@ -237,26 +258,21 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-_KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
-
-
 def _contacts_from_ends(ends: np.ndarray) -> tuple[ContactComponent, ...]:
     """ContactComponent(a, b) for each (k, 4) int64 row of ends [xa, ya, xb, yb],
     checked at once: ParameterError unless each row is a point or a segment
     going up or right, RangeError for |v| >= 2**61."""
     _in_bound(ends)
-    xa, ya, xb, yb = ends.T
-    kind = np.select([(ya == yb) & (xa < xb), (xa == xb) & (ya == yb), (xa == xb) & (ya < yb)], [0, 1, 2], 3)
-    bad = np.flatnonzero(kind == 3)
+    bad = np.flatnonzero(_kinds(ends) == 3)
     if bad.size:
         ContactComponent(*ends[bad[0]].reshape(2, 2).tolist())  # raises, naming the ends
-    return _bulk(_KIND_NAMES[kind].tolist(), ends)
+    return _bulk(ends)
 
 
-def _components(contacts: _Contacts) -> tuple[ContactComponent, ...]:
-    """Touching pairs from _sweep as maximal components in canonical order,
-    sorted by (kind, a, b); a point is a zero-length run that merging leaves
-    alone on both its lines."""
+def _canonical(contacts: _Contacts) -> np.ndarray:
+    """Touching pairs from _pairs as the (k, 4) int64 ends [xa, ya, xb, yb] of
+    the maximal components in canonical order, sorted by (kind, a, b); a
+    point is a zero-length run that merging leaves alone on both its lines."""
     vertical, horizontal = map(_merge, contacts)
     v_zero = vertical[:, 1] == vertical[:, 2]
     h_zero = horizontal[:, 1] == horizontal[:, 2]
@@ -268,29 +284,46 @@ def _components(contacts: _Contacts) -> tuple[ContactComponent, ...]:
     hseg = horizontal[~h_zero]
     hseg = hseg[np.lexsort((hseg[:, 2], hseg[:, 0], hseg[:, 1]))]  # by (xa, y, xb)
     vseg = vertical[~v_zero]  # _merge sorted it by (x, ya), and ya fixes yb
-    ends = np.concatenate((hseg[:, [1, 0, 2, 0]], points[:, [0, 1, 0, 1]], vseg[:, [0, 1, 0, 2]]))
-    return _bulk([HSEG] * len(hseg) + [POINT] * len(points) + [VSEG] * len(vseg), ends)
+    return np.concatenate((hseg[:, [1, 0, 2, 0]], points[:, [0, 1, 0, 1]], vseg[:, [0, 1, 0, 2]]))
 
 
-def _placed_contacts(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[tuple[ContactComponent, ...]]:
-    """Contacts between two copies of the (k, 4) rect array rows placed at
-    offsets a and b, in _components' order, or None on interior overlap.
+def _window(rows: np.ndarray, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
+    """The index range [lo, hi) of the rows, nondecreasing in each of their
+    four columns, whose closed boxes meet the closed box [x0, x1] x [y0, y1]:
+    it starts past every row with x1 < x0 or y1 < y0 and ends before the
+    first row with x0 > x1 or y0 > y1.  Scalars give one range, arrays one
+    range per box."""
+    lo = np.maximum(np.searchsorted(rows[:, 2], x0, "left"), np.searchsorted(rows[:, 3], y0, "left"))
+    hi = np.minimum(np.searchsorted(rows[:, 0], x1, "right"), np.searchsorted(rows[:, 1], y1, "right"))
+    return lo, hi
+
+
+def _placed_ends(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[np.ndarray]:
+    """The (k, 4) int64 ends [xa, ya, xb, yb] of the contacts between two
+    copies of the rect array rows placed at offsets a and b, in canonical
+    order, or None on interior overlap.
 
     rows must be nondecreasing in each of its four columns, as Shape.rows is
-    in path order.  Then the B rows whose closed box meets a rect a of A
-    are one index range: it starts past every row with x1 < a.x0 or
-    y1 < a.y0 and ends before the first row with x0 > a.x1 or y0 > a.y1,
-    so four binary searches give each window, tight in x and y.
+    in path order.  A is first cut to the one index range of rows that meet
+    B's bounding box, whose corners are B's first and last rows; then each
+    remaining rect of A is paired with its own window of B, tight in x and y.
     """
     A = rows + (a.dx, a.dy, a.dx, a.dy)
     B = rows + (b.dx, b.dy, b.dx, b.dy)
     _in_bound(A)
     _in_bound(B)
-    x0, y0, x1, y1 = A.T
-    lo = np.maximum(np.searchsorted(B[:, 2], x0, "left"), np.searchsorted(B[:, 3], y0, "left"))
-    hi = np.minimum(np.searchsorted(B[:, 0], x1, "right"), np.searchsorted(B[:, 1], y1, "right"))
-    raw = _pairs(A, B, lo, hi)
-    return None if raw is None else _components(raw)
+    first, last = _window(A, B[0, 0], B[0, 1], B[-1, 2], B[-1, 3])
+    if last <= first:
+        return _NO_ENDS
+    A = A[first:last]
+    raw = _pairs(A, B, *_window(B, *A.T))
+    return None if raw is None else _canonical(raw)
+
+
+def _placed_contacts(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[tuple[ContactComponent, ...]]:
+    """_placed_ends as contacts, or None on interior overlap."""
+    ends = _placed_ends(rows, a, b)
+    return None if ends is None else _bulk(ends)
 
 
 def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
@@ -303,7 +336,7 @@ def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
     contacts = _sweep(_rect_array(A), _rect_array(B))
     if contacts is None:
         raise ContractViolation("unions have overlapping interiors")
-    return list(_components(contacts))
+    return list(_bulk(_canonical(contacts)))
 
 
 def total_contact_length(components: list[ContactComponent]) -> int:

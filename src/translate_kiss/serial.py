@@ -5,38 +5,43 @@ construction order.  Semantically equal objects always produce identical
 bytes, and parse(serialize(x)) round-trips exactly.  Schema version "tk-1".
 
 One writer, _chunks, yields a document's bytes in order: a header, then the
-pieces in chunks of _CHUNK rows or each pair verdict's fields and contacts,
-then a trailer.  Each chunk is one bytes % template applied to a flat tuple
-of fields, so no dict is built per piece or per contact and nothing is
-encoded; serialize joins the chunks, and the CLI writes them as they are
-made.
+pieces in chunks of _CHUNK rows or three chunks per pair verdict, then a
+trailer.  Each chunk is one bytes % template applied to a flat tuple of
+fields, so no dict is built per piece or per contact and nothing is
+encoded.  A certificate's chunks come from _certificate_chunks, which takes
+each verdict with the (k, 4) int64 rows of its contacts' ends and formats
+the contacts from those rows, each row with its kind's template.
+serialize feeds it a Certificate's verdicts, the CLI the pairs as the
+sweep makes them, and parse the rows it reads from the input.
 
-parse holds every document to one rule: it rebuilds the object and accepts
-the input only if it is exactly the bytes serialize writes for that object.
-A Shape or a Scene is its (m, n), so parse makes it from those two fields
-alone.  A certificate takes its offsets from the (m, n) Scene too; only each
-pair's interiors_disjoint and the two ends of each contact are decoded, and
-each contact's kind and length, the segment totals, touching_count and ok
-are derived from them.  The ends of a verdict's contacts are decoded into
-one int64 array whose kinds are checked at once, and each verdict's decoded
-JSON is released as soon as it is used.  The writer's chunks are then
-compared in order against the input in place, so the bytes are never built
-a second time.
+parse holds every document to one rule: it accepts the input only if it is
+exactly the bytes serialize writes for the object the input proposes.  The
+proposal is read from the bytes, not decoded: (m, n) from the canonical
+header, which alone make a Shape or a Scene, and for a certificate each
+pair's interiors_disjoint from its fixed slot and the ends of its contacts
+from a vectorised digit scan of the bytes between that pair's delimiters.
+Each contact's kind and length, the segment totals, touching_count and ok
+are derived from those.  The writer's chunks are compared in order
+against the input in place, so the bytes are never built a second time.
+Only refused input is decoded, with json.loads, to choose the class of the
+error.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from functools import partial
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional, Union
 
 import numpy as np
 
 from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import HSEG, POINT, VSEG, ContactComponent, _contacts_from_ends, _gc_paused, total_contact_length
+from .rect import HSEG, POINT, VSEG, _contacts_from_ends, _gc_paused, _kinds, _lengths
 from .verify import Certificate, PairVerdict, _verdict_totals
 
 SCHEMA_VERSION = "tk-1"
@@ -46,14 +51,26 @@ _KINDS = {Shape: "shape", Scene: "scene", Certificate: "certificate"}
 
 # every template is bytes, so each chunk is made by one % call and never encoded
 _JSON_BOOL = {True: b"true", False: b"false"}
+_HEAD = b'{"schema_version":"%s","kind":"%s","m":%d,"n":%d,'
 # piece k of the path is bar k // 2 + 1 when k is even, else connector k // 2 + 1
 _PIECE = b'{"role":"%s","index":%%d,"rect":[%%d,%%d,%%d,%%d]}'
 _BAR, _CONNECTOR = _PIECE % b"bar", _PIECE % b"connector"
-_CONTACT = b'{"kind":"%s","a":[%d,%d],"b":[%d,%d],"length":%d}'
-_KIND_JSON = {kind: kind.encode() for kind in (HSEG, POINT, VSEG)}
-# a ContactComponent is the tuple (kind, a, b, length); a decoded contact is a dict
-_KIND, _ENDS, _LENGTH = itemgetter(0), itemgetter(1, 2), itemgetter(3)
-_JSON_ENDS = itemgetter("a", "b")
+# one contact template per kind, indexed as rect._kinds numbers the kinds
+_CONTACT = np.array(
+    [b'{"kind":"%s","a":[%%d,%%d],"b":[%%d,%%d],"length":%%d}' % k.encode() for k in (HSEG, POINT, VSEG)],
+    dtype=object,
+)
+_VERDICT_HEAD = b'%s{"i":%d,"j":%d,"interiors_disjoint":%s,"contacts":['
+_VERDICT_TAIL = b'],"segment_length_total":%d}'
+# a ContactComponent is the tuple (kind, a, b, length)
+_ENDS = itemgetter(1, 2)
+# what parse reads without decoding: the header, and the delimiters around
+# each pair's interiors_disjoint and contacts
+_HEADER = re.compile(
+    rb'\{"schema_version":"%s","kind":"(shape|scene|certificate)","m":(-?\d+),"n":(-?\d+),' % SCHEMA_VERSION.encode()
+)
+_DISJOINT, _CONTACTS, _CONTACTS_END = b'"interiors_disjoint":', b'"contacts":[', b'],"segment_length_total":'
+_TENS = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _pieces(rows: np.ndarray) -> Iterator[bytes]:
@@ -69,56 +86,132 @@ def _pieces(rows: np.ndarray) -> Iterator[bytes]:
         yield template % tuple(fields)
 
 
-def _contacts(contacts: tuple[ContactComponent, ...]) -> bytes:
-    """The contacts' JSON objects, comma-separated, from one % call.  The flat
-    field tuple is built by C-level iterators that keep nothing per contact
-    alive (a zip(*contacts) transpose would hold one iterator per contact,
-    and the garbage collector would walk the heap again and again)."""
-    ends = chain.from_iterable(chain.from_iterable(map(_ENDS, contacts)))  # xa, ya, xb, yb, ...
-    kinds = map(_KIND_JSON.__getitem__, map(_KIND, contacts))
-    fields = tuple(chain.from_iterable(zip(kinds, ends, ends, ends, ends, map(_LENGTH, contacts))))
-    return b",".join([_CONTACT] * len(contacts)) % fields
+def _contacts(ends: np.ndarray) -> bytes:
+    """The JSON objects of the contacts with these (k, 4) int64 rows of ends
+    [xa, ya, xb, yb], comma-separated, from one % call; each row's template
+    is its kind's, and its length is derived from its ends."""
+    fields = np.column_stack((ends, _lengths(ends))).ravel().tolist()
+    return b",".join(_CONTACT[_kinds(ends)].tolist()) % tuple(fields)
+
+
+def _offsets(scene: Union[Scene, Certificate]) -> bytes:
+    return b",".join(b"[%d,%d]" % (t.dx, t.dy) for t in scene.offsets)
+
+
+def _rows(contacts: tuple) -> np.ndarray:
+    """The contacts' ends as (k, 4) int64 rows [xa, ya, xb, yb]."""
+    ends = chain.from_iterable(chain.from_iterable(map(_ENDS, contacts)))
+    return np.fromiter(ends, np.int64, 4 * len(contacts)).reshape(-1, 4)
+
+
+def _certificate_chunks(
+    scene: Union[Scene, Certificate],
+    verdicts: Iterable[tuple[PairVerdict, np.ndarray]],
+    totals: Callable[[], tuple[int, bool]],
+) -> Iterator[bytes]:
+    """A certificate's bytes, in order: a header with the scene's offsets,
+    three chunks for each verdict (its fields, its contacts written from the
+    rows of ends given with it, and its segment_length_total), and a trailer
+    with touching_count and ok from totals(), called after the last verdict."""
+    head = _HEAD % (SCHEMA_VERSION.encode(), b"certificate", scene.m, scene.n)
+    yield head + b'"offsets":[%s],"pair_verdicts":[' % _offsets(scene)
+    for k, (v, ends) in enumerate(verdicts):
+        yield _VERDICT_HEAD % (b"," if k else b"", v.i, v.j, _JSON_BOOL[v.interiors_disjoint])
+        yield _contacts(ends)
+        yield _VERDICT_TAIL % v.segment_length_total
+    touching, ok = totals()
+    yield b'],"touching_count":%d,"ok":%s}\n' % (touching, _JSON_BOOL[ok])
 
 
 def _chunks(obj: Document) -> Iterator[bytes]:
     """serialize's bytes, in order, as a header, the body's chunks and a trailer."""
     if type(obj) not in _KINDS:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    head = b'{"schema_version":"%s","kind":"%s","m":%d,"n":%d,' % (
-        SCHEMA_VERSION.encode(), _KINDS[type(obj)].encode(), obj.m, obj.n
-    )
+    if isinstance(obj, Certificate):
+        verdicts = ((v, _rows(v.contacts)) for v in obj.pair_verdicts)
+        yield from _certificate_chunks(obj, verdicts, lambda: (obj.touching_count, obj.ok))
+        return
+    head = _HEAD % (SCHEMA_VERSION.encode(), _KINDS[type(obj)].encode(), obj.m, obj.n)
     if isinstance(obj, Shape):
         yield head + b'"pieces":['
         yield from _pieces(obj.rows)
         yield b"]}\n"
         return
-    offsets = b",".join(b"[%d,%d]" % (t.dx, t.dy) for t in obj.offsets)
-    if isinstance(obj, Scene):
-        yield head + b'"offsets":[%s]}\n' % offsets
-        return
-    yield head + b'"offsets":[%s],"pair_verdicts":[' % offsets
-    for k, v in enumerate(obj.pair_verdicts):
-        yield b'%s{"i":%d,"j":%d,"interiors_disjoint":%s,"contacts":[' % (
-            b"," if k else b"", v.i, v.j, _JSON_BOOL[v.interiors_disjoint]
-        )
-        yield _contacts(v.contacts)
-        yield b'],"segment_length_total":%d}' % v.segment_length_total
-    yield b'],"touching_count":%d,"ok":%s}\n' % (obj.touching_count, _JSON_BOOL[obj.ok])
+    yield head + b'"offsets":[%s]}\n' % _offsets(obj)
 
 
 def serialize(obj: Document) -> bytes:
     return b"".join(_chunks(obj))
 
 
-def _writes(obj: Document, data: bytes) -> bool:
-    """serialize(obj) == data, compared chunk by chunk against data in place:
-    startswith at an offset runs one memcmp and copies nothing."""
+def _writes(chunks: Iterable[bytes], data: bytes) -> bool:
+    """b"".join(chunks) == data, compared chunk by chunk against data in
+    place, stopping at the first chunk that differs: startswith at an offset
+    runs one memcmp and copies nothing."""
     end = 0
-    for chunk in _chunks(obj):
+    for chunk in chunks:
         if not data.startswith(chunk, end):
             return False
         end += len(chunk)
     return end == len(data)
+
+
+def _integers(data: bytes, start: int, stop: int) -> np.ndarray:
+    """The integers written in data[start:stop], in order, as int64: each
+    maximal run of digits, negated when a '-' comes before it.  Nothing else
+    is checked (a leading zero, a 19-digit run past 2**63 and whatever lies
+    between the runs all pass), as the caller compares the bytes these
+    numbers format to against data; a run of more than 19 digits raises
+    ValueError."""
+    text = np.frombuffer(data, np.uint8, stop - start, start)
+    at = np.flatnonzero((text >= ord("0")) & (text <= ord("9")))
+    if not at.size:
+        return at.astype(np.int64)
+    first = np.flatnonzero(np.diff(at, prepend=-2) != 1)  # where in `at` each run starts
+    lengths = np.diff(first, append=len(at))
+    if lengths.max() > len(_TENS):
+        raise ValueError(f"an integer of {lengths.max()} digits")
+    # each digit weighs 10 to the number of digits after it in its run
+    weights = _TENS[np.repeat(first + lengths, lengths) - 1 - np.arange(len(at))]
+    values = np.add.reduceat((text[at] - ord("0")) * weights, first)
+    lead = at[first]
+    return np.where((lead > 0) & (text[lead - 1] == ord("-")), -values, values)
+
+
+def _scanned(data: bytes, n: int) -> Iterator[tuple[int, int, bool, np.ndarray]]:
+    """(i, j, interiors_disjoint, ends) proposed for each pair in order from
+    a certificate's bytes: each field is found by its delimiters, searched
+    forward from the last pair, and each pair's contact ends are the first
+    four of every five integers between its contacts' delimiters (the fifth
+    is the length).  ValueError where a delimiter or a number is missing."""
+    at = 0
+    for i, j in combinations(range(n + 1), 2):
+        at = data.index(_DISJOINT, at) + len(_DISJOINT)
+        disjoint = data.startswith(b"true", at)
+        start = data.index(_CONTACTS, at) + len(_CONTACTS)
+        at = data.index(_CONTACTS_END, start)
+        numbers = _integers(data, start, at)
+        if len(numbers) % 5:
+            raise ValueError(f"{len(numbers)} numbers in the contacts of pair ({i}, {j})")
+        yield i, j, disjoint, numbers.reshape(-1, 5)[:, :4]
+
+
+def _certificate(scene: Scene, data: bytes) -> Optional[Certificate]:
+    """The certificate for the scene with the pairs _scanned proposes from
+    data, if serialize writes exactly data for it; else None.  Of each
+    contact only the proposed ends are read: its kind and length, the
+    segment totals, touching_count and ok are derived from them."""
+    verdicts: list[PairVerdict] = []
+
+    def proposed() -> Iterator[tuple[PairVerdict, np.ndarray]]:
+        for i, j, disjoint, ends in _scanned(data, scene.n):
+            verdicts.append(PairVerdict(i, j, disjoint, _contacts_from_ends(ends), int(_lengths(ends).sum())))
+            yield verdicts[-1], ends
+
+    totals = partial(_verdict_totals, scene.n, verdicts)
+    if not _writes(_certificate_chunks(scene, proposed(), totals), data):
+        return None
+    return Certificate(scene.m, scene.n, scene.offsets, tuple(verdicts), *totals())
 
 
 def _require(doc: Any, key: str) -> Any:
@@ -129,46 +222,18 @@ def _require(doc: Any, key: str) -> Any:
     return doc[key]
 
 
-def _list(value: Any, what: str) -> list[Any]:
-    if not isinstance(value, list):
-        raise MalformedDocument(f"{what} must be a list, got {type(value).__name__}")
-    return value
-
-
 def _int(value: Any, what: str) -> int:
     if type(value) is not int:
         raise DocumentInvariantError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _verdicts(n: int, raw: Any) -> tuple[PairVerdict, ...]:
-    """The verdicts for the pairs of n + 1 translates, in order, from their
-    decoded JSON; only interiors_disjoint and the contacts' ends are read.
-    Each verdict is popped from raw once read, so its JSON is freed then."""
-    if type(raw) is not list:
-        raise TypeError(f"pair_verdicts must be a list, got {type(raw).__name__}")
-    raw.reverse()
-    verdicts = []
-    for i, j in combinations(range(n + 1), 2):
-        data = raw.pop()
-        found = data["contacts"]
-        # the numbers of every end, in order; a count or value serialize would not
-        # write raises here or fails the byte comparison
-        ends = np.fromiter(chain.from_iterable(chain.from_iterable(map(_JSON_ENDS, found))), np.int64)
-        contacts = _contacts_from_ends(ends.reshape(len(found), 4))
-        verdicts.append(PairVerdict(
-            i, j, bool(data["interiors_disjoint"]), contacts, total_contact_length(contacts)
-        ))
-    if raw:
-        raise ValueError(f"{len(raw)} more pair verdicts than the {len(verdicts)} pairs")
-    return tuple(verdicts)
-
-
-def parse(data: bytes) -> Document:
-    """The shape, scene or certificate whose serialize() bytes are exactly data.
-
-    Raises MalformedDocument, or a subclass of it, for any other input.
-    """
+def _refusal(data: bytes) -> NoReturn:
+    """Raise the error for data that parse does not accept.  Only here is the
+    input decoded as JSON, to choose the error's class: MalformedDocument for
+    bad JSON, a missing field or a shape's pieces that are not a list,
+    SchemaVersionMismatch for another schema, and DocumentInvariantError for
+    a bad m or n and for everything else."""
     try:
         with _gc_paused():  # decoded JSON holds no cycles
             doc = json.loads(data.decode("utf-8"))
@@ -176,38 +241,52 @@ def parse(data: bytes) -> Document:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     version = _require(doc, "schema_version")
     if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"expected schema {SCHEMA_VERSION!r}, got {version!r}"
-        )
+        raise SchemaVersionMismatch(f"expected schema {SCHEMA_VERSION!r}, got {version!r}")
     kind = _require(doc, "kind")
     if kind not in _KINDS.values():
         raise MalformedDocument(f"unknown document kind {kind!r}")
     m = _int(_require(doc, "m"), "m")
     n = _int(_require(doc, "n"), "n")
     try:
-        built = Shape(m, n) if kind == "shape" else Scene(m, n)
+        Shape(m, n) if kind == "shape" else Scene(m, n)
     except ParameterError as exc:
         raise DocumentInvariantError(str(exc)) from exc
+    if kind == "shape" and not isinstance(_require(doc, "pieces"), list):
+        raise MalformedDocument(f"pieces must be a list, got {type(doc['pieces']).__name__}")
+    raise DocumentInvariantError(f"{kind} is not what serialize writes for m={m}, n={n}")
 
-    if kind == "shape":
-        pieces = _list(_require(doc, "pieces"), "pieces")
-        if len(pieces) != 2 ** (n + 1) - 1:
-            raise DocumentInvariantError(
-                f"shape with n={n} must have 2**{n + 1} - 1 pieces, got {len(pieces)}"
-            )
-        # every piece serialize writes takes at least 40 bytes plus the digits of its
-        # x1 = i * m, so shorter input is rejected before the pieces are made
-        if len(data) < len(pieces) * (40 + len(str(m))):
-            raise DocumentInvariantError(f"{len(data)} bytes are too few for {len(pieces)} pieces")
+
+def _proposed(data: bytes) -> Optional[Document]:
+    """The object whose serialize() bytes data must be, read from data without
+    decoding it as JSON, if data is those bytes; else None.  Raises
+    ValueError (ParameterError included) on input the scan cannot read."""
+    header = _HEADER.match(data)
+    if header is None:
+        return None
+    kind, m, n = header[1], int(header[2]), int(header[3])
+    if kind == b"certificate":
+        with _gc_paused():  # the contacts and verdicts hold no cycles
+            return _certificate(Scene(m, n), data)
+    obj = Shape(m, n) if kind == b"shape" else Scene(m, n)
+    # each of a shape's 2**(n + 1) - 1 pieces takes at least 40 bytes plus the
+    # digits of its x1 >= m, so shorter input is refused before the rows are made
+    if kind == b"shape" and len(data) < (2 ** (n + 1) - 1) * (40 + len(str(m))):
+        return None
+    return obj if _writes(_chunks(obj), data) else None
+
+
+def parse(data: bytes) -> Document:
+    """The shape, scene or certificate whose serialize() bytes are exactly data.
+
+    The object is proposed by reading data's header and, for a certificate,
+    scanning each pair's fields and contact ends from the bytes; it is
+    accepted only if serialize writes exactly data for it.  Raises
+    MalformedDocument, or a subclass of it, for any other input.
+    """
     try:
-        if kind == "certificate":
-            # popped, so the decoded JSON is freed as the verdicts are made
-            with _gc_paused():
-                verdicts = _verdicts(n, doc.pop("pair_verdicts"))
-            built = Certificate(m, n, built.offsets, verdicts, *_verdict_totals(n, verdicts))
-        exact = _writes(built, data)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise DocumentInvariantError(f"{kind} does not decode: {type(exc).__name__}: {exc}") from exc
-    if not exact:
-        raise DocumentInvariantError(f"{kind} is not what serialize writes for m={m}, n={n}")
-    return built
+        obj = _proposed(data)
+    except ValueError:  # a ParameterError too: no object has this (m, n) or these contacts
+        obj = None
+    if obj is None:
+        _refusal(data)
+    return obj

@@ -8,12 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
 from .placement import place_translates
-from .rect import ContactComponent, Vec2, _gc_paused, _merge, _placed_contacts, total_contact_length
+from .rect import (
+    ContactComponent, Vec2, _bulk, _gc_paused, _merge, _placed_contacts, _placed_ends, total_contact_length
+)
 
 
 @dataclass(frozen=True)
@@ -37,26 +41,33 @@ class Certificate:
     ok: bool
 
 
+def _pair_rows(m: int, n: int) -> Iterator[tuple[int, int, Optional[np.ndarray]]]:
+    """(i, j, ends) for each pair of translates i < j in order, where ends
+    are the (k, 4) int64 rows [xa, ya, xb, yb] of A_i's contacts with A_j in
+    canonical order, or None when their interiors overlap.  One scene and
+    one copy of the disk's rows serve every pair."""
+    offsets = place_translates(m, n).offsets
+    rows = build_disk(m, n).rows
+    for i, j in combinations(range(n + 1), 2):
+        yield i, j, _placed_ends(rows, offsets[i], offsets[j])
+
+
 def verify_construction(m: int, n: int) -> Certificate:
     """Check all translate pairs for disjoint interiors and collect contacts.
 
     ok is a verdict, not an error: a False certificate faithfully reports a
     broken build.
     """
-    scene = place_translates(m, n)
-    rows = build_disk(m, n).rows
-
     verdicts: list[PairVerdict] = []
     with _gc_paused():  # the contacts and verdicts hold no cycles
-        for i, j in combinations(range(n + 1), 2):
-            found = _placed_contacts(rows, scene.offsets[i], scene.offsets[j])
-            contacts = () if found is None else found
-            verdicts.append(PairVerdict(i, j, found is not None, contacts, total_contact_length(contacts)))
+        for i, j, ends in _pair_rows(m, n):
+            contacts = () if ends is None else _bulk(ends)
+            verdicts.append(PairVerdict(i, j, ends is not None, contacts, total_contact_length(contacts)))
     touching, ok = _verdict_totals(n, verdicts)
     return Certificate(
         m=m,
         n=n,
-        offsets=scene.offsets,
+        offsets=place_translates(m, n).offsets,
         pair_verdicts=tuple(verdicts),
         touching_count=touching,
         ok=ok,

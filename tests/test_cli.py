@@ -1,7 +1,6 @@
 import json
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -30,6 +29,7 @@ from translate_kiss import (
 )
 from translate_kiss import cli
 from translate_kiss.cli import main
+from translate_kiss.verify import _pair_rows
 
 
 def test_build_writes_shape(tmp_path, capsys):
@@ -77,6 +77,41 @@ def test_verify_certificate_to_stdout(capsysbinary):
     # no PASS line after the certificate, so the piped bytes parse
     assert main(["verify", "-m", "3", "-n", "2", "--json", "-"]) == 0
     assert capsysbinary.readouterr().out == serialize(verify_construction(3, 2))
+
+
+def summary_line(cert):
+    """The line verify prints for this certificate."""
+    return (
+        f"{'PASS' if cert.ok else 'FAIL'} m={cert.m} n={cert.n}: {len(cert.pair_verdicts)} pairs checked, "
+        f"{cert.touching_count}/{cert.n} translates touch A0\n"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_streamed_certificate_is_serialize_bytes(tmp_path, capsysbinary, n):
+    # verify --json writes each pair as it is made; the bytes are serialize's
+    for m in (n, n + 1, n + 2):
+        cert = verify_construction(m, n)
+        path = tmp_path / "cert.json"
+        assert main(["verify", "-m", str(m), "-n", str(n), "--json", str(path)]) == 0
+        assert path.read_bytes() == serialize(cert)
+        assert capsysbinary.readouterr().out == summary_line(cert).encode()
+        assert main(["verify", "-m", str(m), "-n", str(n), "--json", "-"]) == 0
+        assert capsysbinary.readouterr().out == serialize(cert)
+        assert main(["verify", "-m", str(m), "-n", str(n)]) == 0
+        assert capsysbinary.readouterr().out == summary_line(cert).encode()
+
+
+def test_streamed_certificate_holds_less_than_its_file(tmp_path):
+    # only the pair being written holds its contacts, so the peak stays below the document
+    path = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        assert main(["--quiet", "verify", "-m", "12", "-n", "12", "--json", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_verify_quiet(capsys):
@@ -207,6 +242,10 @@ def test_huge_ints_raise_parameter_error(call):
         call()
 
 
+# the (3, 3) pair stream with pair (1, 2) reported as overlapping
+OVERLAP_1_2 = [(i, j, None if (i, j) == (1, 2) else ends) for i, j, ends in _pair_rows(3, 3)]
+
+
 @pytest.mark.parametrize(
     "argv, patched, result, line",
     [
@@ -224,8 +263,8 @@ def test_huge_ints_raise_parameter_error(call):
         ),
         (
             ["verify", "-m", "3", "-n", "3"],
-            "verify_construction",
-            replace(verify_construction(3, 3), ok=False),
+            "_pair_rows",
+            OVERLAP_1_2,
             "FAIL m=3 n=3: 6 pairs checked, 3/3 translates touch A0",
         ),
     ],
@@ -235,6 +274,17 @@ def test_fail_prints_its_line_and_exits_1(monkeypatch, capsys, argv, patched, re
     monkeypatch.setattr(cli, patched, lambda *args: result)
     assert main(argv) == 1
     assert capsys.readouterr().out == line + "\n"
+
+
+def test_fail_certificate_is_written_with_ok_false(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "_pair_rows", lambda *args: OVERLAP_1_2)
+    path = tmp_path / "cert.json"
+    assert main(["verify", "-m", "3", "-n", "3", "--json", str(path)]) == 1
+    assert capsys.readouterr().out == "FAIL m=3 n=3: 6 pairs checked, 3/3 translates touch A0\n"
+    data = path.read_bytes()
+    assert data.endswith(b'"ok":false}\n')
+    cert = parse(data)
+    assert not cert.ok and [(v.i, v.j) for v in cert.pair_verdicts if not v.interiors_disjoint] == [(1, 2)]
 
 
 HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default

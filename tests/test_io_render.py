@@ -3,6 +3,7 @@ import gc
 import json
 import time
 import xml.dom.minidom
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from translate_kiss import (
     serialize,
     verify_construction,
 )
+from translate_kiss import serial
 
 
 class TestSerialization:
@@ -453,6 +455,94 @@ def test_parse_keeps_the_collector_state(enabled):
             assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def refused_as(cls, data):
+    """parse refuses data with exactly this class of error."""
+    with pytest.raises(MalformedDocument) as info:
+        parse(data)
+    assert type(info.value) is cls, info.value
+
+
+class TestScanOnlyProposes:
+    """parse reads the object from the bytes without decoding them as JSON,
+    and accepts it only if serialize writes exactly those bytes."""
+
+    @pytest.fixture
+    def no_json(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads ran on a document parse accepts")
+
+        monkeypatch.setattr(serial, "json", SimpleNamespace(loads=refuse))
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_valid_documents_accepted_without_json(self, no_json, n):
+        for m in (max(n, 2), max(n, 2) + 1, n + 3):
+            objs = [build_disk(m, n)]
+            if n >= 2:
+                objs += [place_translates(m, n), verify_construction(m, n)]
+            for obj in objs:
+                assert parse(serialize(obj)) == obj, (type(obj).__name__, m, n)
+
+    def test_integers_scanned_with_their_signs(self):
+        data = b'{"a":[-12,3],"b":[-0,007],"length":9223372036854775807}'
+        assert serial._integers(data, 0, len(data)).tolist() == [-12, 3, 0, 7, 2**63 - 1]
+        # only the slice is read: a '-' before it, or at its end, signs nothing
+        assert serial._integers(b"-5", 1, 2).tolist() == [5]
+        assert serial._integers(b"7-", 0, 2).tolist() == [7]
+        assert serial._integers(b'"kind":"point"', 0, 14).tolist() == []
+        with pytest.raises(ValueError):
+            serial._integers(b"12345678901234567890", 0, 20)
+
+    def test_numbers_serialize_would_not_write(self):
+        data = serialize(verify_construction(4, 3))
+        assert data.count(b'"length":0}') == 1  # the one point contact
+        refused_as(MalformedDocument, data.replace(b'"a":[', b'"a":[00', 1))  # 007 is not JSON
+        refused_as(DocumentInvariantError, data.replace(b'"length":0}', b'"length":-0}'))
+        refused_as(DocumentInvariantError, data.replace(b'"a":[', b'"a":[12345678901234567890', 1))
+        refused_as(DocumentInvariantError, data.replace(b'"a":[', b'"a":[9223372036854775807', 1))
+
+    def test_extra_comma_between_contacts(self):
+        data = serialize(verify_construction(4, 3))
+        assert b"},{\"kind\"" in data
+        refused_as(MalformedDocument, data.replace(b'},{"kind"', b'},,{"kind"', 1))
+
+    @pytest.mark.parametrize("shift", [b'"contacts": [', b'"contacts" :[', b' "contacts":['])
+    def test_shifted_contacts_delimiter(self, shift):
+        data = serialize(verify_construction(4, 3))
+        refused_as(DocumentInvariantError, data.replace(b'"contacts":[', shift, 1))
+
+    def test_truncated_at_each_pair_boundary(self):
+        cert = verify_construction(4, 3)
+        data = serialize(cert)
+        trailer = b'],"touching_count":3,"ok":true}\n'
+        assert data.endswith(b"}" + trailer)
+        cuts = [k + 1 for k in range(len(data)) if data.startswith(b'},{"i":', k)]
+        cuts.append(len(data) - len(trailer))
+        assert len(cuts) == len(cert.pair_verdicts)
+        for cut in cuts:
+            refused_as(MalformedDocument, data[:cut])
+            if cut < len(data) - len(trailer):
+                refused_as(DocumentInvariantError, data[:cut] + trailer)
+
+    @pytest.mark.parametrize("kind", ["shape", "certificate"])
+    def test_short_document_claiming_20_20(self, kind):
+        # a shape is refused by its length; a certificate by its first pair,
+        # before any contact is swept, as parse never sweeps
+        head = b'{"schema_version":"tk-1","kind":"%s","m":20,"n":20,' % kind.encode()
+        if kind == "shape":
+            body = b'"pieces":[' + b",".join([b'{"role":"bar","index":1,"rect":[0,0,20,1]}'] * 20) + b"]}\n"
+        else:
+            scene = serialize(place_translates(20, 20))
+            offsets = scene[scene.index(b'"offsets"') :].rstrip(b"}\n")
+            pair = b'{"i":0,"j":1,"interiors_disjoint":true,"contacts":[],"segment_length_total":0}'
+            body = offsets + b',"pair_verdicts":[' + b",".join([pair] * 4) + b'],"touching_count":0,"ok":false}\n'
+        data = head + body
+        assert len(data) <= 1024
+        json.loads(data)
+        start = time.perf_counter()
+        refused_as(DocumentInvariantError, data)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestRenderSvg:

@@ -521,6 +521,38 @@ class TestTightWindow:
                 assert placed(shape.rows, v) == naive_placed(rects, B), v
 
 
+def box_offsets(w, h):
+    """Offsets of a second copy whose bounding box, w x h, misses the first's,
+    meets it only at a corner, or shares part of one edge with it."""
+    apart = [Vec2(w + 1, 0), Vec2(-w - 1, 0), Vec2(0, h + 1), Vec2(0, -h - 1), Vec2(w + 1, h + 1)]
+    corners = [Vec2(sx * w, sy * h) for sx in (-1, 1) for sy in (-1, 1)]
+    edges = [Vec2(sx * w, dy) for sx in (-1, 1) for dy in range(-h + 1, h)]
+    edges += [Vec2(dx, sy * h) for sy in (-1, 1) for dx in range(-w + 1, w)]
+    return apart + corners + edges
+
+
+class TestBoxCut:
+    """_placed_ends first cuts A to the rows that meet B's bounding box; the
+    cut keeps every row on the box's edges and corners."""
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (2, 3), (5, 3)])
+    def test_boxes_apart_touching_at_a_corner_or_along_an_edge(self, m, n):
+        shape = build_disk(m, n)
+        rects, box = shape.rects(), shape.bounding_box()
+        for v in box_offsets(box.width, box.height):
+            B = [r.translate(v) for r in rects]
+            assert placed(shape.rows, v) == naive_placed(rects, B), v
+
+    def test_the_cases_occur(self):
+        # apart: no contact; the corner (w, h): the last bar meets the first
+        # at one point; the right edge: the last bar's side meets the first's
+        shape = build_disk(3, 2)
+        box = shape.bounding_box()
+        assert placed(shape.rows, Vec2(box.width + 1, 0)) == []
+        assert placed(shape.rows, Vec2(box.width, box.height)) == [("point", (12, 5), (12, 5))]
+        assert placed(shape.rows, Vec2(box.width, box.height - 1)) == [("vertical-segment", (12, 4), (12, 5))]
+
+
 class TestGcPaused:
     """_gc_paused leaves the collector as it found it."""
 
