@@ -29,7 +29,7 @@ import numpy as np
 from .disk import build_disk
 from .errors import ConstructionBroken, ContractViolation, ParameterError
 from .placement import check_lemma2_exhaustive, place_translates
-from .rect import _NO_ENDS, _lengths
+from .rect import _NO_ENDS, _kinds, _lengths
 from .render import _svg_chunks
 from .ruler import PrefixTable, _check_windows, check_lemma1_exhaustive
 from .serial import _certificate_chunks, _chunks
@@ -75,11 +75,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     verdicts: list[PairVerdict] = []
     totals = partial(_verdict_totals, n, verdicts)
 
-    def pairs() -> Iterator[tuple[PairVerdict, np.ndarray]]:
+    def pairs() -> Iterator[tuple[PairVerdict, np.ndarray, np.ndarray]]:
         for i, j, ends in _pair_rows(m, n):
             found = _NO_ENDS if ends is None else ends
             verdicts.append(PairVerdict(i, j, ends is not None, (), int(_lengths(found).sum())))
-            yield verdicts[-1], found
+            yield verdicts[-1], found, _kinds(found)
 
     def summary() -> str:
         touching, ok = totals()

@@ -6,29 +6,38 @@ coordinates are Python ints, so every test here is exact.  The pairwise
 sweep runs on int64 numpy arrays; it only compares, takes max/min and
 subtracts, and it rejects any coordinate with |v| >= 2**61 (RangeError), so
 it stays exact too.  One pair core (_pairs) pairs each rect of A with a
-window of B rows, and two rules make the windows.  _sweep, for Rect lists
-in any order, sorts B by x0 and pads each window by B's widest rect, so
-it bounds the window in x only; union_interiors_disjoint and
+window of B rows and works on columns: the closed intersections' corners
+by elementwise maximum and minimum, their gaps by subtraction, and no
+reduction along a row.  Two rules make the windows.  _sweep, for Rect
+lists in any order, sorts B by x0 and pads each window by B's widest rect,
+so it bounds the window in x only; union_interiors_disjoint and
 contact_components wrap it, and no package code calls them.
-_placed_ends, which both verifiers call, places two copies of the disk's
-rows, which are nondecreasing in all four columns; the rows meeting a box
-are then one index range, found by four binary searches (_window).  A is
-first cut to the range that meets B's bounding box, and each rect left in
-A gets its own window of B, tight in x and y.  Blocks that build many
-acyclic objects (the contacts, the verdicts) run under _gc_paused, so the
-cyclic garbage collector does not walk them again and again.
+_placed_ends, which both verifiers call, sweeps two copies of the disk's
+rows, which are nondecreasing in all four columns, in the second copy's
+frame: B is the rows themselves and A the rows moved by the difference of
+the offsets.  So each copy's extremes are its first and last rows, where
+the 2**61 bound is checked, and the rows meeting a box are one index range,
+found by four binary searches (_window).  A is first cut to the range that
+meets B's bounding box, and each rect left in A gets its own window of B,
+tight in x and y; a pair whose windows are all empty has no contact and
+stops there.  Blocks that build many acyclic objects (the contacts, the
+verdicts) run under _gc_paused, so the cyclic garbage collector does not
+walk them again and again.
 
 A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
 line of its zero y-gap, so a point contact lies on both of its lines.  From
 the sweep to the contacts everything stays an int64 array: the rows of each
 line are merged into maximal runs by one sort and one running maximum
-(_merge), a point is a zero-length run on both of its lines, and the runs
-are put in canonical order by one sort per kind (_canonical).  _placed_ends
-returns these rows of ends [xa, ya, xb, yb], which the CLI formats as they
-come and drops; only a caller that keeps contacts turns the rows into
-ContactComponent tuples, in one bulk step (_bulk) without per-contact
-checks, each row's kind given by _kinds.
+(_merge), a point is a zero-length run on both of its lines, found by one
+sort of the zero-length runs' cells, and the runs are put in canonical
+order by one sort per kind (_canonical).  _placed_ends returns these rows
+of ends [xa, ya, xb, yb], moved back to the second copy's offset, which
+the CLI formats as they come and drops.  Each row's kind comes from
+comparisons of its ends (_kinds), taken once per pair for both the writer
+and a caller that keeps contacts, which turns the rows into
+ContactComponent tuples in one bulk step (_bulk) without per-contact
+checks.
 """
 
 from __future__ import annotations
@@ -146,23 +155,28 @@ def _pairs(A: np.ndarray, B: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Opti
     """Touching pairs of rect arrays A and B, or None on interior overlap,
     where rect a of A is paired with B rows lo[a] <= k < hi[a] (an empty
     window when hi[a] <= lo[a]), a window that holds every B rect whose
-    closed box meets a's.  All closed intersections are taken at once; one
-    open in both axes is an interior overlap.  The touching pairs come back
-    as two (k, 3) int64 row arrays.  The caller has bounded every coordinate
-    below 2**61, so every intersection fits in int64."""
+    closed box meets a's.  All closed intersections are taken at once, one
+    column at a time: their corners by elementwise maximum and minimum, and
+    their gaps gx, gy as differences.  One open in both axes is an interior
+    overlap; one with gx == 0 lies on a vertical line and one with gy == 0 on
+    a horizontal line.  The touching pairs come back as two (k, 3) int64 row
+    arrays.  The caller bounds the coordinates so that every difference of
+    two fits in int64."""
     counts = np.maximum(hi - lo, 0)
     ia = np.repeat(np.arange(len(A)), counts)
     ib = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    low = np.maximum(A[ia, :2], B[ib, :2])
-    high = np.minimum(A[ia, 2:], B[ib, 2:])
-    gap = high - low
-    if (gap > 0).all(axis=1).any():
+    a, b = A[ia], B[ib]
+    x0, y0 = np.maximum(a[:, 0], b[:, 0]), np.maximum(a[:, 1], b[:, 1])
+    x1, y1 = np.minimum(a[:, 2], b[:, 2]), np.minimum(a[:, 3], b[:, 3])
+    gx, gy = x1 - x0, y1 - y0
+    if ((gx > 0) & (gy > 0)).any():
         return None
-    meet = (gap >= 0).all(axis=1)
-    low, high, gap = low[meet], high[meet], gap[meet]
-    vertical = np.column_stack((low[:, 0], low[:, 1], high[:, 1]))[gap[:, 0] == 0]
-    horizontal = np.column_stack((low[:, 1], low[:, 0], high[:, 0]))[gap[:, 1] == 0]
-    return vertical, horizontal
+    meet = (gx >= 0) & (gy >= 0)
+    vertical, horizontal = meet & (gx == 0), meet & (gy == 0)
+    return (
+        np.column_stack((x0[vertical], y0[vertical], y1[vertical])),
+        np.column_stack((y0[horizontal], x0[horizontal], x1[horizontal])),
+    )
 
 
 def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
@@ -224,9 +238,16 @@ _KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
 def _kinds(ends: np.ndarray) -> np.ndarray:
     """The kind of each (k, 4) int64 row of ends [xa, ya, xb, yb] as an index
     into _KIND_NAMES: 0, 1 or 2 for a horizontal segment going right, a point
-    or a vertical segment going up, 3 for a row that is none of these."""
+    or a vertical segment going up, 3 for a row that is none of these.
+
+    With right = xb > xa and up = yb > ya, a row's kind is 1 - right + up,
+    and 3 where it goes left, goes down, or goes both right and up.  The
+    ends are compared, not subtracted, so no row can overflow."""
     xa, ya, xb, yb = ends.T
-    return np.select([(ya == yb) & (xa < xb), (xa == xb) & (ya == yb), (xa == xb) & (ya < yb)], [0, 1, 2], 3)
+    right, up = xb > xa, yb > ya
+    kinds = 1 - right + up
+    kinds[(xb < xa) | (yb < ya) | (right & up)] = 3
+    return kinds
 
 
 def _lengths(ends: np.ndarray) -> np.ndarray:
@@ -235,12 +256,14 @@ def _lengths(ends: np.ndarray) -> np.ndarray:
     return ends[:, 2] - ends[:, 0] + ends[:, 3] - ends[:, 1]
 
 
-def _bulk(ends: np.ndarray) -> tuple[ContactComponent, ...]:
-    """Contacts from (k, 4) int64 rows of ends [xa, ya, xb, yb], which the
-    caller guarantees are each a point or a segment going up or right."""
-    kinds = _KIND_NAMES[_kinds(ends)].tolist()
+def _bulk(ends: np.ndarray, kinds: np.ndarray) -> tuple[ContactComponent, ...]:
+    """Contacts from (k, 4) int64 rows of ends [xa, ya, xb, yb] and their
+    _kinds, which the caller guarantees are each 0, 1 or 2."""
+    if not len(ends):
+        return ()
     xa, ya, xb, yb = ends.T.tolist()
-    return tuple(map(_trusted, zip(kinds, zip(xa, ya), zip(xb, yb), _lengths(ends).tolist())))
+    names = _KIND_NAMES[kinds].tolist()
+    return tuple(map(_trusted, zip(names, zip(xa, ya), zip(xb, yb), _lengths(ends).tolist())))
 
 
 @contextmanager
@@ -258,29 +281,42 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _contacts_from_ends(ends: np.ndarray) -> tuple[ContactComponent, ...]:
-    """ContactComponent(a, b) for each (k, 4) int64 row of ends [xa, ya, xb, yb],
-    checked at once: ParameterError unless each row is a point or a segment
-    going up or right, RangeError for |v| >= 2**61."""
+def _checked_kinds(ends: np.ndarray) -> np.ndarray:
+    """_kinds of the (k, 4) int64 rows of ends [xa, ya, xb, yb], checked at
+    once: ParameterError unless each row is a point or a segment going up or
+    right, RangeError for |v| >= 2**61."""
     _in_bound(ends)
-    bad = np.flatnonzero(_kinds(ends) == 3)
+    kinds = _kinds(ends)
+    bad = np.flatnonzero(kinds == 3)
     if bad.size:
         ContactComponent(*ends[bad[0]].reshape(2, 2).tolist())  # raises, naming the ends
-    return _bulk(ends)
+    return kinds
+
+
+def _contacts_from_ends(ends: np.ndarray) -> tuple[ContactComponent, ...]:
+    """ContactComponent(a, b) for each (k, 4) int64 row of ends, checked at
+    once by _checked_kinds and built by _bulk; parse takes the two steps
+    apart, so that its writer reuses the kinds."""
+    return _bulk(ends, _checked_kinds(ends))
 
 
 def _canonical(contacts: _Contacts) -> np.ndarray:
     """Touching pairs from _pairs as the (k, 4) int64 ends [xa, ya, xb, yb] of
     the maximal components in canonical order, sorted by (kind, a, b); a
-    point is a zero-length run that merging leaves alone on both its lines."""
+    point is a zero-length run that merging leaves alone on both its lines.
+
+    Merged runs of one line are disjoint, so a cell (x, y) is a zero-length
+    run at most once per kind: after one sort of all such cells by (x, y), a
+    point is a cell equal to the one after it."""
     vertical, horizontal = map(_merge, contacts)
     v_zero = vertical[:, 1] == vertical[:, 2]
     h_zero = horizontal[:, 1] == horizontal[:, 2]
-    # (x, y) of every zero-length run; a point is one seen on both its lines
-    cells, seen = np.unique(
-        np.concatenate((vertical[v_zero, :2], horizontal[h_zero][:, [1, 0]])), axis=0, return_counts=True
-    )
-    points = cells[seen == 2]  # sorted by (x, y)
+    x = np.concatenate((vertical[v_zero, 0], horizontal[h_zero, 1]))
+    y = np.concatenate((vertical[v_zero, 1], horizontal[h_zero, 0]))
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    twice = np.flatnonzero((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
+    points = np.column_stack((x[twice], y[twice]))  # sorted by (x, y)
     hseg = horizontal[~h_zero]
     hseg = hseg[np.lexsort((hseg[:, 2], hseg[:, 0], hseg[:, 1]))]  # by (xa, y, xb)
     vseg = vertical[~v_zero]  # _merge sorted it by (x, ya), and ya fixes yb
@@ -304,26 +340,35 @@ def _placed_ends(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[np.ndarray]:
     order, or None on interior overlap.
 
     rows must be nondecreasing in each of its four columns, as Shape.rows is
-    in path order.  A is first cut to the one index range of rows that meet
-    B's bounding box, whose corners are B's first and last rows; then each
-    remaining rect of A is paired with its own window of B, tight in x and y.
+    in path order, so each copy's first and last rows hold its extremes: the
+    2**61 bound is checked on those four rows alone.  The sweep runs in B's
+    frame, where B is rows itself, not copied, and A is rows moved by a - b;
+    the ends are moved by b at the end.  With |rows| < 2**61, as a disk's
+    rows are, A fits in int64, and every gap the sweep takes is a gap
+    between the placed copies.  A is first cut to the one index range of
+    rows that meet B's bounding box, whose corners are rows' first and last
+    rows; then each remaining rect of A gets its own window of B, tight in x
+    and y.  When every window is empty there is no contact, and the pair
+    stops there.
     """
-    A = rows + (a.dx, a.dy, a.dx, a.dy)
-    B = rows + (b.dx, b.dy, b.dx, b.dy)
-    _in_bound(A)
-    _in_bound(B)
-    first, last = _window(A, B[0, 0], B[0, 1], B[-1, 2], B[-1, 3])
-    if last <= first:
+    corners = rows[[0, -1]]
+    _in_bound(corners + (a.dx, a.dy, a.dx, a.dy))
+    _in_bound(corners + (b.dx, b.dy, b.dx, b.dy))
+    (x0, y0, _, _), (_, _, x1, y1) = corners.tolist()
+    d = a - b
+    first, last = _window(rows, x0 - d.dx, y0 - d.dy, x1 - d.dx, y1 - d.dy)
+    A = rows[first:last] + (d.dx, d.dy, d.dx, d.dy)
+    lo, hi = _window(rows, *A.T)
+    if not (hi > lo).any():
         return _NO_ENDS
-    A = A[first:last]
-    raw = _pairs(A, B, *_window(B, *A.T))
-    return None if raw is None else _canonical(raw)
+    raw = _pairs(A, rows, lo, hi)
+    return None if raw is None else _canonical(raw) + (b.dx, b.dy, b.dx, b.dy)
 
 
 def _placed_contacts(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[tuple[ContactComponent, ...]]:
     """_placed_ends as contacts, or None on interior overlap."""
     ends = _placed_ends(rows, a, b)
-    return None if ends is None else _bulk(ends)
+    return None if ends is None else _bulk(ends, _kinds(ends))
 
 
 def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
@@ -336,7 +381,8 @@ def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
     contacts = _sweep(_rect_array(A), _rect_array(B))
     if contacts is None:
         raise ContractViolation("unions have overlapping interiors")
-    return list(_bulk(_canonical(contacts)))
+    ends = _canonical(contacts)
+    return list(_bulk(ends, _kinds(ends)))
 
 
 def total_contact_length(components: list[ContactComponent]) -> int:

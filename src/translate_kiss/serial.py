@@ -9,10 +9,12 @@ pieces in chunks of _CHUNK rows or three chunks per pair verdict, then a
 trailer.  Each chunk is one bytes % template applied to a flat tuple of
 fields, so no dict is built per piece or per contact and nothing is
 encoded.  A certificate's chunks come from _certificate_chunks, which takes
-each verdict with the (k, 4) int64 rows of its contacts' ends and formats
-the contacts from those rows, each row with its kind's template.
-serialize feeds it a Certificate's verdicts, the CLI the pairs as the
-sweep makes them, and parse the rows it reads from the input.
+each verdict with the (k, 4) int64 rows of its contacts' ends and their
+kinds (rect._kinds) and formats the contacts from those rows, each row
+with its kind's template.  serialize feeds it a Certificate's verdicts,
+the CLI the pairs as the sweep makes them, and parse the rows it reads
+from the input, whose kinds it takes once to check the rows, build the
+contacts and write them.
 
 parse holds every document to one rule: it accepts the input only if it is
 exactly the bytes serialize writes for the object the input proposes.  The
@@ -41,7 +43,7 @@ import numpy as np
 from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import HSEG, POINT, VSEG, _contacts_from_ends, _gc_paused, _kinds, _lengths
+from .rect import HSEG, POINT, VSEG, _bulk, _checked_kinds, _gc_paused, _kinds, _lengths
 from .verify import Certificate, PairVerdict, _verdict_totals
 
 SCHEMA_VERSION = "tk-1"
@@ -86,12 +88,15 @@ def _pieces(rows: np.ndarray) -> Iterator[bytes]:
         yield template % tuple(fields)
 
 
-def _contacts(ends: np.ndarray) -> bytes:
+def _contacts(ends: np.ndarray, kinds: np.ndarray) -> bytes:
     """The JSON objects of the contacts with these (k, 4) int64 rows of ends
-    [xa, ya, xb, yb], comma-separated, from one % call; each row's template
-    is its kind's, and its length is derived from its ends."""
+    [xa, ya, xb, yb] and their _kinds, each 0, 1 or 2, comma-separated, from
+    one % call; each row's template is its kind's, and its length is derived
+    from its ends."""
+    if not len(ends):
+        return b""
     fields = np.column_stack((ends, _lengths(ends))).ravel().tolist()
-    return b",".join(_CONTACT[_kinds(ends)].tolist()) % tuple(fields)
+    return b",".join(_CONTACT[kinds].tolist()) % tuple(fields)
 
 
 def _offsets(scene: Union[Scene, Certificate]) -> bytes:
@@ -106,18 +111,19 @@ def _rows(contacts: tuple) -> np.ndarray:
 
 def _certificate_chunks(
     scene: Union[Scene, Certificate],
-    verdicts: Iterable[tuple[PairVerdict, np.ndarray]],
+    verdicts: Iterable[tuple[PairVerdict, np.ndarray, np.ndarray]],
     totals: Callable[[], tuple[int, bool]],
 ) -> Iterator[bytes]:
     """A certificate's bytes, in order: a header with the scene's offsets,
     three chunks for each verdict (its fields, its contacts written from the
-    rows of ends given with it, and its segment_length_total), and a trailer
-    with touching_count and ok from totals(), called after the last verdict."""
+    rows of ends and their kinds given with it, and its
+    segment_length_total), and a trailer with touching_count and ok from
+    totals(), called after the last verdict."""
     head = _HEAD % (SCHEMA_VERSION.encode(), b"certificate", scene.m, scene.n)
     yield head + b'"offsets":[%s],"pair_verdicts":[' % _offsets(scene)
-    for k, (v, ends) in enumerate(verdicts):
+    for k, (v, ends, kinds) in enumerate(verdicts):
         yield _VERDICT_HEAD % (b"," if k else b"", v.i, v.j, _JSON_BOOL[v.interiors_disjoint])
-        yield _contacts(ends)
+        yield _contacts(ends, kinds)
         yield _VERDICT_TAIL % v.segment_length_total
     touching, ok = totals()
     yield b'],"touching_count":%d,"ok":%s}\n' % (touching, _JSON_BOOL[ok])
@@ -128,7 +134,7 @@ def _chunks(obj: Document) -> Iterator[bytes]:
     if type(obj) not in _KINDS:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if isinstance(obj, Certificate):
-        verdicts = ((v, _rows(v.contacts)) for v in obj.pair_verdicts)
+        verdicts = ((v, (ends := _rows(v.contacts)), _kinds(ends)) for v in obj.pair_verdicts)
         yield from _certificate_chunks(obj, verdicts, lambda: (obj.touching_count, obj.ok))
         return
     head = _HEAD % (SCHEMA_VERSION.encode(), _KINDS[type(obj)].encode(), obj.m, obj.n)
@@ -203,10 +209,11 @@ def _certificate(scene: Scene, data: bytes) -> Optional[Certificate]:
     segment totals, touching_count and ok are derived from them."""
     verdicts: list[PairVerdict] = []
 
-    def proposed() -> Iterator[tuple[PairVerdict, np.ndarray]]:
+    def proposed() -> Iterator[tuple[PairVerdict, np.ndarray, np.ndarray]]:
         for i, j, disjoint, ends in _scanned(data, scene.n):
-            verdicts.append(PairVerdict(i, j, disjoint, _contacts_from_ends(ends), int(_lengths(ends).sum())))
-            yield verdicts[-1], ends
+            kinds = _checked_kinds(ends)
+            verdicts.append(PairVerdict(i, j, disjoint, _bulk(ends, kinds), int(_lengths(ends).sum())))
+            yield verdicts[-1], ends, kinds
 
     totals = partial(_verdict_totals, scene.n, verdicts)
     if not _writes(_certificate_chunks(scene, proposed(), totals), data):

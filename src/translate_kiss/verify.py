@@ -16,7 +16,7 @@ from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
 from .placement import place_translates
 from .rect import (
-    ContactComponent, Vec2, _bulk, _gc_paused, _merge, _placed_contacts, _placed_ends, total_contact_length
+    ContactComponent, Vec2, _bulk, _gc_paused, _kinds, _merge, _placed_contacts, _placed_ends, total_contact_length
 )
 
 
@@ -61,7 +61,7 @@ def verify_construction(m: int, n: int) -> Certificate:
     verdicts: list[PairVerdict] = []
     with _gc_paused():  # the contacts and verdicts hold no cycles
         for i, j, ends in _pair_rows(m, n):
-            contacts = () if ends is None else _bulk(ends)
+            contacts = () if ends is None else _bulk(ends, _kinds(ends))
             verdicts.append(PairVerdict(i, j, ends is not None, contacts, total_contact_length(contacts)))
     touching, ok = _verdict_totals(n, verdicts)
     return Certificate(
@@ -95,9 +95,14 @@ class VerticalRun:
         return self.y1 - self.y0
 
 
+def _rightward_rows(shape: Shape) -> np.ndarray:
+    """rightward_runs as (k, 3) int64 rows [x, y0, y1]."""
+    return _merge(shape.rows[:, [2, 1, 3]])
+
+
 def rightward_runs(shape: Shape) -> list[VerticalRun]:
     """Maximal vertical runs formed by merging collinear piece right edges."""
-    return [VerticalRun(*run) for run in _merge(shape.rows[:, [2, 1, 3]]).tolist()]
+    return [VerticalRun(*run) for run in _rightward_rows(shape).tolist()]
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,12 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     offset = d_prime_offset - d_offset
     expected = Vec2(i - 1, n + 2 - i)
 
-    runs = rightward_runs(sub)
-    tallest = max(runs, key=lambda r: r.height)
-    unique = sum(1 for r in runs if r.height == tallest.height) == 1
+    runs = _rightward_rows(sub)
+    heights = runs[:, 2] - runs[:, 1]
+    # the first tallest, as max(rightward_runs(sub), key=height) picks it
+    first = int(np.argmax(heights))
+    tallest = VerticalRun(*runs[first].tolist())
+    unique = bool((heights == heights[first]).sum() == 1)
 
     contacts = _placed_contacts(sub.rows, d_offset, d_prime_offset)
     if contacts is None:

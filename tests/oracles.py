@@ -2,7 +2,8 @@
 
 Each one is written independently of the fast path it checks (all-pairs
 loops, run-at-a-time merges, per-case sweeps, rect-to-column scatters,
-bit-free recursions, copy scans), and each has one definition, here.
+bit-free recursions, copy scans, the numpy calls a rewrite replaced), and
+each has one definition, here.
 """
 
 from typing import NamedTuple, Optional
@@ -20,9 +21,10 @@ from translate_kiss import (
     build_disk,
     iter_lemma2_cases,
     prefix_sum,
+    rightward_runs,
 )
 from translate_kiss import disk
-from translate_kiss.rect import _rect_array, _sweep
+from translate_kiss.rect import _merge, _rect_array, _sweep
 from translate_kiss.ruler import ruler_sum
 
 
@@ -107,6 +109,38 @@ def loop_components(contacts):
     found += [Contact("vertical-segment", (x, ya), (x, yb), yb - ya) for x, ya, yb in vertical if ya < yb]
     found += [Contact("horizontal-segment", (xa, y), (xb, y), xb - xa) for y, xa, xb in horizontal if xa < xb]
     return sorted(found)
+
+
+def kinds_by_select(ends):
+    """rect._kinds as one np.select over the three valid shapes: 0 for a
+    horizontal segment going right, 1 for a point, 2 for a vertical segment
+    going up, 3 for anything else."""
+    xa, ya, xb, yb = ends.T
+    return np.select([(ya == yb) & (xa < xb), (xa == xb) & (ya == yb), (xa == xb) & (ya < yb)], [0, 1, 2], 3)
+
+
+def canonical_by_unique(contacts):
+    """rect._canonical with its points found by np.unique: the (x, y) of every
+    zero-length merged run of either kind, kept where it is seen twice."""
+    vertical, horizontal = map(_merge, contacts)
+    v_zero = vertical[:, 1] == vertical[:, 2]
+    h_zero = horizontal[:, 1] == horizontal[:, 2]
+    cells, seen = np.unique(
+        np.concatenate((vertical[v_zero, :2], horizontal[h_zero][:, [1, 0]])), axis=0, return_counts=True
+    )
+    points = cells[seen == 2]
+    hseg = horizontal[~h_zero]
+    hseg = hseg[np.lexsort((hseg[:, 2], hseg[:, 0], hseg[:, 1]))]
+    vseg = vertical[~v_zero]
+    return np.concatenate((hseg[:, [1, 0, 2, 0]], points[:, [0, 1, 0, 1]], vseg[:, [0, 1, 0, 2]]))
+
+
+def tallest_by_max(shape):
+    """(tallest run, whether no other run is as tall) among the shape's
+    rightward_runs, the tallest picked by max, so the first of equals."""
+    runs = rightward_runs(shape)
+    tallest = max(runs, key=lambda r: r.height)
+    return tallest, sum(1 for r in runs if r.height == tallest.height) == 1
 
 
 def naive_union_disjoint(A, B):

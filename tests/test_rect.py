@@ -25,10 +25,13 @@ from translate_kiss import (
 )
 
 from translate_kiss.rect import _contacts_from_ends, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
+from translate_kiss.rect import _canonical, _kinds
 
 from oracles import (
+    canonical_by_unique,
     closed_contact,
     interiors_overlap,
+    kinds_by_select,
     loop_components,
     merge_lines,
     naive_contacts,
@@ -301,6 +304,49 @@ class TestMerge:
         self.check(rows)
 
 
+# ends of every shape: small values make left, down and diagonal rows
+# common, and the int64 extremes would overflow a subtraction of ends
+end_values = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), -(2**61), 2**61 - 1, 2**63 - 1]))
+
+
+class TestKinds:
+    """_kinds against the np.select oracle."""
+
+    @given(st.lists(st.tuples(*[end_values] * 4), max_size=12))
+    def test_matches_select(self, rows):
+        ends = np.array(rows, np.int64).reshape(-1, 4)
+        assert _kinds(ends).tolist() == kinds_by_select(ends).tolist()
+
+    def test_every_shape(self):
+        rows = [
+            [0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 2],  # right, point, up
+            [2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1],
+        ]
+        assert _kinds(np.array(rows, np.int64)).tolist() == [0, 1, 2, 3, 3, 3, 3, 3, 3]
+        assert _kinds(np.empty((0, 4), np.int64)).tolist() == []
+
+
+class TestCanonical:
+    """_canonical, which finds points by one sort, against the oracle that
+    finds them by np.unique."""
+
+    @staticmethod
+    def check(raw):
+        got = _canonical(raw)
+        assert got.dtype == np.int64 and got.shape[1:] == (4,)
+        assert got.tolist() == canonical_by_unique(raw).tolist()
+
+    @given(pair=disjoint_soups())
+    def test_sweeps_of_soups(self, pair):
+        # duplicate rects, and cells nested in the runs that hold them
+        A, B = pair
+        self.check(_sweep(_rect_array(A), _rect_array(B)))
+
+    @given(line_rows, line_rows)
+    def test_any_line_rows(self, vertical, horizontal):
+        self.check(tuple(np.array(rows, np.int64).reshape(-1, 3) for rows in (vertical, horizontal)))
+
+
 class TestContactsMatchLoopPath:
     """Every pair's contacts against the loop path: the same _sweep rows,
     merged by the loop and made one Contact at a time."""
@@ -551,6 +597,45 @@ class TestBoxCut:
         assert placed(shape.rows, Vec2(box.width + 1, 0)) == []
         assert placed(shape.rows, Vec2(box.width, box.height)) == [("point", (12, 5), (12, 5))]
         assert placed(shape.rows, Vec2(box.width, box.height - 1)) == [("vertical-segment", (12, 4), (12, 5))]
+
+
+class TestPlacedBound:
+    """_placed_contacts checks the 2**61 bound on each copy's first and last
+    rows only, which hold its extremes as the rows are nondecreasing."""
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("column", range(4), ids=["x0", "y0", "x1", "y1"])
+    def test_an_extreme_row_at_the_bound_raises(self, side, column):
+        # the first row's x0 or y0 moved to -2**61, or the last row's x1 or y1 to 2**61
+        rows = build_disk(3, 2).rows
+        limit, row = (-(2**61), rows[0]) if column < 2 else (2**61, rows[-1])
+        step = limit - int(row[column])
+        v = Vec2(step, 0) if column % 2 == 0 else Vec2(0, step)
+        a, b = (v, Vec2(0, 0)) if side == "a" else (Vec2(0, 0), v)
+        with pytest.raises(RangeError):
+            _placed_contacts(rows, a, b)
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_largest_in_bound_offsets_exact(self, m, n, sign):
+        # both copies moved as far as the bound allows, their joint extreme
+        # at 2**61 - 1 (or at its negative) in x and in y
+        shape = build_disk(m, n)
+        rows, rects, box = shape.rows, shape.rects(), shape.bounding_box()
+        top = 2**61 - 1
+        (x0, y0, _, _), (_, _, x1, y1) = rows[[0, -1]].tolist()
+        for d in box_offsets(box.width, box.height):
+            if sign == 1:
+                b = Vec2(top - x1 - max(d.dx, 0), top - y1 - max(d.dy, 0))
+            else:
+                b = Vec2(-top - x0 - min(d.dx, 0), -top - y0 - min(d.dy, 0))
+            a = b + d
+            found = _placed_contacts(rows, a, b)
+            got = None if found is None else [(c.kind, c.a, c.b) for c in found]
+            assert got == naive_placed([r.translate(a) for r in rects], [r.translate(b) for r in rects]), d
+            one_past = Vec2(sign, sign)
+            with pytest.raises(RangeError):
+                _placed_contacts(rows, a + one_past, b + one_past)
 
 
 class TestGcPaused:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -23,7 +24,7 @@ from translate_kiss import (
 )
 from translate_kiss import rect, render, verify
 
-from oracles import naive_contacts
+from oracles import naive_contacts, tallest_by_max
 
 # sha256 of serialize(verify_construction(m, n)), schema tk-1, for the
 # parameters of acceptance criterion 5, as the pure-Python rect sweep
@@ -47,6 +48,9 @@ GOLDEN_CERTIFICATES = {
     (11, 9): "18f60fca84b739c33b5273a32cf5fe848d12910508eb4c9e5ae2fbc57cba708b",
     (10, 10): "67bcb9248f6bcac2a04c06095267733052e79b0ffb28a979c06cafa829c4477c",
     (12, 10): "ebfae977786d4892c08849089699f878b07725f9759d2e8c44fb21857589e189",
+    # recorded from the sweep on Rect-free int64 rows, before the sweep ran
+    # in the second translate's frame
+    (11, 11): "9fa526f2cd8231367816097c6c36bae40f472af476316f8987f6bf38538cd90e",
 }
 
 # sha256 of serialize(build_disk(m, n)), schema tk-1, for n = 1..10 and
@@ -275,6 +279,16 @@ class TestTouchingHeights:
                 want = {(kind, a, b, b[0] - a[0] + b[1] - a[1]) for kind, a, b in naive_contacts(A, B)}
                 got = verify_touching_heights(m, n, i).contacts
                 assert {(c.kind, c.a, c.b, c.length) for c in got} == want, (m, n, i)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_tallest_run_matches_max_oracle(self, n):
+        for m in (n, n + 2):
+            for i in range(1, n + 1):
+                rep = verify_touching_heights(m, n, i)
+                tallest, unique = tallest_by_max(build_disk(m, n + 1 - i))
+                assert rep == dataclasses.replace(rep, tallest_run=tallest, tallest_is_unique=unique), (m, n, i)
+                run = rep.tallest_run
+                assert [type(v) for v in (run.x, run.y0, run.y1, rep.tallest_is_unique)] == [int, int, int, bool]
 
     def test_no_translated_rect_copies(self, monkeypatch):
         # a translate is its offset: render_svg and the touching report build
