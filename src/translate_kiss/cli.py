@@ -97,10 +97,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    if args.shape:
-        obj = build_disk(args.m, args.n)
-    else:
-        obj = place_translates(args.m, args.n)
+    obj = (build_disk if args.shape else place_translates)(args.m, args.n)
     _write_out(args, _svg_chunks(obj, args.unit_px), args.out, lambda: f"wrote SVG to {args.out}")
     return EXIT_OK
 
@@ -110,11 +107,7 @@ def _cmd_lemma1(args: argparse.Namespace) -> int:
     table = PrefixTable.build(args.r_max)
     failure = check_lemma1_exhaustive(args.k_max, args.r_max, table)
     if failure is None:
-        _say(
-            args,
-            f"PASS: all windows with k <= {args.k_max} and "
-            f"r + k - 1 <= {args.r_max} have sum >= prefix sum",
-        )
+        _say(args, f"PASS: all windows with k <= {args.k_max} and r + k - 1 <= {args.r_max} have sum >= prefix sum")
         return EXIT_OK
     print(f"FAIL: window k={failure[0]}, r={failure[1]} beats the prefix")
     return EXIT_FAIL

@@ -5,8 +5,10 @@ coordinates happens only here.  Coordinates are integer unit counts times
 an integer unit_px, so no rounding ever occurs and output is byte-identical
 across runs.  A shape is drawn as a scene of one translate at the origin:
 each group's x and y columns are the disk's rows with its offset added, in
-one numpy expression, and its rects are formatted by one % template; the
-picture's box is the disk's box widened by the spread of the offsets.
+one numpy expression.  Its rects alternate bar and connector, and each kind
+has one bytes template with its fixed size and the fill built in, so only
+x, y and a connector's height are formatted.  The picture's box is the
+disk's box widened by the spread of the offsets.
 The rect budget and the 2^61 px bound are checked before any rect is made.
 _svg_chunks yields the SVG in chunks; render_svg joins them, and the CLI
 writes them as they are made, so it never holds the whole SVG.
@@ -73,21 +75,24 @@ def _svg_chunks(obj: Union[Shape, Scene], unit_px: int) -> Iterator[bytes]:
     if max(width, height) >= 2**61:  # unit_px stays out of the message: it may pass int-to-str's limit
         raise ParameterError("SVG width or height reaches 2**61 px at this unit_px")
     yield (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'.encode()
+        b'<?xml version="1.0" encoding="UTF-8"?>\n'
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">\n'
+        % (width, height, width, height)
     )
     rows = shape.rows
-    cols = np.empty_like(rows)  # x, y, width, height of each rect, in px
-    cols[:, 2:] = (rows[:, 2:] - rows[:, :2]) * unit_px
+    cols = np.empty((len(rows), 3), np.int64)  # x, y and height of each rect, in px
+    cols[:, 2] = (rows[:, 3] - rows[:, 1]) * unit_px
+    fields = np.arange(3) < 2 + np.arange(len(rows))[:, None] % 2  # x, y, and height on odd (connector) rows
+    rect = b'<rect x="%%d" y="%%d" width="%s" height="%s" fill="%s" stroke="black" stroke-width="1"/>\n'
     for label, fill, t in zip(labels, fills, offsets):
         # a rect's screen corner is its top-left one, one unit in from the box
         left, top = t.dx - x0 + 1, y1 + 1 - t.dy
         cols[:, :2] = (rows[:, [0, 3]] * (1, -1) + (left, top)) * unit_px
-        rect = f'<rect x="%d" y="%d" width="%d" height="%d" fill="{fill}" stroke="black" stroke-width="1"/>\n'
-        yield f'<g id="{label}">\n'.encode()
-        for start in range(0, len(cols), _CHUNK):  # the template, once per rect, takes a chunk in one %
-            chunk = cols[start : start + _CHUNK]
-            yield (rect * len(chunk) % tuple(chunk.ravel().tolist())).encode()
+        bar = rect % (b"%d" % (shape.m * unit_px), b"%d" % unit_px, fill.encode())  # m by 1 units
+        pair = bar + rect % (b"%d" % unit_px, b"%d", fill.encode())  # then a connector, 1 unit wide
+        yield b'<g id="%s">\n' % label.encode()
+        for start in range(0, len(cols), _CHUNK):  # a chunk starts at an even row, so with a bar
+            chunk, keep = cols[start : start + _CHUNK], fields[start : start + _CHUNK]
+            yield (pair * (len(chunk) // 2) + bar * (len(chunk) % 2)) % tuple(chunk[keep].tolist())
         yield b"</g>\n"
     yield b"</svg>\n"

@@ -4,7 +4,7 @@ sums, and the Lemma 1 prefix-sum table and minimal-prefix-sum window check.
 ``ruler(i)`` counts bits from the right up to and including the first set bit
 of ``i``.  The sequence of these values gives the connector heights of the
 rectilinear disks; its key property is that every length-k window has sum at
-least the sum of the first k terms.
+least the sum of the first k terms, checked on int32 sums wherever they fit.
 """
 
 from __future__ import annotations
@@ -83,21 +83,38 @@ def _check_windows(k_max: int, r_max: int) -> None:
         )
 
 
+def _window_sums(sums: tuple[int, ...], r_max: int) -> np.ndarray:
+    """sums[0..r_max] as int32 if they and every difference of two of them fit
+    in int32, else int64; each must be an int, and no sum or difference may pass int64."""
+    read = sums[: r_max + 1]
+    if len(read) <= r_max or not {int}.issuperset(map(type, read)):
+        raise ParameterError(f"lemma 1 at r_max = {_show(r_max)} needs r_max + 1 table sums, each an int")
+    try:
+        read = np.fromiter(read, np.int64, len(read))
+    except OverflowError:
+        raise RangeError("a table sum passes int64") from None
+    lo, hi = int(read.min()), int(read.max())
+    if hi - lo >= 2**63:
+        raise RangeError("two table sums differ by 2**63 or more")
+    return read.astype(np.int32) if -(2**31) <= lo and hi < 2**31 and hi - lo < 2**31 else read
+
+
 def check_lemma1_exhaustive(
     k_max: int, r_max: int, table: PrefixTable
 ) -> tuple[int, int] | None:
     """Check every window with k <= k_max and r + k - 1 <= r_max.
 
     Returns None if all windows pass, else the first failing (k, r) in
-    lexicographic order.  Vectorized per k so the full desk-scale sweep
-    stays well under a second.
+    lexicographic order.  Vectorized per k, into one buffer, so the full
+    desk-scale sweep stays well under a second.
     """
     _check_windows(k_max, r_max)
     if r_max > table.limit:
         raise RangeError(f"r_max {_show(r_max)} exceeds table limit {table.limit}")
-    sums = np.asarray(table.sums[: r_max + 1], dtype=np.int64)
+    sums = _window_sums(table.sums, r_max)
+    buffer = np.empty(r_max, sums.dtype)
     for k in range(1, min(k_max, r_max) + 1):
-        windows = sums[k:] - sums[: r_max + 1 - k]
-        if windows.min() < sums[k]:
-            return (k, int(np.argmax(windows < sums[k])) + 1)
+        windows = np.subtract(sums[k:], sums[: r_max + 1 - k], out=buffer[: r_max + 1 - k])
+        if windows.min() < sums[k] - sums[0]:
+            return (k, int(np.argmax(windows < sums[k] - sums[0])) + 1)
     return None

@@ -17,6 +17,8 @@ from translate_kiss import (
     PairWitness,
     ParameterError,
     Rect,
+    Scene,
+    Shape,
     Vec2,
     build_disk,
     iter_lemma2_cases,
@@ -25,6 +27,7 @@ from translate_kiss import (
 )
 from translate_kiss import disk
 from translate_kiss.rect import _merge, _rect_array, _sweep
+from translate_kiss.render import FILL_A0, FILLS
 from translate_kiss.ruler import ruler_sum
 
 
@@ -265,3 +268,35 @@ def scan_pair_witness(scene, table, i, j):
         if Vec2(first * m, prefix_sum(first, table)) == target:
             return PairWitness(level, copy, first + 1, shift, shift)
     return None
+
+
+def svg_by_rect(obj, unit_px):
+    """render_svg's bytes, one rect at a time, each with its x, y, width and
+    height formatted into the one rect template, from the Rect pieces of the
+    disk; the picture's box is the pieces' box widened by the offsets'.  No
+    bound is checked.  The oracle for render._svg_chunks."""
+    if isinstance(obj, Scene):
+        shape, offsets = Shape(obj.m, obj.n), obj.offsets
+        fills = [FILL_A0] + [FILLS[(i - 1) % len(FILLS)] for i in range(1, len(offsets))]
+        labels = [f"A{i}" for i in range(len(offsets))]
+    else:
+        shape, offsets, fills, labels = obj, (Vec2(0, 0),), [FILLS[0]], ["shape"]
+    pieces = shape.pieces
+    x0 = min(r.x0 for r in pieces) + min(t.dx for t in offsets)
+    y0 = min(r.y0 for r in pieces) + min(t.dy for t in offsets)
+    x1 = max(r.x1 for r in pieces) + max(t.dx for t in offsets)
+    y1 = max(r.y1 for r in pieces) + max(t.dy for t in offsets)
+    width, height = (x1 - x0 + 2) * unit_px, (y1 - y0 + 2) * unit_px
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
+    ]
+    for label, fill, t in zip(labels, fills, offsets):
+        rect = f'<rect x="%d" y="%d" width="%d" height="%d" fill="{fill}" stroke="black" stroke-width="1"/>\n'
+        out.append(f'<g id="{label}">\n')
+        for r in pieces:  # the screen corner is the top-left one, one unit in from the box
+            x, y = (r.x0 + t.dx - x0 + 1) * unit_px, (y1 + 1 - r.y1 - t.dy) * unit_px
+            out.append(rect % (x, y, (r.x1 - r.x0) * unit_px, (r.y1 - r.y0) * unit_px))
+        out.append("</g>\n")
+    out.append("</svg>\n")
+    return "".join(out).encode()

@@ -23,6 +23,8 @@ from translate_kiss import (
 )
 from translate_kiss import serial
 
+from oracles import svg_by_rect
+
 
 class TestSerialization:
     def test_shape_round_trip(self):
@@ -545,7 +547,35 @@ class TestScanOnlyProposes:
         assert time.perf_counter() - start < 2.0
 
 
+def rendered_or_refused(obj, unit_px):
+    """render_svg's bytes, or None where it refuses the picture's size."""
+    try:
+        return render_svg(obj, unit_px)
+    except ParameterError:
+        return None
+
+
 class TestRenderSvg:
+    @pytest.mark.parametrize("unit_px", [1, 7, 2**58 - 1])
+    @pytest.mark.parametrize("m, n", [(2, 0), (6, 0), (2, 1), (3, 1)])
+    def test_small_shapes_match_the_per_rect_oracle(self, m, n, unit_px):
+        # n = 0 draws one bar, n = 1 a bar, a connector and a bar; every
+        # shape here is at most 8 units wide, so even 2**58 - 1 px fits
+        assert render_svg(build_disk(m, n), unit_px) == svg_by_rect(build_disk(m, n), unit_px)
+
+    @pytest.mark.parametrize("unit_px", [1, 7, 2**58 - 1])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_scenes_and_shapes_match_the_per_rect_oracle(self, n, unit_px):
+        for m in (n, n + 3):
+            for obj in (place_translates(m, n), build_disk(m, n)):
+                want = svg_by_rect(obj, unit_px)
+                got = rendered_or_refused(obj, unit_px)
+                if got is None:  # refused exactly when the oracle's picture reaches 2**61 px
+                    header = want.split(b"\n")[1].split(b'"')
+                    assert max(int(header[3]), int(header[5])) >= 2**61, (m, n)
+                else:
+                    assert got == want, (m, n)
+
     def test_single_shape_rect_count(self):
         svg = render_svg(build_disk(2, 1))
         assert svg.count(b"<rect") == 3

@@ -13,7 +13,7 @@ from translate_kiss import (
     prefix_sum,
     ruler,
 )
-from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, _ruler_sums, ruler_sum
+from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, _ruler_sums, _window_sums, ruler_sum
 
 from oracles import lemma1_first_failure, ruler_by_halving
 
@@ -53,6 +53,21 @@ def test_invalid_argument():
 @given(st.integers(min_value=1, max_value=2**40))
 def test_halving_agrees_with_bits(i):
     assert ruler(i) == ruler_by_halving(i)
+
+
+def planted_dips(seed):
+    """(k_max, r_max, terms): the ruler sequence with one to three
+    even-numbered terms below r_max lowered by 1 or 2.  A term lowered to 0
+    fails at k = 1, one lowered to 1 or more only in a longer window (k = 2,
+    4 and 8 all occur)."""
+    rng = random.Random(seed)
+    limit = rng.randint(8, 64)
+    r_max = rng.randint(limit // 2, limit)
+    k_max = rng.randint(1, r_max)
+    terms = [ruler(i) for i in range(1, limit + 1)]
+    for i in rng.sample(range(1, r_max, 2), rng.randint(1, 3)):
+        terms[i] -= rng.randint(1, 2)
+    return k_max, r_max, terms
 
 
 class TestPrefixTable:
@@ -110,19 +125,70 @@ class TestLemma1:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_planted_dips_match_naive_scan(self, seed):
-        # the ruler sequence with one to three even-numbered terms below r_max
-        # lowered by 1 or 2: a term lowered to 0 fails at k = 1, one lowered to
-        # 1 or more only in a longer window (k = 2, 4 and 8 all occur)
-        rng = random.Random(seed)
-        limit = rng.randint(8, 64)
-        r_max = rng.randint(limit // 2, limit)
-        k_max = rng.randint(1, r_max)
-        terms = [ruler(i) for i in range(1, limit + 1)]
-        for i in rng.sample(range(1, r_max, 2), rng.randint(1, 3)):
-            terms[i] -= rng.randint(1, 2)
-        table = PrefixTable(limit, (0, *accumulate(terms)))
+        k_max, r_max, terms = planted_dips(seed)
+        table = PrefixTable(len(terms), (0, *accumulate(terms)))
         expected = lemma1_first_failure(k_max, r_max, terms)
         assert check_lemma1_exhaustive(k_max, r_max, table) == expected
+
+    def test_shifted_tables_match_the_oracle_on_both_dtypes(self):
+        # the same terms with every sum shifted: up to 2**31 - 1 exactly,
+        # across it, around zero, down to -2**31 exactly and just past it.
+        # The window loop runs on int32 when the sums fit, on int64 otherwise,
+        # and the verdict depends on the terms alone.
+        failing = {np.int32: 0, np.int64: 0}
+        for seed in range(40):
+            k_max, r_max, terms = planted_dips(seed)
+            base = (0, *accumulate(terms))
+            top = base[r_max]
+            for shift, dtype in [
+                (2**31 - 1 - top, np.int32),
+                (2**31 - 1 - top // 2, np.int64),
+                (-(top // 2) - 1, np.int32),
+                (-(2**31), np.int32),
+                (-(2**31) - 1, np.int64),
+            ]:
+                table = PrefixTable(len(terms), tuple(s + shift for s in base))
+                assert _window_sums(table.sums, r_max).dtype == dtype, (seed, shift)
+                found = check_lemma1_exhaustive(k_max, r_max, table)
+                assert found == lemma1_first_failure(k_max, r_max, terms), (seed, shift)
+                failing[dtype] += found is not None
+        assert failing[np.int32] and failing[np.int64]
+
+    def test_sums_in_int32_but_spread_past_it_run_on_int64(self):
+        # every sum fits in int32, but two differ by more than 2**31 - 1
+        terms = [3, 1, 2**31 - 1, 1, 0, 2]
+        table = PrefixTable(6, tuple(s - 2**30 for s in (0, *accumulate(terms))))
+        assert max(table.sums) < 2**31 and _window_sums(table.sums, 6).dtype == np.int64
+        assert check_lemma1_exhaustive(6, 6, table) == lemma1_first_failure(6, 6, terms) == (1, 2)
+
+    @pytest.mark.parametrize("dip", [None, 2**20 - 5])
+    def test_built_table_same_on_int32_as_on_an_int64_copy(self, dip):
+        r_max = 2**20
+        sums = PrefixTable.build(r_max).sums
+        if dip is not None:  # term dip + 1 becomes 0, so a window of one fails there
+            sums = sums[: dip + 1] + tuple(s - (sums[dip + 1] - sums[dip]) for s in sums[dip + 1 :])
+        narrow, wide = PrefixTable(r_max, sums), PrefixTable(r_max, tuple(s + 2**31 for s in sums))
+        assert _window_sums(narrow.sums, r_max).dtype == np.int32
+        assert _window_sums(wide.sums, r_max).dtype == np.int64
+        want = None if dip is None else (1, dip + 1)
+        assert check_lemma1_exhaustive(16, r_max, narrow) == check_lemma1_exhaustive(16, r_max, wide) == want
+
+    @pytest.mark.parametrize("sums", [(0, 1, 3.5, 4, 7), (0, True, 3, 4, 7), (0, 1, 3)])
+    def test_a_float_bool_or_short_table_is_refused(self, sums):
+        # 3.5 truncated to 3 would pass, though exact arithmetic fails at
+        # (1, 3); a short table would reach numpy's broadcast error
+        with pytest.raises(ParameterError) as excinfo:
+            check_lemma1_exhaustive(4, 4, PrefixTable(4, sums))
+        assert excinfo.type is ParameterError
+        if 3.5 in sums:
+            assert lemma1_first_failure(4, 4, [1, 2.5, 0.5, 3]) == (1, 3)
+            assert lemma1_first_failure(4, 4, [1, 2, 1, 3]) is None
+
+    @pytest.mark.parametrize("sums", [(0, 1, 3, 4, 2**70), (0, 1, 3, 4, -(2**63) - 1), (-(2**62), 1, 3, 4, 2**62)])
+    def test_sums_past_int64_are_a_range_error(self, sums):
+        # the last: each sum fits in int64, but their difference does not
+        with pytest.raises(RangeError):
+            check_lemma1_exhaustive(4, 4, PrefixTable(4, sums))
 
     def test_exhaustive_checker_agrees_with_scalar(self):
         table = PrefixTable.build(300)

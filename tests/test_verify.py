@@ -105,6 +105,15 @@ GOLDEN_SVGS = {
 }
 # sha256 of render_svg(build_disk(3, 1), unit_px=2**58 - 1), the largest unit_px it accepts
 GOLDEN_SVG_3_1_HUGE = "c906b664289b308dbc4c5485d6d8a4a72889296a10d2764ec950b07df7261ca5"
+# sha256 over the concatenated render_svg bytes of build_disk(m, n) at unit_px
+# 1, 7 and 10: one bar, a bar, connector and bar, and 131,071 rects, which
+# cross a 2**16-row chunk boundary; recorded while render_svg still formatted
+# all four sizes of every rect
+GOLDEN_SHAPE_SVGS = {
+    (2, 0): "f636202dfdddceeb4d5c3741f27de680b3665d184ba19875a195a822f2aa13af",
+    (2, 1): "2551a13c6c20b6b4c687d63d2eaa5a82977d4e82babaf81f684e8521a0af0b0b",
+    (16, 16): "7875a2bdb3513e928ab0655afa6dce04059a93c4e3c7ca07e79bd9132b99ee07",
+}
 
 
 def find_verdict(cert, i, j):
@@ -197,6 +206,14 @@ def test_svg_bytes_golden():
         assert h.hexdigest() == digest, (m, n)
     huge = render_svg(build_disk(3, 1), unit_px=2**58 - 1)
     assert hashlib.sha256(huge).hexdigest() == GOLDEN_SVG_3_1_HUGE
+
+
+@pytest.mark.parametrize("m, n", list(GOLDEN_SHAPE_SVGS))
+def test_shape_svg_bytes_golden(m, n):
+    h = hashlib.sha256()
+    for unit_px in (1, 7, 10):
+        h.update(render_svg(build_disk(m, n), unit_px))
+    assert h.hexdigest() == GOLDEN_SHAPE_SVGS[m, n]
 
 
 @pytest.mark.parametrize("call, rects_allowed", [
