@@ -3,8 +3,8 @@
 Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 
 * 0 for success/PASS;
-* 1 for a verification FAIL, or a broken construction (ConstructionBroken);
-* 2 for usage or parameter errors (ParameterError, including n > 20,
+* 1 for a verification FAIL (verify at m < n - 1), or ConstructionBroken;
+* 2 for usage or parameter errors (ParameterError, including m < 2, n > 20,
   m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall or of more than 2^23
   rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), a lemma 2 profile wider
   than 2^24 columns, and lemma1 with k_max < 1, r_max above 2^22 or
@@ -24,16 +24,13 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .disk import build_disk
 from .errors import ConstructionBroken, ContractViolation, ParameterError
 from .placement import check_lemma2_exhaustive, place_translates
-from .rect import _NO_ENDS, _kinds, _lengths
 from .render import _svg_chunks
 from .ruler import PrefixTable, _check_windows, check_lemma1_exhaustive
 from .serial import _certificate_chunks, _chunks
-from .verify import PairVerdict, _pair_rows, _verdict_totals
+from .verify import PairVerdict, _pair_rows, _verdict_totals, _verdicts
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,13 +70,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     scene = place_translates(m, n)
     # each pair's verdict so far without its contacts: only the pair being written holds them
     verdicts: list[PairVerdict] = []
+    pairs = _verdicts(_pair_rows(m, n), verdicts, keep=False)
     totals = partial(_verdict_totals, n, verdicts)
-
-    def pairs() -> Iterator[tuple[PairVerdict, np.ndarray, np.ndarray]]:
-        for i, j, ends in _pair_rows(m, n):
-            found = _NO_ENDS if ends is None else ends
-            verdicts.append(PairVerdict(i, j, ends is not None, (), int(_lengths(found).sum())))
-            yield verdicts[-1], found, _kinds(found)
 
     def summary() -> str:
         touching, ok = totals()
@@ -89,10 +81,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
 
     if args.json is None:
-        deque(pairs(), maxlen=0)  # the verdicts alone, nothing formatted
+        deque(pairs, maxlen=0)  # the verdicts alone, nothing formatted
         _say(args, summary())
     else:
-        _write_out(args, _certificate_chunks(scene, pairs(), totals), args.json, summary)
+        _write_out(args, _certificate_chunks(scene, pairs, totals), args.json, summary)
     return EXIT_OK if totals()[1] else EXIT_FAIL
 
 

@@ -293,13 +293,6 @@ def _checked_kinds(ends: np.ndarray) -> np.ndarray:
     return kinds
 
 
-def _contacts_from_ends(ends: np.ndarray) -> tuple[ContactComponent, ...]:
-    """ContactComponent(a, b) for each (k, 4) int64 row of ends, checked at
-    once by _checked_kinds and built by _bulk; parse takes the two steps
-    apart, so that its writer reuses the kinds."""
-    return _bulk(ends, _checked_kinds(ends))
-
-
 def _canonical(contacts: _Contacts) -> np.ndarray:
     """Touching pairs from _pairs as the (k, 4) int64 ends [xa, ya, xb, yb] of
     the maximal components in canonical order, sorted by (kind, a, b); a

@@ -12,9 +12,8 @@ encoded.  A certificate's chunks come from _certificate_chunks, which takes
 each verdict with the (k, 4) int64 rows of its contacts' ends and their
 kinds (rect._kinds) and formats the contacts from those rows, each row
 with its kind's template.  serialize feeds it a Certificate's verdicts,
-the CLI the pairs as the sweep makes them, and parse the rows it reads
-from the input, whose kinds it takes once to check the rows, build the
-contacts and write them.
+and the CLI and parse the verdicts verify._verdicts builds from the sweep's
+pairs and from the pairs _scanned reads from the input.
 
 parse holds every document to one rule: it accepts the input only if it is
 exactly the bytes serialize writes for the object the input proposes.  The
@@ -43,8 +42,8 @@ import numpy as np
 from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import HSEG, POINT, VSEG, _bulk, _checked_kinds, _gc_paused, _kinds, _lengths
-from .verify import Certificate, PairVerdict, _verdict_totals
+from .rect import HSEG, POINT, VSEG, _checked_kinds, _gc_paused, _kinds, _lengths
+from .verify import Certificate, PairVerdict, _verdict_totals, _verdicts
 
 SCHEMA_VERSION = "tk-1"
 
@@ -189,7 +188,8 @@ def _scanned(data: bytes, n: int) -> Iterator[tuple[int, int, bool, np.ndarray]]
     a certificate's bytes: each field is found by its delimiters, searched
     forward from the last pair, and each pair's contact ends are the first
     four of every five integers between its contacts' delimiters (the fifth
-    is the length).  ValueError where a delimiter or a number is missing."""
+    is the length).  ValueError where a delimiter or a number is missing or
+    a row of ends is no contact (_checked_kinds)."""
     at = 0
     for i, j in combinations(range(n + 1), 2):
         at = data.index(_DISJOINT, at) + len(_DISJOINT)
@@ -199,7 +199,9 @@ def _scanned(data: bytes, n: int) -> Iterator[tuple[int, int, bool, np.ndarray]]
         numbers = _integers(data, start, at)
         if len(numbers) % 5:
             raise ValueError(f"{len(numbers)} numbers in the contacts of pair ({i}, {j})")
-        yield i, j, disjoint, numbers.reshape(-1, 5)[:, :4]
+        ends = numbers.reshape(-1, 5)[:, :4]
+        _checked_kinds(ends)
+        yield i, j, disjoint, ends
 
 
 def _certificate(scene: Scene, data: bytes) -> Optional[Certificate]:
@@ -208,15 +210,9 @@ def _certificate(scene: Scene, data: bytes) -> Optional[Certificate]:
     contact only the proposed ends are read: its kind and length, the
     segment totals, touching_count and ok are derived from them."""
     verdicts: list[PairVerdict] = []
-
-    def proposed() -> Iterator[tuple[PairVerdict, np.ndarray, np.ndarray]]:
-        for i, j, disjoint, ends in _scanned(data, scene.n):
-            kinds = _checked_kinds(ends)
-            verdicts.append(PairVerdict(i, j, disjoint, _bulk(ends, kinds), int(_lengths(ends).sum())))
-            yield verdicts[-1], ends, kinds
-
     totals = partial(_verdict_totals, scene.n, verdicts)
-    if not _writes(_certificate_chunks(scene, proposed(), totals), data):
+    pairs = _verdicts(_scanned(data, scene.n), verdicts, keep=True)
+    if not _writes(_certificate_chunks(scene, pairs, totals), data):
         return None
     return Certificate(scene.m, scene.n, scene.offsets, tuple(verdicts), *totals())
 

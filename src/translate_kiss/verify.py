@@ -6,9 +6,10 @@ segment; isolated point contacts are recorded but do not qualify.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
 from .placement import place_translates
 from .rect import (
-    ContactComponent, Vec2, _bulk, _gc_paused, _kinds, _merge, _placed_contacts, _placed_ends, total_contact_length
+    _NO_ENDS, ContactComponent, Vec2, _bulk, _gc_paused, _kinds, _lengths, _merge, _placed_contacts, _placed_ends
 )
 
 
@@ -41,15 +42,29 @@ class Certificate:
     ok: bool
 
 
-def _pair_rows(m: int, n: int) -> Iterator[tuple[int, int, Optional[np.ndarray]]]:
-    """(i, j, ends) for each pair of translates i < j in order, where ends
-    are the (k, 4) int64 rows [xa, ya, xb, yb] of A_i's contacts with A_j in
-    canonical order, or None when their interiors overlap.  One scene and
-    one copy of the disk's rows serve every pair."""
+def _pair_rows(m: int, n: int) -> Iterator[tuple[int, int, bool, np.ndarray]]:
+    """(i, j, interiors_disjoint, ends) for each pair of translates i < j in
+    order, where ends are the (k, 4) int64 rows [xa, ya, xb, yb] of A_i's
+    contacts with A_j in canonical order, or _NO_ENDS when their interiors
+    overlap.  One scene and one copy of the disk's rows serve every pair."""
     offsets = place_translates(m, n).offsets
     rows = build_disk(m, n).rows
     for i, j in combinations(range(n + 1), 2):
-        yield i, j, _placed_ends(rows, offsets[i], offsets[j])
+        ends = _placed_ends(rows, offsets[i], offsets[j])
+        yield i, j, ends is not None, _NO_ENDS if ends is None else ends
+
+
+def _verdicts(
+    pairs: Iterable[tuple[int, int, bool, np.ndarray]], kept: list[PairVerdict], keep: bool
+) -> Iterator[tuple[PairVerdict, np.ndarray, np.ndarray]]:
+    """The verdict of each (i, j, interiors_disjoint, ends) pair, appended to
+    kept and yielded with its ends and their _kinds, taken once for the
+    writer and the contacts.  The verdict holds its contacts only when keep;
+    its segment_length_total is summed from the ends either way."""
+    for i, j, disjoint, ends in pairs:
+        kinds = _kinds(ends)
+        kept.append(PairVerdict(i, j, disjoint, _bulk(ends, kinds) if keep else (), int(_lengths(ends).sum())))
+        yield kept[-1], ends, kinds
 
 
 def verify_construction(m: int, n: int) -> Certificate:
@@ -60,18 +75,8 @@ def verify_construction(m: int, n: int) -> Certificate:
     """
     verdicts: list[PairVerdict] = []
     with _gc_paused():  # the contacts and verdicts hold no cycles
-        for i, j, ends in _pair_rows(m, n):
-            contacts = () if ends is None else _bulk(ends, _kinds(ends))
-            verdicts.append(PairVerdict(i, j, ends is not None, contacts, total_contact_length(contacts)))
-    touching, ok = _verdict_totals(n, verdicts)
-    return Certificate(
-        m=m,
-        n=n,
-        offsets=place_translates(m, n).offsets,
-        pair_verdicts=tuple(verdicts),
-        touching_count=touching,
-        ok=ok,
-    )
+        deque(_verdicts(_pair_rows(m, n), verdicts, keep=True), maxlen=0)
+    return Certificate(m, n, place_translates(m, n).offsets, tuple(verdicts), *_verdict_totals(n, verdicts))
 
 
 def _verdict_totals(n: int, verdicts: Sequence[PairVerdict]) -> tuple[int, bool]:

@@ -29,7 +29,6 @@ from translate_kiss import (
 )
 from translate_kiss import cli
 from translate_kiss.cli import main
-from translate_kiss.verify import _pair_rows
 
 
 def test_build_writes_shape(tmp_path, capsys):
@@ -89,16 +88,21 @@ def summary_line(cert):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_streamed_certificate_is_serialize_bytes(tmp_path, capsysbinary, n):
-    # verify --json writes each pair as it is made; the bytes are serialize's
-    for m in (n, n + 1, n + 2):
+    # verify --json writes each pair as it is made; the CLI's stream,
+    # verify_construction and parse all build their verdicts in
+    # verify._verdicts, and must agree byte for byte on PASS (m >= n - 1)
+    # and FAIL (m = n - 2) alike
+    for m in range(max(2, n - 2), n + 3):
         cert = verify_construction(m, n)
+        code = 0 if cert.ok else 1
         path = tmp_path / "cert.json"
-        assert main(["verify", "-m", str(m), "-n", str(n), "--json", str(path)]) == 0
+        assert main(["verify", "-m", str(m), "-n", str(n), "--json", str(path)]) == code
         assert path.read_bytes() == serialize(cert)
         assert capsysbinary.readouterr().out == summary_line(cert).encode()
-        assert main(["verify", "-m", str(m), "-n", str(n), "--json", "-"]) == 0
-        assert capsysbinary.readouterr().out == serialize(cert)
-        assert main(["verify", "-m", str(m), "-n", str(n)]) == 0
+        assert main(["verify", "-m", str(m), "-n", str(n), "--json", "-"]) == code
+        data = capsysbinary.readouterr().out
+        assert data == serialize(cert) and parse(data) == cert
+        assert main(["verify", "-m", str(m), "-n", str(n)]) == code
         assert capsysbinary.readouterr().out == summary_line(cert).encode()
 
 
@@ -164,7 +168,7 @@ def test_lemma2_pass(capsys):
 
 
 def test_parameter_error_exit_code(capsys):
-    assert main(["verify", "-m", "2", "-n", "5"]) == 2
+    assert main(["verify", "-m", "1", "-n", "5"]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -242,8 +246,8 @@ def test_huge_ints_raise_parameter_error(call):
         call()
 
 
-# the (3, 3) pair stream with pair (1, 2) reported as overlapping
-OVERLAP_1_2 = [(i, j, None if (i, j) == (1, 2) else ends) for i, j, ends in _pair_rows(3, 3)]
+# m = n - 2 is a genuine FAIL: A_0 and A_{n-1} overlap, so n - 1 of n translates touch A_0
+FAIL_3_5 = "FAIL m=3 n=5: 15 pairs checked, 4/5 translates touch A0"
 
 
 @pytest.mark.parametrize(
@@ -261,30 +265,25 @@ OVERLAP_1_2 = [(i, j, None if (i, j) == (1, 2) else ends) for i, j, ends in _pai
             Lemma2Case(m=3, n=3, r=2, xstar=1, ystar=4),
             "FAIL: overlap at r=2, xstar=1, ystar=4 (m=3, n=3)",
         ),
-        (
-            ["verify", "-m", "3", "-n", "3"],
-            "_pair_rows",
-            OVERLAP_1_2,
-            "FAIL m=3 n=3: 6 pairs checked, 3/3 translates touch A0",
-        ),
+        (["verify", "-m", "3", "-n", "5"], None, None, FAIL_3_5),
     ],
     ids=["lemma1", "lemma2", "verify"],
 )
 def test_fail_prints_its_line_and_exits_1(monkeypatch, capsys, argv, patched, result, line):
-    monkeypatch.setattr(cli, patched, lambda *args: result)
+    if patched is not None:
+        monkeypatch.setattr(cli, patched, lambda *args: result)
     assert main(argv) == 1
     assert capsys.readouterr().out == line + "\n"
 
 
-def test_fail_certificate_is_written_with_ok_false(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(cli, "_pair_rows", lambda *args: OVERLAP_1_2)
+def test_fail_certificate_is_written_with_ok_false(capsys, tmp_path):
     path = tmp_path / "cert.json"
-    assert main(["verify", "-m", "3", "-n", "3", "--json", str(path)]) == 1
-    assert capsys.readouterr().out == "FAIL m=3 n=3: 6 pairs checked, 3/3 translates touch A0\n"
+    assert main(["verify", "-m", "3", "-n", "5", "--json", str(path)]) == 1
+    assert capsys.readouterr().out == FAIL_3_5 + "\n"
     data = path.read_bytes()
     assert data.endswith(b'"ok":false}\n')
     cert = parse(data)
-    assert not cert.ok and [(v.i, v.j) for v in cert.pair_verdicts if not v.interiors_disjoint] == [(1, 2)]
+    assert not cert.ok and [(v.i, v.j) for v in cert.pair_verdicts if not v.interiors_disjoint] == [(0, 4)]
 
 
 HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default

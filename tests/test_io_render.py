@@ -43,6 +43,15 @@ class TestSerialization:
         assert parse(data) == cert
         assert serialize(parse(data)) == data
 
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_failed_certificate_round_trip(self, n):
+        # m = n - 2 is a genuine FAIL, with pair (0, n - 1) overlapping
+        cert = verify_construction(n - 2, n)
+        data = serialize(cert)
+        assert not cert.ok and data.endswith(b'"ok":false}\n')
+        assert parse(data) == cert
+        assert serialize(parse(data)) == data
+
     def test_small_shape_document(self):
         doc = json.loads(serialize(build_disk(2, 1)))
         assert doc["schema_version"] == "tk-1"
@@ -151,8 +160,12 @@ class TestStrictParse:
             parse(probe(kind="scene", m=5, n=-1, offsets=[]))
 
     def test_scene_with_m_below_n(self):
+        # a scene may have m < n, but its offsets must still be the recursion's
+        assert parse(serialize(place_translates(2, 3))) == place_translates(2, 3)
         with pytest.raises(DocumentInvariantError):
             parse(probe(kind="scene", m=2, n=3, offsets=[[0, 0]] * 4))
+        with pytest.raises(DocumentInvariantError):
+            parse(probe(kind="scene", m=1, n=3, offsets=[[0, 0]] * 4))
 
     def test_certificate_with_n_below_2(self):
         doc = json.loads(serialize(verify_construction(2, 2)))
@@ -566,7 +579,8 @@ class TestRenderSvg:
     @pytest.mark.parametrize("unit_px", [1, 7, 2**58 - 1])
     @pytest.mark.parametrize("n", range(2, 8))
     def test_scenes_and_shapes_match_the_per_rect_oracle(self, n, unit_px):
-        for m in (n, n + 3):
+        # m = n - 2 is a scene whose verdict FAILs, drawn like any other
+        for m in (max(2, n - 2), n, n + 3):
             for obj in (place_translates(m, n), build_disk(m, n)):
                 want = svg_by_rect(obj, unit_px)
                 got = rendered_or_refused(obj, unit_px)

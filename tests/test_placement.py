@@ -59,8 +59,9 @@ class TestPlaceTranslates:
     def test_a_scene_is_its_m_and_n(self):
         assert Scene(5, 4) == place_translates(5, 4)
         assert hash(Scene(5, 4)) == hash(place_translates(5, 4))
+        assert Scene(2, 4) == place_translates(2, 4)  # m < n is a scene, whose verdict may FAIL
         with pytest.raises(ParameterError):
-            Scene(3, 4)
+            Scene(1, 4)
 
     def test_a0_always_down_by_n_plus_1(self):
         for m, n in [(2, 2), (4, 3), (5, 5), (8, 6)]:
@@ -89,7 +90,7 @@ class TestPlaceTranslates:
         with pytest.raises(ParameterError):
             place_translates(4, 1)
         with pytest.raises(ParameterError):
-            place_translates(3, 4)
+            place_translates(1, 4)
 
 
 class TestLemma2:
@@ -259,6 +260,15 @@ class TestTheoremPairWitness:
                     assert w.xstar == w.ystar == j - i
                     assert 1 <= w.xstar <= m - 1
                     assert w.bar_index == (w.copy - 1) * 2**w.level + 1
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_witnesses_at_m_n_minus_2(self, n):
+        # the scene FAILs at m = n - 2, yet every pair among A_1..A_n still
+        # steps off a sub-copy by j - i, past Lemma 2's xstar <= m - 1 when j - i >= m
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                w = theorem_pair_witness(n - 2, n, i, j)
+                assert w.xstar == w.ystar == j - i
 
     def test_invalid_pair(self):
         with pytest.raises(ParameterError):

@@ -24,7 +24,7 @@ from translate_kiss import (
     verify_construction,
 )
 
-from translate_kiss.rect import _contacts_from_ends, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
+from translate_kiss.rect import _bulk, _checked_kinds, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
 from translate_kiss.rect import _canonical, _kinds
 
 from oracles import (
@@ -244,20 +244,21 @@ class TestContactContract:
     @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=8))
     def test_bulk_ends_match_the_constructor(self, rows):
         # the checked bulk path parse uses accepts and refuses what ContactComponent(a, b) does
+        ends = np.array(rows, np.int64).reshape(-1, 4)
         try:
             expected = tuple(ContactComponent((xa, ya), (xb, yb)) for xa, ya, xb, yb in rows)
         except ParameterError:
             with pytest.raises(ParameterError):
-                _contacts_from_ends(np.array(rows, np.int64).reshape(-1, 4))
+                _checked_kinds(ends)
             return
-        got = _contacts_from_ends(np.array(rows, np.int64).reshape(-1, 4))
+        got = _bulk(ends, _checked_kinds(ends))
         assert got == expected and all(type(c) is ContactComponent for c in got)
         assert [tuple(c) for c in got] == [tuple(c) for c in expected]
 
     @pytest.mark.parametrize("v", [2**61, -(2**61)])
     def test_bulk_ends_out_of_range(self, v):
         with pytest.raises(RangeError):
-            _contacts_from_ends(np.array([[v, 0, v, 0]], np.int64))
+            _checked_kinds(np.array([[v, 0, v, 0]], np.int64))
 
 
 line_rows = st.lists(

@@ -168,7 +168,19 @@ class TestVerifyConstruction:
         with pytest.raises(ParameterError):
             verify_construction(4, 1)
         with pytest.raises(ParameterError):
-            verify_construction(2, 3)
+            verify_construction(1, 3)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_m_binds_at_n_minus_1(self, n):
+        # the paper takes m >= n; the verdict holds down to m = n - 1, and
+        # below it only pairs (0, j) overlap, at m = n - 2 exactly (0, n - 1)
+        for m in range(2, n + 1):
+            cert = verify_construction(m, n)
+            overlapping = [(v.i, v.j) for v in cert.pair_verdicts if not v.interiors_disjoint]
+            assert cert.ok == (m >= n - 1), (m, n)
+            assert all(i == 0 for i, _ in overlapping), (m, n)
+            if m == n - 2:
+                assert overlapping == [(0, n - 1)]
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_largest_m_stays_inside_the_sweep_bound(self, n):
@@ -327,6 +339,12 @@ class TestTouchingHeights:
         monkeypatch.setattr(verify, "sub_copy_offset", lambda m, n, ref: offsets[1] - offsets[0])
         with pytest.raises(ContractViolation):
             verify_touching_heights(4, 3, 1)
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 5), (8, 10)])
+    def test_overlap_at_m_n_minus_2_raises(self, m, n):
+        # A_{n-1} overlaps A_0 there, and so do their facing sub-copies
+        with pytest.raises(ContractViolation):
+            verify_touching_heights(m, n, n - 1)
 
     def test_invalid_index(self):
         with pytest.raises(ParameterError):
