@@ -70,7 +70,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     scene = place_translates(m, n)
     # each pair's verdict so far without its contacts: only the pair being written holds them
     verdicts: list[PairVerdict] = []
-    pairs = _verdicts(_pair_rows(m, n), verdicts, keep=False)
+    pairs = _verdicts(_pair_rows(scene), verdicts, keep=False)
     totals = partial(_verdict_totals, n, verdicts)
 
     def summary() -> str:

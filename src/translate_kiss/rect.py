@@ -281,18 +281,6 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _checked_kinds(ends: np.ndarray) -> np.ndarray:
-    """_kinds of the (k, 4) int64 rows of ends [xa, ya, xb, yb], checked at
-    once: ParameterError unless each row is a point or a segment going up or
-    right, RangeError for |v| >= 2**61."""
-    _in_bound(ends)
-    kinds = _kinds(ends)
-    bad = np.flatnonzero(kinds == 3)
-    if bad.size:
-        ContactComponent(*ends[bad[0]].reshape(2, 2).tolist())  # raises, naming the ends
-    return kinds
-
-
 def _canonical(contacts: _Contacts) -> np.ndarray:
     """Touching pairs from _pairs as the (k, 4) int64 ends [xa, ya, xb, yb] of
     the maximal components in canonical order, sorted by (kind, a, b); a

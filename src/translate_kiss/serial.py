@@ -12,20 +12,19 @@ encoded.  A certificate's chunks come from _certificate_chunks, which takes
 each verdict with the (k, 4) int64 rows of its contacts' ends and their
 kinds (rect._kinds) and formats the contacts from those rows, each row
 with its kind's template.  serialize feeds it a Certificate's verdicts,
-and the CLI and parse the verdicts verify._verdicts builds from the sweep's
-pairs and from the pairs _scanned reads from the input.
+and the CLI and parse the verdicts verify._verdicts builds from the pairs
+the sweep, verify._pair_rows, yields for the scene.
 
-parse holds every document to one rule: it accepts the input only if it is
-exactly the bytes serialize writes for the object the input proposes.  The
-proposal is read from the bytes, not decoded: (m, n) from the canonical
-header, which alone make a Shape or a Scene, and for a certificate each
-pair's interiors_disjoint from its fixed slot and the ends of its contacts
-from a vectorised digit scan of the bytes between that pair's delimiters.
-Each contact's kind and length, the segment totals, touching_count and ok
-are derived from those.  The writer's chunks are compared in order
-against the input in place, so the bytes are never built a second time.
-Only refused input is decoded, with json.loads, to choose the class of the
-error.
+parse holds every document to one rule: it rebuilds the object from the
+(m, n) of the canonical header alone, and accepts the input only if it is
+exactly the bytes serialize writes for that object.  A certificate is
+rebuilt by sweeping its scene's pairs again, so its contacts, verdicts and
+totals must be the real ones of the placed translates.  Input too short to
+hold the object's pieces or pairs is refused before any rows are made.
+The writer's chunks are compared in order against the input in place,
+stopping at the first that differs, so the bytes are never built a second
+time.  Only refused input is decoded, with json.loads, to choose the class
+of the error.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional, Union
 
@@ -42,8 +41,8 @@ import numpy as np
 from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import HSEG, POINT, VSEG, _checked_kinds, _gc_paused, _kinds, _lengths
-from .verify import Certificate, PairVerdict, _verdict_totals, _verdicts
+from .rect import HSEG, POINT, VSEG, _gc_paused, _kinds, _lengths
+from .verify import Certificate, PairVerdict, _pair_rows, _verdict_totals, _verdicts
 
 SCHEMA_VERSION = "tk-1"
 
@@ -65,13 +64,12 @@ _VERDICT_HEAD = b'%s{"i":%d,"j":%d,"interiors_disjoint":%s,"contacts":['
 _VERDICT_TAIL = b'],"segment_length_total":%d}'
 # a ContactComponent is the tuple (kind, a, b, length)
 _ENDS = itemgetter(1, 2)
-# what parse reads without decoding: the header, and the delimiters around
-# each pair's interiors_disjoint and contacts
+# what parse reads without decoding: the header
 _HEADER = re.compile(
     rb'\{"schema_version":"%s","kind":"(shape|scene|certificate)","m":(-?\d+),"n":(-?\d+),' % SCHEMA_VERSION.encode()
 )
-_DISJOINT, _CONTACTS, _CONTACTS_END = b'"interiors_disjoint":', b'"contacts":[', b'],"segment_length_total":'
-_TENS = 10 ** np.arange(19, dtype=np.int64)
+# a pair's chunks take at least this many bytes: one-digit i, j and total, true, no contacts
+_SHORTEST_PAIR = len(_VERDICT_HEAD % (b"", 0, 0, b"true") + _VERDICT_TAIL % 0)
 
 
 def _pieces(rows: np.ndarray) -> Iterator[bytes]:
@@ -161,57 +159,13 @@ def _writes(chunks: Iterable[bytes], data: bytes) -> bool:
     return end == len(data)
 
 
-def _integers(data: bytes, start: int, stop: int) -> np.ndarray:
-    """The integers written in data[start:stop], in order, as int64: each
-    maximal run of digits, negated when a '-' comes before it.  Nothing else
-    is checked (a leading zero, a 19-digit run past 2**63 and whatever lies
-    between the runs all pass), as the caller compares the bytes these
-    numbers format to against data; a run of more than 19 digits raises
-    ValueError."""
-    text = np.frombuffer(data, np.uint8, stop - start, start)
-    at = np.flatnonzero((text >= ord("0")) & (text <= ord("9")))
-    if not at.size:
-        return at.astype(np.int64)
-    first = np.flatnonzero(np.diff(at, prepend=-2) != 1)  # where in `at` each run starts
-    lengths = np.diff(first, append=len(at))
-    if lengths.max() > len(_TENS):
-        raise ValueError(f"an integer of {lengths.max()} digits")
-    # each digit weighs 10 to the number of digits after it in its run
-    weights = _TENS[np.repeat(first + lengths, lengths) - 1 - np.arange(len(at))]
-    values = np.add.reduceat((text[at] - ord("0")) * weights, first)
-    lead = at[first]
-    return np.where((lead > 0) & (text[lead - 1] == ord("-")), -values, values)
-
-
-def _scanned(data: bytes, n: int) -> Iterator[tuple[int, int, bool, np.ndarray]]:
-    """(i, j, interiors_disjoint, ends) proposed for each pair in order from
-    a certificate's bytes: each field is found by its delimiters, searched
-    forward from the last pair, and each pair's contact ends are the first
-    four of every five integers between its contacts' delimiters (the fifth
-    is the length).  ValueError where a delimiter or a number is missing or
-    a row of ends is no contact (_checked_kinds)."""
-    at = 0
-    for i, j in combinations(range(n + 1), 2):
-        at = data.index(_DISJOINT, at) + len(_DISJOINT)
-        disjoint = data.startswith(b"true", at)
-        start = data.index(_CONTACTS, at) + len(_CONTACTS)
-        at = data.index(_CONTACTS_END, start)
-        numbers = _integers(data, start, at)
-        if len(numbers) % 5:
-            raise ValueError(f"{len(numbers)} numbers in the contacts of pair ({i}, {j})")
-        ends = numbers.reshape(-1, 5)[:, :4]
-        _checked_kinds(ends)
-        yield i, j, disjoint, ends
-
-
 def _certificate(scene: Scene, data: bytes) -> Optional[Certificate]:
-    """The certificate for the scene with the pairs _scanned proposes from
-    data, if serialize writes exactly data for it; else None.  Of each
-    contact only the proposed ends are read: its kind and length, the
-    segment totals, touching_count and ok are derived from them."""
+    """The scene's certificate, recomputed pair by pair by the sweep that
+    verify_construction runs, if serialize writes exactly data for it; else
+    None, from the first pair whose bytes differ."""
     verdicts: list[PairVerdict] = []
     totals = partial(_verdict_totals, scene.n, verdicts)
-    pairs = _verdicts(_scanned(data, scene.n), verdicts, keep=True)
+    pairs = _verdicts(_pair_rows(scene), verdicts, keep=True)
     if not _writes(_certificate_chunks(scene, pairs, totals), data):
         return None
     return Certificate(scene.m, scene.n, scene.offsets, tuple(verdicts), *totals())
@@ -259,36 +213,41 @@ def _refusal(data: bytes) -> NoReturn:
     raise DocumentInvariantError(f"{kind} is not what serialize writes for m={m}, n={n}")
 
 
-def _proposed(data: bytes) -> Optional[Document]:
-    """The object whose serialize() bytes data must be, read from data without
-    decoding it as JSON, if data is those bytes; else None.  Raises
-    ValueError (ParameterError included) on input the scan cannot read."""
+def _rebuilt(data: bytes) -> Optional[Document]:
+    """The object whose serialize() bytes data must be, made from the (m, n)
+    of data's header alone, if data is those bytes; else None.  Raises
+    ValueError (ParameterError included) where no object has that (m, n)."""
     header = _HEADER.match(data)
     if header is None:
         return None
     kind, m, n = header[1], int(header[2]), int(header[3])
-    if kind == b"certificate":
-        with _gc_paused():  # the contacts and verdicts hold no cycles
-            return _certificate(Scene(m, n), data)
     obj = Shape(m, n) if kind == b"shape" else Scene(m, n)
     # each of a shape's 2**(n + 1) - 1 pieces takes at least 40 bytes plus the
-    # digits of its x1 >= m, so shorter input is refused before the rows are made
+    # digits of its x1 >= m, and each of a certificate's C(n + 1, 2) pairs at
+    # least _SHORTEST_PAIR, so shorter input is refused before any rows are made
     if kind == b"shape" and len(data) < (2 ** (n + 1) - 1) * (40 + len(str(m))):
         return None
+    if kind == b"certificate":
+        if len(data) < n * (n + 1) // 2 * _SHORTEST_PAIR:
+            return None
+        with _gc_paused():  # the contacts and verdicts hold no cycles
+            return _certificate(obj, data)
     return obj if _writes(_chunks(obj), data) else None
 
 
 def parse(data: bytes) -> Document:
     """The shape, scene or certificate whose serialize() bytes are exactly data.
 
-    The object is proposed by reading data's header and, for a certificate,
-    scanning each pair's fields and contact ends from the bytes; it is
-    accepted only if serialize writes exactly data for it.  Raises
-    MalformedDocument, or a subclass of it, for any other input.
+    The object is made from data's header alone: a shape or a scene from its
+    (m, n), and a certificate by verifying the (m, n) scene again, pair by
+    pair.  It is accepted only if serialize writes exactly data for it, so a
+    certificate's contacts and verdicts must be the real ones of its
+    translates.  Raises MalformedDocument, or a subclass of it, for any
+    other input.
     """
     try:
-        obj = _proposed(data)
-    except ValueError:  # a ParameterError too: no object has this (m, n) or these contacts
+        obj = _rebuilt(data)
+    except ValueError:  # a ParameterError too: no object has this (m, n)
         obj = None
     if obj is None:
         _refusal(data)

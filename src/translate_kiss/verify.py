@@ -15,7 +15,7 @@ import numpy as np
 
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, ParameterError, _show
-from .placement import place_translates
+from .placement import Scene, place_translates
 from .rect import (
     _NO_ENDS, ContactComponent, Vec2, _bulk, _gc_paused, _kinds, _lengths, _merge, _placed_contacts, _placed_ends
 )
@@ -42,14 +42,15 @@ class Certificate:
     ok: bool
 
 
-def _pair_rows(m: int, n: int) -> Iterator[tuple[int, int, bool, np.ndarray]]:
-    """(i, j, interiors_disjoint, ends) for each pair of translates i < j in
-    order, where ends are the (k, 4) int64 rows [xa, ya, xb, yb] of A_i's
-    contacts with A_j in canonical order, or _NO_ENDS when their interiors
-    overlap.  One scene and one copy of the disk's rows serve every pair."""
-    offsets = place_translates(m, n).offsets
-    rows = build_disk(m, n).rows
-    for i, j in combinations(range(n + 1), 2):
+def _pair_rows(scene: Scene) -> Iterator[tuple[int, int, bool, np.ndarray]]:
+    """(i, j, interiors_disjoint, ends) for each pair of the scene's
+    translates i < j in order, where ends are the (k, 4) int64 rows
+    [xa, ya, xb, yb] of A_i's contacts with A_j in canonical order, or
+    _NO_ENDS when their interiors overlap.  One copy of the disk's rows
+    serves every pair."""
+    offsets = scene.offsets
+    rows = build_disk(scene.m, scene.n).rows
+    for i, j in combinations(range(scene.n + 1), 2):
         ends = _placed_ends(rows, offsets[i], offsets[j])
         yield i, j, ends is not None, _NO_ENDS if ends is None else ends
 
@@ -73,10 +74,11 @@ def verify_construction(m: int, n: int) -> Certificate:
     ok is a verdict, not an error: a False certificate faithfully reports a
     broken build.
     """
+    scene = place_translates(m, n)
     verdicts: list[PairVerdict] = []
     with _gc_paused():  # the contacts and verdicts hold no cycles
-        deque(_verdicts(_pair_rows(m, n), verdicts, keep=True), maxlen=0)
-    return Certificate(m, n, place_translates(m, n).offsets, tuple(verdicts), *_verdict_totals(n, verdicts))
+        deque(_verdicts(_pair_rows(scene), verdicts, keep=True), maxlen=0)
+    return Certificate(m, n, scene.offsets, tuple(verdicts), *_verdict_totals(n, verdicts))
 
 
 def _verdict_totals(n: int, verdicts: Sequence[PairVerdict]) -> tuple[int, bool]:

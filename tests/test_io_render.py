@@ -207,12 +207,31 @@ class TestStrictParse:
         with pytest.raises(DocumentInvariantError):
             parse(canonical(doc))
 
-    def test_false_verdicts_round_trip(self):
+    def test_forged_verdicts_refused(self):
+        # a flipped verdict with ok to match is consistent, but not the sweep's verdict
         doc = json.loads(serialize(verify_construction(2, 2)))
         doc["ok"] = False
         doc["pair_verdicts"][0]["interiors_disjoint"] = False
-        cert = parse(canonical(doc))
-        assert cert.ok is False and cert.pair_verdicts[0].interiors_disjoint is False
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    def test_moved_a0_contact_refused(self):
+        # the one contact of pair (0, 1), moved a unit right with its length kept
+        doc = json.loads(serialize(verify_construction(3, 2)))
+        (contact,) = doc["pair_verdicts"][0]["contacts"]
+        contact["a"][0] += 1
+        contact["b"][0] += 1
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
+
+    def test_dropped_contact_refused(self):
+        # a contact of pair (1, 2) left out, its length taken off the pair's total
+        doc = json.loads(serialize(verify_construction(4, 3)))
+        pair = doc["pair_verdicts"][3]
+        assert (pair["i"], pair["j"]) == (1, 2)
+        pair["segment_length_total"] -= pair["contacts"].pop()["length"]
+        with pytest.raises(DocumentInvariantError):
+            parse(canonical(doc))
 
     def test_touching_count_must_match_verdicts(self):
         doc = json.loads(serialize(verify_construction(3, 2)))
@@ -455,15 +474,15 @@ class TestStrictParse:
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_parse_keeps_the_collector_state(enabled):
-    # parse pauses the cyclic collector while it decodes, and restores it
-    # whether the document is accepted or refused
+    # parse pauses the cyclic collector while it rebuilds a certificate, and
+    # restores it whether the document is accepted or refused
     was = gc.isenabled()
     data = serialize(verify_construction(3, 2))
     try:
         (gc.enable if enabled else gc.disable)()
         assert parse(data).ok
         assert gc.isenabled() == enabled
-        # refused while the verdicts are decoded, and after
+        # refused at the first pair's contacts, and at the trailer
         for edit in (data.replace(b'"a":', b'"z":', 1), data.replace(b'"ok":true', b'"ok":false')):
             with pytest.raises(DocumentInvariantError):
                 parse(edit)
@@ -480,8 +499,9 @@ def refused_as(cls, data):
 
 
 class TestScanOnlyProposes:
-    """parse reads the object from the bytes without decoding them as JSON,
-    and accepts it only if serialize writes exactly those bytes."""
+    """parse reads only the header's (m, n) from the bytes, without decoding
+    them as JSON, rebuilds the object from them, and accepts it only if
+    serialize writes exactly those bytes."""
 
     @pytest.fixture
     def no_json(self, monkeypatch):
@@ -498,16 +518,6 @@ class TestScanOnlyProposes:
                 objs += [place_translates(m, n), verify_construction(m, n)]
             for obj in objs:
                 assert parse(serialize(obj)) == obj, (type(obj).__name__, m, n)
-
-    def test_integers_scanned_with_their_signs(self):
-        data = b'{"a":[-12,3],"b":[-0,007],"length":9223372036854775807}'
-        assert serial._integers(data, 0, len(data)).tolist() == [-12, 3, 0, 7, 2**63 - 1]
-        # only the slice is read: a '-' before it, or at its end, signs nothing
-        assert serial._integers(b"-5", 1, 2).tolist() == [5]
-        assert serial._integers(b"7-", 0, 2).tolist() == [7]
-        assert serial._integers(b'"kind":"point"', 0, 14).tolist() == []
-        with pytest.raises(ValueError):
-            serial._integers(b"12345678901234567890", 0, 20)
 
     def test_numbers_serialize_would_not_write(self):
         data = serialize(verify_construction(4, 3))
@@ -541,9 +551,13 @@ class TestScanOnlyProposes:
                 refused_as(DocumentInvariantError, data[:cut] + trailer)
 
     @pytest.mark.parametrize("kind", ["shape", "certificate"])
-    def test_short_document_claiming_20_20(self, kind):
-        # a shape is refused by its length; a certificate by its first pair,
-        # before any contact is swept, as parse never sweeps
+    def test_short_document_claiming_20_20(self, monkeypatch, kind):
+        # each is refused by its length, before the disk's rows are made or
+        # any pair is swept
+        def no_build(shape):
+            raise AssertionError("a shape's rows were made for a short document")
+
+        monkeypatch.setattr(Shape, "rows", property(no_build))
         head = b'{"schema_version":"tk-1","kind":"%s","m":20,"n":20,' % kind.encode()
         if kind == "shape":
             body = b'"pieces":[' + b",".join([b'{"role":"bar","index":1,"rect":[0,0,20,1]}'] * 20) + b"]}\n"

@@ -24,7 +24,7 @@ from translate_kiss import (
     verify_construction,
 )
 
-from translate_kiss.rect import _bulk, _checked_kinds, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
+from translate_kiss.rect import _bulk, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
 from translate_kiss.rect import _canonical, _kinds
 
 from oracles import (
@@ -243,22 +243,22 @@ class TestContactContract:
 
     @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=8))
     def test_bulk_ends_match_the_constructor(self, rows):
-        # the checked bulk path parse uses accepts and refuses what ContactComponent(a, b) does
+        # _kinds gives 3 exactly for the rows ContactComponent(a, b) refuses
         ends = np.array(rows, np.int64).reshape(-1, 4)
-        try:
-            expected = tuple(ContactComponent((xa, ya), (xb, yb)) for xa, ya, xb, yb in rows)
-        except ParameterError:
-            with pytest.raises(ParameterError):
-                _checked_kinds(ends)
+        kinds = _kinds(ends)
+        for (xa, ya, xb, yb), kind in zip(rows, kinds.tolist()):
+            try:
+                ContactComponent((xa, ya), (xb, yb))
+            except ParameterError:
+                assert kind == 3
+            else:
+                assert kind != 3
+        if (kinds == 3).any():
             return
-        got = _bulk(ends, _checked_kinds(ends))
+        got = _bulk(ends, kinds)
+        expected = tuple(ContactComponent((xa, ya), (xb, yb)) for xa, ya, xb, yb in rows)
         assert got == expected and all(type(c) is ContactComponent for c in got)
         assert [tuple(c) for c in got] == [tuple(c) for c in expected]
-
-    @pytest.mark.parametrize("v", [2**61, -(2**61)])
-    def test_bulk_ends_out_of_range(self, v):
-        with pytest.raises(RangeError):
-            _checked_kinds(np.array([[v, 0, v, 0]], np.int64))
 
 
 line_rows = st.lists(
