@@ -43,10 +43,11 @@ class Shape:
     def rows(self) -> np.ndarray:
         """Read-only (2^(n+1) - 1, 4) int64 rows [x0, y0, x1, y1] in path order:
         bar i + 1 is [i m, S(i), (i + 1) m, S(i) + 1] and connector i rises
-        from S(i - 1) + 1 to S(i) + 1 in column i m - 1."""
+        from S(i - 1) + 1 to S(i) + 1 in column i m - 1.  The array is in
+        Fortran order, so each of its four columns is contiguous."""
         m, bars = self.m, 2**self.n
         x, s = np.arange(bars, dtype=np.int64) * m, _ruler_sums(bars)
-        rows = np.empty((2 * bars - 1, 4), np.int64)
+        rows = np.empty((2 * bars - 1, 4), np.int64, order="F")
         rows[0::2] = np.column_stack((x, s, x + m, s + 1))
         rows[1::2] = np.column_stack((x[1:] - 1, s[:-1] + 1, x[1:], s[1:] + 1))
         rows.flags.writeable = False

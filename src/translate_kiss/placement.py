@@ -4,7 +4,8 @@ The translates A_1..A_n follow the recursion: the leftmost level-(n+1-i)
 sub-copy of A_i coincides with the second such sub-copy of A_{i-1} shifted
 right by one and down by one.  A_0 is A_1 shifted down by n+1.  The paper
 takes m >= n, so each pair witness's step j - i < n is in Lemma 2's range
-1..m - 1, but a Scene takes any m >= 2: measured for 3 <= n <= 12, not
+1..m - 1, but a Scene takes any m >= 2: measured for 3 <= n <= 12 and
+pinned in CI at n = 16 and n = 20 (m = n passes, m = n - 2 fails), not
 proved, the construction passes iff m >= n - 1.
 """
 

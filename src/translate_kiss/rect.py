@@ -6,20 +6,23 @@ coordinates are Python ints, so every test here is exact.  The pairwise
 sweep runs on int64 numpy arrays; it only compares, takes max/min and
 subtracts, and it rejects any coordinate with |v| >= 2**61 (RangeError), so
 it stays exact too.  One pair core (_pairs) pairs each rect of A with a
-window of B rows and works on columns: the closed intersections' corners
-by elementwise maximum and minimum, their gaps by subtraction, and no
-reduction along a row.  Two rules make the windows.  _sweep, for Rect
-lists in any order, sorts B by x0 and pads each window by B's widest rect,
-so it bounds the window in x only; union_interiors_disjoint and
-contact_components wrap it, and no package code calls them.
-_placed_ends, which both verifiers call, sweeps two copies of the disk's
-rows, which are nondecreasing in all four columns, in the second copy's
-frame: B is the rows themselves and A the rows moved by the difference of
-the offsets.  So each copy's extremes are its first and last rows, where
-the 2**61 bound is checked, and the rows meeting a box are one index range,
-found by four binary searches (_window).  A is first cut to the range that
-meets B's bounding box, and each rect left in A gets its own window of B,
-tight in x and y; a pair whose windows are all empty has no contact and
+window of B rows and works on contiguous int64 columns, each gathered by
+one take: the closed intersections' corners by elementwise maximum and
+minimum, their gaps by subtraction, and no reduction along a row.  Two
+rules make the windows.  _sweep, for Rect lists in any order, sorts B's
+columns by x0 and pads each window by B's widest rect, so it bounds the
+window in x only; union_interiors_disjoint and contact_components wrap it,
+and no package code calls them.  _placed_ends, which both verifiers call,
+sweeps two copies of the disk's rows in the second copy's frame: B is the
+four columns of Shape.rows, which is in Fortran order, and A the rows moved
+by the difference of the offsets.  The rows are nondecreasing in all four
+columns, so each copy's extremes are its first and last rows, where the
+2**61 bound is checked, and the rows meeting a box are one index range:
+its x-part is a closed form in the bar width (_x_window), its y-part one
+binary search per end.  A is first cut to the range that meets B's
+bounding box.  A rect left in A is kept only if it meets the y-cover of
+its x-window, and only kept rects search for their y-windows, so each gets
+a window tight in x and y; a pair with no kept rect has no contact and
 stops there.  Blocks that build many acyclic objects (the contacts, the
 verdicts) run under _gc_paused, so the cyclic garbage collector does not
 walk them again and again.
@@ -131,8 +134,10 @@ class ContactComponent(tuple):
 
 
 _LIMIT = 2**61
-# rows [x, y0, y1] of contacts with zero x-gap and [y, x0, x1] of those with zero y-gap
-_Contacts = tuple[np.ndarray, np.ndarray]
+# 1-D int64 columns of equal length: rects (x0, y0, x1, y1), line rows (line, lo, hi)
+_Columns = tuple[np.ndarray, ...]
+# line rows (x, y0, y1) of contacts with zero x-gap and (y, x0, x1) of those with zero y-gap
+_Contacts = tuple[_Columns, _Columns]
 # the ends of no contacts, as (0, 4) int64 rows [xa, ya, xb, yb]
 _NO_ENDS = np.empty((0, 4), np.int64)
 _NO_ENDS.flags.writeable = False
@@ -151,32 +156,28 @@ def _in_bound(arr: np.ndarray) -> None:
         raise RangeError("coordinates exceed the int64 sweep bound 2**61")
 
 
-def _pairs(A: np.ndarray, B: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[_Contacts]:
-    """Touching pairs of rect arrays A and B, or None on interior overlap,
-    where rect a of A is paired with B rows lo[a] <= k < hi[a] (an empty
-    window when hi[a] <= lo[a]), a window that holds every B rect whose
-    closed box meets a's.  All closed intersections are taken at once, one
-    column at a time: their corners by elementwise maximum and minimum, and
-    their gaps gx, gy as differences.  One open in both axes is an interior
-    overlap; one with gx == 0 lies on a vertical line and one with gy == 0 on
-    a horizontal line.  The touching pairs come back as two (k, 3) int64 row
-    arrays.  The caller bounds the coordinates so that every difference of
-    two fits in int64."""
+def _pairs(A: _Columns, B: _Columns, lo: np.ndarray, hi: np.ndarray) -> Optional[_Contacts]:
+    """Touching pairs of the rects with columns A and B, or None on interior
+    overlap, where rect a of A is paired with B rows lo[a] <= k < hi[a] (an
+    empty window when hi[a] <= lo[a]), a window that holds every B rect whose
+    closed box meets a's.  Each column is gathered by one take, and all
+    closed intersections are taken at once: their corners by elementwise
+    maximum and minimum, and their gaps gx, gy as differences.  One open in
+    both axes is an interior overlap; one with gx == 0 lies on a vertical
+    line and one with gy == 0 on a horizontal line.  The caller bounds the
+    coordinates so that every difference of two fits in int64."""
     counts = np.maximum(hi - lo, 0)
-    ia = np.repeat(np.arange(len(A)), counts)
+    ia = np.repeat(np.arange(len(lo)), counts)
     ib = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    a, b = A[ia], B[ib]
-    x0, y0 = np.maximum(a[:, 0], b[:, 0]), np.maximum(a[:, 1], b[:, 1])
-    x1, y1 = np.minimum(a[:, 2], b[:, 2]), np.minimum(a[:, 3], b[:, 3])
+    x0, y0, x1, y1 = (c.take(ia) for c in A)
+    for f, a, b in zip((np.maximum, np.maximum, np.minimum, np.minimum), (x0, y0, x1, y1), B):
+        f(a, b.take(ib), out=a)
     gx, gy = x1 - x0, y1 - y0
     if ((gx > 0) & (gy > 0)).any():
         return None
     meet = (gx >= 0) & (gy >= 0)
     vertical, horizontal = meet & (gx == 0), meet & (gy == 0)
-    return (
-        np.column_stack((x0[vertical], y0[vertical], y1[vertical])),
-        np.column_stack((y0[horizontal], x0[horizontal], x1[horizontal])),
-    )
+    return (x0[vertical], y0[vertical], y1[vertical]), (y0[horizontal], x0[horizontal], x1[horizontal])
 
 
 def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
@@ -191,12 +192,12 @@ def _sweep(A: np.ndarray, B: np.ndarray) -> Optional[_Contacts]:
     _in_bound(A)
     _in_bound(B)
     if not len(A) or not len(B):
-        none = np.empty((0, 3), np.int64)
+        none = (np.empty(0, np.int64),) * 3
         return none, none
-    B = B[np.argsort(B[:, 0], kind="stable")]
-    lo = np.searchsorted(B[:, 0], A[:, 0] - (B[:, 2] - B[:, 0]).max(), "left")
-    hi = np.searchsorted(B[:, 0], A[:, 2], "right")
-    return _pairs(A, B, lo, hi)
+    B = B.T.take(np.argsort(B[:, 0], kind="stable"), axis=1)
+    lo = np.searchsorted(B[0], A[:, 0] - (B[2] - B[0]).max(), "left")
+    hi = np.searchsorted(B[0], A[:, 2], "right")
+    return _pairs(np.ascontiguousarray(A.T), B, lo, hi)
 
 
 def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
@@ -207,10 +208,10 @@ def union_interiors_disjoint(A: list[Rect], B: list[Rect]) -> bool:
     return _sweep(_rect_array(A), _rect_array(B)) is not None
 
 
-def _merge(rows: np.ndarray) -> np.ndarray:
-    """(k, 3) int64 rows [line, lo, hi] with lo <= hi, merged into the maximal
-    runs of each line and sorted by (line, lo); runs that overlap or share
-    an endpoint merge.
+def _merge(rows: _Columns) -> _Columns:
+    """Line rows, columns (line, lo, hi) with lo <= hi, merged into the
+    maximal runs of each line and sorted by (line, lo); runs that overlap or
+    share an endpoint merge.
 
     After sorting by (line, lo, hi), a run starts where the line changes or
     where lo passes the largest hi of the line so far.  That running maximum
@@ -218,16 +219,17 @@ def _merge(rows: np.ndarray) -> np.ndarray:
     distinct his) + rank of hi: every key of a line exceeds every key of the
     lines before it, so the maximum never reaches back across a line.
     """
-    if not len(rows):
-        return rows.reshape(0, 3)
-    line, lo, hi = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))].T
+    if not len(rows[0]):
+        return rows
+    order = np.lexsort(rows[::-1])
+    line, lo, hi = (c.take(order) for c in rows)
     start = np.ones(len(line), bool)
     start[1:] = line[1:] != line[:-1]
     his, hi_rank = np.unique(hi, return_inverse=True)
     reach = np.maximum.accumulate((np.cumsum(start) - 1) * len(his) + hi_rank)
     start[1:] |= lo[1:] > his[reach[:-1] % len(his)]
     last = np.append(np.flatnonzero(start)[1:] - 1, len(line) - 1)
-    return np.column_stack((line[start], lo[start], his[reach[last] % len(his)]))
+    return line[start], lo[start], his[reach[last] % len(his)]
 
 
 # builds a ContactComponent from its four fields without __new__'s checks
@@ -289,60 +291,70 @@ def _canonical(contacts: _Contacts) -> np.ndarray:
     Merged runs of one line are disjoint, so a cell (x, y) is a zero-length
     run at most once per kind: after one sort of all such cells by (x, y), a
     point is a cell equal to the one after it."""
-    vertical, horizontal = map(_merge, contacts)
-    v_zero = vertical[:, 1] == vertical[:, 2]
-    h_zero = horizontal[:, 1] == horizontal[:, 2]
-    x = np.concatenate((vertical[v_zero, 0], horizontal[h_zero, 1]))
-    y = np.concatenate((vertical[v_zero, 1], horizontal[h_zero, 0]))
+    (vx, vy0, vy1), (hy, hx0, hx1) = map(_merge, contacts)
+    v_zero, h_zero = vy0 == vy1, hx0 == hx1
+    x = np.concatenate((vx[v_zero], hx0[h_zero]))
+    y = np.concatenate((vy0[v_zero], hy[h_zero]))
     order = np.lexsort((y, x))
-    x, y = x[order], y[order]
+    x, y = x.take(order), y.take(order)
     twice = np.flatnonzero((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
-    points = np.column_stack((x[twice], y[twice]))  # sorted by (x, y)
-    hseg = horizontal[~h_zero]
-    hseg = hseg[np.lexsort((hseg[:, 2], hseg[:, 0], hseg[:, 1]))]  # by (xa, y, xb)
-    vseg = vertical[~v_zero]  # _merge sorted it by (x, ya), and ya fixes yb
-    return np.concatenate((hseg[:, [1, 0, 2, 0]], points[:, [0, 1, 0, 1]], vseg[:, [0, 1, 0, 2]]))
+    px, py = x.take(twice), y.take(twice)  # the points, sorted by (x, y)
+    hy, hx0, hx1 = hy[~h_zero], hx0[~h_zero], hx1[~h_zero]
+    order = np.lexsort((hx1, hy, hx0))  # the horizontal segments by (xa, y, xb)
+    hy, hx0, hx1 = hy.take(order), hx0.take(order), hx1.take(order)
+    vx, vy0, vy1 = vx[~v_zero], vy0[~v_zero], vy1[~v_zero]  # _merge sorted them by (x, ya), and ya fixes yb
+    return np.column_stack(
+        [np.concatenate(c) for c in ((hx0, px, vx), (hy, py, vy0), (hx1, px, vx), (hy, py, vy1))]
+    )
 
 
-def _window(rows: np.ndarray, x0, y0, x1, y1) -> tuple[np.ndarray, np.ndarray]:
-    """The index range [lo, hi) of the rows, nondecreasing in each of their
-    four columns, whose closed boxes meet the closed box [x0, x1] x [y0, y1]:
-    it starts past every row with x1 < x0 or y1 < y0 and ends before the
-    first row with x0 > x1 or y0 > y1.  Scalars give one range, arrays one
-    range per box."""
-    lo = np.maximum(np.searchsorted(rows[:, 2], x0, "left"), np.searchsorted(rows[:, 3], y0, "left"))
-    hi = np.minimum(np.searchsorted(rows[:, 0], x1, "right"), np.searchsorted(rows[:, 1], y1, "right"))
-    return lo, hi
+def _x_window(m: int, count: int, x0, x1) -> tuple[np.ndarray, np.ndarray]:
+    """The index range [lo, hi) of a disk's count rows in path order whose
+    closed x-ranges meet [x0, x1], in closed form from the bar width m: bar
+    i + 1 is [i m, (i + 1) m] and connector i is [i m - 1, i m], so 2
+    floor((x0 - 1) / m) rows have x1 < x0 and floor(x1 / m) + floor((x1 + 1)
+    / m) + 1 rows have x0 <= x1; lo is raised to 0 and hi cut to count.
+    Scalars give one range, arrays one range per box."""
+    return np.maximum(2 * ((x0 - 1) // m), 0), np.minimum(x1 // m + (x1 + 1) // m + 1, count)
 
 
 def _placed_ends(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[np.ndarray]:
     """The (k, 4) int64 ends [xa, ya, xb, yb] of the contacts between two
-    copies of the rect array rows placed at offsets a and b, in canonical
-    order, or None on interior overlap.
+    copies of a disk's rows, Shape.rows, placed at offsets a and b, in
+    canonical order, or None on interior overlap.
 
-    rows must be nondecreasing in each of its four columns, as Shape.rows is
-    in path order, so each copy's first and last rows hold its extremes: the
-    2**61 bound is checked on those four rows alone.  The sweep runs in B's
-    frame, where B is rows itself, not copied, and A is rows moved by a - b;
-    the ends are moved by b at the end.  With |rows| < 2**61, as a disk's
-    rows are, A fits in int64, and every gap the sweep takes is a gap
-    between the placed copies.  A is first cut to the one index range of
-    rows that meet B's bounding box, whose corners are rows' first and last
-    rows; then each remaining rect of A gets its own window of B, tight in x
-    and y.  When every window is empty there is no contact, and the pair
-    stops there.
+    The rows are nondecreasing in each column, so each copy's extremes are
+    its first and last rows, where the 2**61 bound is checked.  The sweep
+    runs in B's frame: B is the rows' four columns, not copied, A the rows
+    moved by a - b, and the ends are moved by b at the end; with |rows| <
+    2**61, A fits in int64, and every gap taken is one between the placed
+    copies.  A is cut to the rows that meet B's bounding box, which keeps
+    each of their x-windows (_x_window) nonempty and inside the rows.  Each
+    row meets the next in y, so the rows of a window [lx, hx) cover [Y0[lx],
+    Y1[hx - 1]] in y: a rect of A is kept only if it meets that cover, and
+    only kept rects search B's y columns for their windows.  A pair with no
+    kept rect has no contact.
     """
     corners = rows[[0, -1]]
     _in_bound(corners + (a.dx, a.dy, a.dx, a.dy))
     _in_bound(corners + (b.dx, b.dy, b.dx, b.dy))
-    (x0, y0, _, _), (_, _, x1, y1) = corners.tolist()
-    d = a - b
-    first, last = _window(rows, x0 - d.dx, y0 - d.dy, x1 - d.dx, y1 - d.dy)
-    A = rows[first:last] + (d.dx, d.dy, d.dx, d.dy)
-    lo, hi = _window(rows, *A.T)
-    if not (hi > lo).any():
+    (x0, y0, bar_x1, _), (_, _, x1, y1) = corners.tolist()
+    X0, Y0, X1, Y1 = B = rows.T
+    m, d = bar_x1 - x0, a - b
+    lx, hx = _x_window(m, len(rows), x0 - d.dx, x1 - d.dx)
+    first = max(lx, np.searchsorted(Y1, y0 - d.dy, "left"))
+    last = min(hx, np.searchsorted(Y0, y1 - d.dy, "right"))
+    cut = slice(first, last)
+    lx, hx = _x_window(m, len(rows), X0[cut] + d.dx, X1[cut] + d.dx)
+    near = Y0.take(lx) <= Y1[cut] + d.dy
+    near &= Y1.take(hx - 1) >= Y0[cut] + d.dy
+    keep = np.flatnonzero(near)
+    if not len(keep):
         return _NO_ENDS
-    raw = _pairs(A, rows, lo, hi)
+    A = [c[cut].take(keep) + v for c, v in zip(B, (d.dx, d.dy, d.dx, d.dy))]
+    lo = np.maximum(lx.take(keep), np.searchsorted(Y1, A[1], "left"))
+    hi = np.minimum(hx.take(keep), np.searchsorted(Y0, A[3], "right"))
+    raw = _pairs(A, B, lo, hi)
     return None if raw is None else _canonical(raw) + (b.dx, b.dy, b.dx, b.dy)
 
 

@@ -102,14 +102,15 @@ class VerticalRun:
         return self.y1 - self.y0
 
 
-def _rightward_rows(shape: Shape) -> np.ndarray:
-    """rightward_runs as (k, 3) int64 rows [x, y0, y1]."""
-    return _merge(shape.rows[:, [2, 1, 3]])
+def _rightward_rows(shape: Shape) -> tuple[np.ndarray, ...]:
+    """rightward_runs as int64 columns (x, y0, y1)."""
+    _, y0, x1, y1 = shape.rows.T
+    return _merge((x1, y0, y1))
 
 
 def rightward_runs(shape: Shape) -> list[VerticalRun]:
     """Maximal vertical runs formed by merging collinear piece right edges."""
-    return [VerticalRun(*run) for run in _rightward_rows(shape).tolist()]
+    return list(map(VerticalRun, *(column.tolist() for column in _rightward_rows(shape))))
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,10 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     expected = Vec2(i - 1, n + 2 - i)
 
     runs = _rightward_rows(sub)
-    heights = runs[:, 2] - runs[:, 1]
+    heights = runs[2] - runs[1]
     # the first tallest, as max(rightward_runs(sub), key=height) picks it
     first = int(np.argmax(heights))
-    tallest = VerticalRun(*runs[first].tolist())
+    tallest = VerticalRun(*(int(column[first]) for column in runs))
     unique = bool((heights == heights[first]).sum() == 1)
 
     contacts = _placed_contacts(sub.rows, d_offset, d_prime_offset)

@@ -105,7 +105,7 @@ def loop_components(contacts):
     merge_lines on each kind, a point where a zero-length run is alone on
     both its lines, one Contact per component with its kind and length
     decided here, sorted by (kind, a, b).  The oracle for rect._components."""
-    vertical, horizontal = (merge_lines(rows.tolist()) for rows in contacts)
+    vertical, horizontal = (merge_lines(zip(*(c.tolist() for c in rows))) for rows in contacts)
     lone = {(x, y) for x, y, y1 in vertical if y == y1}
     lone &= {(x, y) for y, x, x1 in horizontal if x == x1}
     found = [Contact("point", p, p, 0) for p in lone]
@@ -125,7 +125,7 @@ def kinds_by_select(ends):
 def canonical_by_unique(contacts):
     """rect._canonical with its points found by np.unique: the (x, y) of every
     zero-length merged run of either kind, kept where it is seen twice."""
-    vertical, horizontal = map(_merge, contacts)
+    vertical, horizontal = (np.column_stack(_merge(rows)) for rows in contacts)
     v_zero = vertical[:, 1] == vertical[:, 2]
     h_zero = horizontal[:, 1] == horizontal[:, 2]
     cells, seen = np.unique(

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from translate_kiss import (
     Vec2,
     build_disk,
     contact_components,
+    place_translates,
     total_contact_length,
     union_interiors_disjoint,
     verify_construction,
 )
 
 from translate_kiss.rect import _bulk, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
-from translate_kiss.rect import _canonical, _kinds
+from translate_kiss.rect import _canonical, _kinds, _placed_ends, _x_window
 
 from oracles import (
     canonical_by_unique,
@@ -274,9 +276,9 @@ class TestMerge:
 
     @staticmethod
     def check(rows):
-        got = _merge(np.array(rows, np.int64).reshape(-1, 3))
-        assert got.dtype == np.int64 and got.shape[1:] == (3,)
-        assert got.tolist() == merge_lines(rows)
+        got = _merge(tuple(np.array(rows, np.int64).reshape(-1, 3).T))
+        assert len(got) == 3 and all(c.dtype == np.int64 and c.ndim == 1 for c in got)
+        assert np.column_stack(got).tolist() == merge_lines(rows)
 
     @given(line_rows)
     def test_matches_loop(self, rows):
@@ -345,7 +347,7 @@ class TestCanonical:
 
     @given(line_rows, line_rows)
     def test_any_line_rows(self, vertical, horizontal):
-        self.check(tuple(np.array(rows, np.int64).reshape(-1, 3) for rows in (vertical, horizontal)))
+        self.check(tuple(tuple(np.array(rows, np.int64).reshape(-1, 3).T) for rows in (vertical, horizontal)))
 
 
 class TestContactsMatchLoopPath:
@@ -549,12 +551,38 @@ def placed(rows, v):
 
 class TestTightWindow:
     """_placed_contacts' window, tight in x and y, needs rows that are
-    nondecreasing in every column; the disk's rows in path order are."""
+    nondecreasing in every column, each meeting the next in y, and laid out
+    in x as _x_window's closed form says; the disk's rows in path order are."""
 
     @pytest.mark.parametrize("n", range(15))
     def test_rows_nondecreasing(self, n):
         for m in (2, 3, n + 2):
             assert (np.diff(build_disk(m, n).rows, axis=0) >= 0).all(), (m, n)
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_rows_chain_in_y(self, n):
+        # each row meets the next in y, so the rows of an x-window cover one
+        # y-interval, from its first row's y0 to its last row's y1
+        for m in (2, 3, n + 2):
+            rows = build_disk(m, n).rows
+            assert (rows[1:, 1] <= rows[:-1, 3]).all(), (m, n)
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_rows_are_read_only_contiguous_columns(self, n):
+        for m in (2, 3, n + 2):
+            rows = build_disk(m, n).rows
+            assert rows.flags.f_contiguous and not rows.flags.writeable, (m, n)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_x_window_is_the_binary_search(self, n):
+        # past either end the closed form may leave [0, count]; the window is
+        # empty there either way
+        for m in (2, 3, n + 2):
+            rows = build_disk(m, n).rows
+            v = np.arange(-m - 2, rows[-1, 2] + m + 3)
+            lo, hi = _x_window(m, len(rows), v, v)
+            assert np.minimum(lo, len(rows)).tolist() == np.searchsorted(rows[:, 2], v, "left").tolist(), (m, n)
+            assert np.maximum(hi, 0).tolist() == np.searchsorted(rows[:, 0], v, "right").tolist(), (m, n)
 
     @pytest.mark.parametrize("m, n", [(3, 0), (3, 1), (4, 2)])
     def test_every_offset_in_the_box(self, m, n):
@@ -566,6 +594,28 @@ class TestTightWindow:
                 v = Vec2(dx, dy)
                 B = [r.translate(v) for r in rects]
                 assert placed(shape.rows, v) == naive_placed(rects, B), v
+
+
+class TestPlacedMatchesSweep:
+    """_placed_ends, with its closed-form x-windows and its cut by each
+    window's y-cover, against the generic _sweep of the two placed copies:
+    every pair of every scene with 2 <= n <= 10 and max(2, n - 3) <= m <=
+    n + 3, 1,502 pairs, 19 of them overlapping."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_pair_of_every_scene(self, n):
+        for m in range(max(2, n - 3), n + 4):
+            rows, offsets = build_disk(m, n).rows, place_translates(m, n).offsets
+            for i, j in combinations(range(n + 1), 2):
+                a, b = offsets[i], offsets[j]
+                got = _placed_ends(rows, a, b)
+                raw = _sweep(rows + (a.dx, a.dy, a.dx, a.dy), rows + (b.dx, b.dy, b.dx, b.dy))
+                if raw is None:
+                    assert got is None, (m, n, i, j)
+                else:
+                    want = _canonical(raw)
+                    assert got is not None and got.dtype == want.dtype, (m, n, i, j)
+                    assert np.array_equal(got, want), (m, n, i, j)
 
 
 def box_offsets(w, h):
