@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, _show
+from .errors import ParameterError, _int_in
 from .rect import _LIMIT, Rect, Vec2
 from .ruler import _ruler_sums, ruler_sum
 
@@ -78,23 +78,15 @@ class SubCopyRef:
 
 
 def _validate_ref(n: int, ref: SubCopyRef) -> None:
-    if not 0 <= ref.level <= n:
-        raise ParameterError(f"level {_show(ref.level)} out of range 0..{n}")
-    if not 1 <= ref.copy <= 2 ** (n - ref.level):
-        raise ParameterError(
-            f"copy {_show(ref.copy)} out of range 1..{2 ** (n - ref.level)} at level {ref.level}"
-        )
+    _int_in("level", ref.level, 0, n)
+    _int_in("copy", ref.copy, 1, 2 ** (n - ref.level))
 
 
-def _check_disk_params(m: int, n: int) -> None:
-    if type(m) is not int or type(n) is not int:  # a float or a bool would reach every coordinate
-        raise ParameterError(f"m and n must be ints, got {type(m).__name__} and {type(n).__name__}")
-    if m < 2:
-        raise ParameterError(f"need bar width m >= 2, got {_show(m)}")
-    if n < 0:
-        raise ParameterError(f"need n >= 0, got {_show(n)}")
-    if n > MAX_N:
-        raise ParameterError(f"n={_show(n)} exceeds the supported maximum {MAX_N}")
+def _check_disk_params(m: int, n: int, n_min: int = 0) -> None:
+    """ParameterError unless m >= 2, n_min <= n <= MAX_N and m 2^(n+1) < 2^61,
+    m and n being ints: a float or a bool would reach every coordinate."""
+    _int_in("m", m, 2)
+    _int_in("n", n, n_min, MAX_N)
     # every coordinate of the disk and its translates lies below m * 2^(n+1)
     if m * 2 ** (n + 1) >= _LIMIT:
         raise ParameterError(f"m * 2**{n + 1} reaches the coordinate bound 2**61")

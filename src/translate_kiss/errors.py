@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one check that an
+argument is an int in range."""
 
 
 def _show(value: int) -> str:
@@ -11,6 +12,15 @@ def _show(value: int) -> str:
 
 class ParameterError(ValueError):
     """An argument is outside the range an operation is defined for."""
+
+
+def _int_in(name: str, value: int, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise ParameterError unless value is an int, not a bool, float or numpy
+    integer, with lo <= value <= hi; a bound of None is open."""
+    if type(value) is not int or (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = "" if lo is None and hi is None else f" in {'' if lo is None else lo}..{'' if hi is None else hi}"
+        kind = "" if type(value) is int else f" ({type(value).__name__})"
+        raise ParameterError(f"{name} must be an int{bounds}, got {_show(value)}{kind}")
 
 
 class RangeError(ParameterError):

@@ -2,11 +2,14 @@
 
 The translates A_1..A_n follow the recursion: the leftmost level-(n+1-i)
 sub-copy of A_i coincides with the second such sub-copy of A_{i-1} shifted
-right by one and down by one.  A_0 is A_1 shifted down by n+1.  The paper
-takes m >= n, so each pair witness's step j - i < n is in Lemma 2's range
+right by one and down by one.  Summed from A_1 at the origin, it puts A_i
+at (m (2^n - 2^(n+1-i)) + i - 1, 2 (2^n - 2^(n+1-i) - i + 1)), the closed
+form a Scene uses.  A_0 is A_1 shifted down by n+1.  The paper takes
+m >= n, so each pair witness's step j - i < n is in Lemma 2's range
 1..m - 1, but a Scene takes any m >= 2: measured for 3 <= n <= 12 and
-pinned in CI at n = 16 and n = 20 (m = n passes, m = n - 2 fails), not
-proved, the construction passes iff m >= n - 1.
+pinned in CI at n = 16 and n = 20 (m = n passes, m = n - 2 fails, and at
+n = 20 m = n - 1 passes), not proved, the construction passes iff
+m >= n - 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .disk import SubCopyRef, _check_disk_params, _column_profile, sub_copy_offset
-from .errors import ConstructionBroken, ParameterError, _show
+from .errors import ConstructionBroken, ParameterError, _int_in
 from .rect import Vec2
 from .ruler import ruler_sum
 
@@ -27,7 +30,7 @@ MAX_PROFILE_COLUMNS = 2**24
 @dataclass(frozen=True)
 class Scene:
     """The translates A_0..A_n of the (m, n) disk, checked on creation; their
-    offsets are derived from (m, n) by the recursion above."""
+    offsets are the closed form above."""
 
     m: int
     n: int
@@ -35,13 +38,9 @@ class Scene:
 
     def __post_init__(self) -> None:
         m, n = self.m, self.n
-        if n < 2:
-            raise ParameterError(f"construction needs n >= 2, got {_show(n)}")
-        _check_disk_params(m, n)
-        offsets = [Vec2(0, 0)]
-        for i in range(2, n + 1):
-            step = sub_copy_offset(m, n, SubCopyRef(level=n + 1 - i, copy=2))
-            offsets.append(offsets[-1] + step + Vec2(1, -1))
+        _check_disk_params(m, n, 2)
+        # A_(k+1) sits at (m s + k, 2 (s - k)), where s = 2^n - 2^(n-k)
+        offsets = (Vec2(m * s + k, 2 * (s - k)) for k, s in enumerate(2**n - 2 ** (n - k) for k in range(n)))
         object.__setattr__(self, "offsets", (Vec2(0, -(n + 1)), *offsets))
 
 
@@ -60,15 +59,10 @@ class Lemma2Case:
     ystar: int
 
     def __post_init__(self) -> None:
-        _check_disk_params(self.m, self.n)
-        if self.n < 2:
-            raise ParameterError(f"need n >= 2, got {self.n}")
-        if not 1 <= self.r <= 2**self.n:
-            raise ParameterError(f"bar index r={_show(self.r)} out of range 1..{2 ** self.n}")
-        if not 1 <= self.xstar <= self.m - 1:
-            raise ParameterError(f"xstar={_show(self.xstar)} out of range 1..{self.m - 1}")
-        if self.ystar < 1:
-            raise ParameterError(f"ystar={_show(self.ystar)} must be >= 1")
+        _check_disk_params(self.m, self.n, 2)
+        _int_in("bar index r", self.r, 1, 2**self.n)
+        _int_in("xstar", self.xstar, 1, self.m - 1)
+        _int_in("ystar", self.ystar, 1)
 
     @property
     def offset(self) -> Vec2:
@@ -89,6 +83,7 @@ def _last_ystar(n: int) -> int:
 def iter_lemma2_cases(m: int, n: int) -> Iterator[Lemma2Case]:
     """All cases worth testing: beyond ystar = height + 1 the bounding
     boxes are vertically disjoint and every case is vacuous."""
+    _check_disk_params(m, n, 2)
     last = _last_ystar(n)
     for r in range(1, 2**n + 1):
         for xstar in range(1, m):
@@ -110,9 +105,7 @@ def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     decides every ystar at once.  A profile (m * 2^n columns) wider than
     MAX_PROFILE_COLUMNS = 2^24 raises ParameterError.
     """
-    _check_disk_params(m, n)
-    if n < 2:
-        raise ParameterError(f"need m, n >= 2, got m={m}, n={n}")
+    _check_disk_params(m, n, 2)
     if m * 2**n > MAX_PROFILE_COLUMNS:
         raise ParameterError(
             f"lemma 2 profile of m * 2**n = {m * 2**n} columns exceeds {MAX_PROFILE_COLUMNS}"
@@ -155,8 +148,8 @@ def theorem_pair_witness(m: int, n: int, i: int, j: int) -> PairWitness:
     x = first * m, so the target's dx fixes the copy and its dy must agree.
     """
     scene = place_translates(m, n)
-    if not 1 <= i < j <= n:
-        raise ParameterError(f"need 1 <= i < j <= n, got i={_show(i)}, j={_show(j)}")
+    _int_in("i", i, 1, n - 1)
+    _int_in("j", j, i + 1, n)
     level = n + 1 - j
     shift = j - i
     target = scene.offsets[j] - scene.offsets[i] - Vec2(shift, -shift)

@@ -1,31 +1,31 @@
 """Exact integer axis-aligned rectangle primitives.
 
 Closed-rectangle semantics throughout: two rects "touch" when their closed
-intersection is nonempty while their interiors are disjoint.  All
-coordinates are Python ints, so every test here is exact.  The pairwise
-sweep runs on int64 numpy arrays; it only compares, takes max/min and
-subtracts, and it rejects any coordinate with |v| >= 2**61 (RangeError), so
-it stays exact too.  One pair core (_pairs) pairs each rect of A with a
-window of B rows and works on contiguous int64 columns, each gathered by
-one take: the closed intersections' corners by elementwise maximum and
-minimum, their gaps by subtraction, and no reduction along a row.  Two
-rules make the windows.  _sweep, for Rect lists in any order, sorts B's
-columns by x0 and pads each window by B's widest rect, so it bounds the
-window in x only; union_interiors_disjoint and contact_components wrap it,
-and no package code calls them.  _placed_ends, which both verifiers call,
-sweeps two copies of the disk's rows in the second copy's frame: B is the
-four columns of Shape.rows, which is in Fortran order, and A the rows moved
-by the difference of the offsets.  The rows are nondecreasing in all four
-columns, so each copy's extremes are its first and last rows, where the
-2**61 bound is checked, and the rows meeting a box are one index range:
-its x-part is a closed form in the bar width (_x_window), its y-part one
-binary search per end.  A is first cut to the range that meets B's
-bounding box.  A rect left in A is kept only if it meets the y-cover of
-its x-window, and only kept rects search for their y-windows, so each gets
-a window tight in x and y; a pair with no kept rect has no contact and
-stops there.  Blocks that build many acyclic objects (the contacts, the
-verdicts) run under _gc_paused, so the cyclic garbage collector does not
-walk them again and again.
+intersection is nonempty while their interiors are disjoint.  A Rect's
+corners and a contact's ends must be ints (ParameterError for a float or a
+bool), so every test here is exact.  The pairwise sweep runs on int64 numpy
+arrays; it only compares, takes max/min and subtracts, and it rejects any
+coordinate with |v| >= 2**61 (RangeError), so it stays exact too.  One pair
+core (_pairs) pairs each rect of A with a window of B rows and works on
+contiguous int64 columns, each gathered by one take: the closed
+intersections' corners by elementwise maximum and minimum, their gaps by
+subtraction, and no reduction along a row.  Two rules make the windows.
+_sweep, for Rect lists in any order, sorts B's columns by x0 and pads each
+window by B's widest rect, so it bounds the window in x only;
+union_interiors_disjoint and contact_components wrap it, and no package
+code calls them.  _placed_ends, which both verifiers call, sweeps two
+copies of the disk's rows in the second copy's frame: B is the four columns
+of Shape.rows, which is in Fortran order, and A the rows moved by the
+difference of the offsets.  The rows are nondecreasing in all four columns,
+so each copy's extremes are its first and last rows, where the 2**61 bound
+is checked, and the rows meeting a box are one index range: its x-part is a
+closed form in the bar width (_x_window), its y-part one binary search per
+end.  A is first cut to the range that meets B's bounding box.  A rect left
+in A is kept only if it meets the y-cover of its x-window, and only kept
+rects search for their y-windows, so each gets a window tight in x and y; a
+pair with no kept rect has no contact and stops there.  Blocks that build
+many acyclic objects (the contacts, the verdicts) run under _gc_paused, so
+the cyclic garbage collector does not walk them again and again.
 
 A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError, RangeError, _show
+from .errors import ContractViolation, ParameterError, RangeError, _int_in, _show
 
 POINT = "point"
 HSEG = "horizontal-segment"
@@ -83,6 +83,8 @@ class Rect:
     y1: int
 
     def __post_init__(self) -> None:
+        for name, value in zip(("x0", "y0", "x1", "y1"), (self.x0, self.y0, self.x1, self.y1)):
+            _int_in(name, value)
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             corners = ", ".join(map(_show, (self.x0, self.y0, self.x1, self.y1)))
             raise ParameterError(f"degenerate rectangle Rect({corners})")
@@ -109,6 +111,8 @@ class ContactComponent(tuple):
 
     def __new__(cls, a: tuple[int, int], b: tuple[int, int]) -> "ContactComponent":
         (xa, ya), (xb, yb) = a, b
+        for name, value in zip(("xa", "ya", "xb", "yb"), (xa, ya, xb, yb)):
+            _int_in(name, value)
         if ya == yb and xa < xb:
             kind = HSEG
         elif xa == xb and ya < yb:

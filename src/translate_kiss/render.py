@@ -21,7 +21,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .disk import _CHUNK, Shape
-from .errors import ParameterError, _show
+from .errors import ParameterError, _int_in
 from .placement import Scene
 from .rect import Vec2
 
@@ -51,8 +51,7 @@ def render_svg(obj: Union[Shape, Scene], unit_px: int = 10) -> bytes:
 
 def _svg_chunks(obj: Union[Shape, Scene], unit_px: int) -> Iterator[bytes]:
     """render_svg's bytes, in order; every check runs before the first chunk."""
-    if type(unit_px) is not int or unit_px < 1:
-        raise ParameterError(f"unit_px must be an int >= 1, got {_show(unit_px)}")
+    _int_in("unit_px", unit_px, 1)
     if isinstance(obj, Shape):
         shape, offsets, fills, labels = obj, (Vec2(0, 0),), [FILLS[0]], ["shape"]
     elif isinstance(obj, Scene):

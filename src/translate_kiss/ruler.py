@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError, _show
+from .errors import ParameterError, RangeError, _int_in, _show
 
 MAX_TABLE_LIMIT = 2**22  # building 2^20 terms peaks near 50 MiB, so about 200 MiB at the cap
 MAX_WINDOW_WORK = 2**30  # bound on min(k_max, r_max) * r_max window sums; 2^28 of them take 1.5 s
@@ -21,8 +21,7 @@ MAX_WINDOW_WORK = 2**30  # bound on min(k_max, r_max) * r_max window sums; 2^28 
 
 def ruler(i: int) -> int:
     """Number of trailing zero bits of i, plus one.  Bit-inspection route."""
-    if i < 1:
-        raise ParameterError(f"ruler is defined for i >= 1, got {_show(i)}")
+    _int_in("i", i, 1)
     return (i & -i).bit_length()
 
 
@@ -55,17 +54,13 @@ class PrefixTable:
 
     @classmethod
     def build(cls, limit: int) -> "PrefixTable":
-        if limit < 1:
-            raise ParameterError(f"table limit must be >= 1, got {_show(limit)}")
-        if limit > MAX_TABLE_LIMIT:
-            raise ParameterError(f"table limit {_show(limit)} exceeds the supported maximum {MAX_TABLE_LIMIT}")
+        _int_in("table limit", limit, 1, MAX_TABLE_LIMIT)
         return cls(limit=limit, sums=tuple(_ruler_sums(limit + 1).tolist()))
 
 
 def prefix_sum(i: int, table: PrefixTable) -> int:
     """Sum of the first i ruler terms (0 for i == 0)."""
-    if i < 0:
-        raise ParameterError(f"prefix_sum needs i >= 0, got {_show(i)}")
+    _int_in("i", i, 0)
     if i > table.limit:
         raise RangeError(f"prefix_sum({_show(i)}) exceeds table limit {table.limit}")
     return table.sums[i]
@@ -74,8 +69,8 @@ def prefix_sum(i: int, table: PrefixTable) -> int:
 def _check_windows(k_max: int, r_max: int) -> None:
     """Raise ParameterError unless lemma 1 has a window to check and at most
     MAX_WINDOW_WORK window sums to take."""
-    if k_max < 1 or r_max < 1:
-        raise ParameterError(f"need k_max, r_max >= 1, got k_max={_show(k_max)}, r_max={_show(r_max)}")
+    _int_in("k_max", k_max, 1)
+    _int_in("r_max", r_max, 1)
     if min(k_max, r_max) * r_max > MAX_WINDOW_WORK:
         raise ParameterError(
             f"min(k_max, r_max) * r_max = {_show(min(k_max, r_max) * r_max)} window sums "

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
-from .errors import ContractViolation, ParameterError, _show
+from .errors import ContractViolation, _int_in
 from .placement import Scene, place_translates
 from .rect import (
     _NO_ENDS, ContactComponent, Vec2, _bulk, _gc_paused, _kinds, _lengths, _merge, _placed_contacts, _placed_ends
@@ -146,8 +146,7 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     upward shift produces contact without overlap.
     """
     scene = place_translates(m, n)
-    if not 1 <= i <= n:
-        raise ParameterError(f"translate index i={_show(i)} out of range 1..{n}")
+    _int_in("translate index i", i, 1, n)
     level = n + 1 - i
     sub = build_disk(m, level)
 

@@ -16,6 +16,7 @@ from translate_kiss import (
     build_disk,
     check_lemma1_exhaustive,
     check_lemma2_exhaustive,
+    iter_lemma2_cases,
     parse,
     place_translates,
     prefix_sum,
@@ -200,50 +201,47 @@ BIG = 10**5000  # more digits than int-to-str conversion allows
 TABLE = PrefixTable.build(16)
 
 
+# each entry point as a call of its one int argument v under test, with a
+# huge int for v and a float that is in range for v once made an int
+ENTRY_POINTS = {
+    "build_disk-m": (lambda v: build_disk(v, 2), -BIG, 3.0),
+    "build_disk-n": (lambda v: build_disk(3, v), BIG, 2.0),
+    "place_translates": (lambda v: place_translates(3, v), -BIG, 3.0),
+    "PrefixTable.build": (lambda v: PrefixTable.build(v), BIG, 4.0),
+    "ruler": (lambda v: ruler(v), -BIG, 2.0),
+    "prefix_sum": (lambda v: prefix_sum(v, TABLE), -BIG, 2.0),
+    "check_lemma1_exhaustive": (lambda v: check_lemma1_exhaustive(v, 4, TABLE), -BIG, 2.0),
+    "check_lemma2_exhaustive": (lambda v: check_lemma2_exhaustive(v, 3), -BIG, 3.0),
+    "iter_lemma2_cases": (lambda v: next(iter_lemma2_cases(3, v)), -BIG, 2.0),
+    "Lemma2Case": (lambda v: Lemma2Case(2, 2, v, 1, 1), BIG, 2.0),
+    "sub_copy_offset": (lambda v: sub_copy_offset(4, 3, SubCopyRef(v, 1)), BIG, 1.0),
+    "theorem_pair_witness": (lambda v: theorem_pair_witness(4, 3, v, 3), BIG, 1.0),
+    "verify_touching_heights": (lambda v: verify_touching_heights(4, 3, v), BIG, 2.0),
+    "render_svg": (lambda v: render_svg(build_disk(2, 2), unit_px=v), -BIG, 2.0),
+    "Rect": (lambda v: Rect(v, 0, 3, 1), BIG, 2.0),
+    "point": (lambda v: ContactComponent((v, 0), (0, 1)), BIG, 0.0),
+    "horizontal-segment": (lambda v: ContactComponent((v, 0), (0, 0)), BIG, 0.0),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, value, match",
     [
-        lambda: build_disk(-BIG, 2),
-        lambda: build_disk(3, BIG),
-        lambda: place_translates(3, -BIG),
-        lambda: PrefixTable.build(BIG),
-        lambda: ruler(-BIG),
-        lambda: prefix_sum(-BIG, TABLE),
-        lambda: check_lemma1_exhaustive(-BIG, 4, TABLE),
-        lambda: check_lemma2_exhaustive(-BIG, 3),
-        lambda: Lemma2Case(2, 2, BIG, 1, 1),
-        lambda: sub_copy_offset(4, 3, SubCopyRef(BIG, 1)),
-        lambda: theorem_pair_witness(4, 3, BIG, BIG + 1),
-        lambda: verify_touching_heights(4, 3, BIG),
-        lambda: render_svg(build_disk(2, 2), unit_px=-BIG),
-        lambda: Rect(BIG, 0, 0, 1),
-        lambda: ContactComponent((BIG, 0), (0, 1)),
-        lambda: ContactComponent((BIG, 0), (0, 0)),
-    ],
-    ids=[
-        "build_disk-m",
-        "build_disk-n",
-        "place_translates",
-        "PrefixTable.build",
-        "ruler",
-        "prefix_sum",
-        "check_lemma1_exhaustive",
-        "check_lemma2_exhaustive",
-        "Lemma2Case",
-        "sub_copy_offset",
-        "theorem_pair_witness",
-        "verify_touching_heights",
-        "render_svg",
-        "Rect",
-        "point",
-        "horizontal-segment",
+        param
+        for name, (call, huge, fine) in ENTRY_POINTS.items()
+        for param in (
+            pytest.param(call, huge, "-bit int>", id=name),
+            pytest.param(call, fine, "must be an int", id=f"{name}-float"),
+            pytest.param(call, True, "must be an int", id=f"{name}-bool"),
+        )
     ],
 )
-def test_huge_ints_raise_parameter_error(call):
-    # formatting such an int into the message must not turn the error into
-    # the plain ValueError of int-to-str, which `except ParameterError` misses
-    with pytest.raises(ParameterError, match="-bit int>"):
-        call()
+def test_huge_ints_raise_parameter_error(call, value, match):
+    # formatting a huge int into the message must not turn the error into
+    # the plain ValueError of int-to-str, which `except ParameterError` misses;
+    # a float or a bool is refused as not an int, even where its value is in range
+    with pytest.raises(ParameterError, match=match):
+        call(value)
 
 
 # m = n - 2 is a genuine FAIL: A_0 and A_{n-1} overlap, so n - 1 of n translates touch A_0

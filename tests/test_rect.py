@@ -158,6 +158,12 @@ class TestUnionDisjoint:
         assert union_interiors_disjoint([], [Rect(0, 0, 1, 1)])
         assert union_interiors_disjoint([Rect(0, 0, 1, 1)], [])
 
+    def test_float_corners_refused(self):
+        # the interiors overlap on x in (1.2, 1.5); cast to int64, both
+        # corners became 1 and the pair read as disjoint
+        with pytest.raises(ParameterError, match="must be an int"):
+            union_interiors_disjoint([Rect(0, 0, 1.5, 1)], [Rect(1.2, 0, 3, 1)])
+
     @given(A=soups(), B=soups())
     def test_matches_naive(self, A, B):
         assert union_interiors_disjoint(A, B) == naive_union_disjoint(A, B)
