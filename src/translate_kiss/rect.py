@@ -31,15 +31,15 @@ A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
 line of its zero y-gap, so a point contact lies on both of its lines.  From
 the sweep to the contacts everything stays an int64 array: the rows of each
-line are merged into maximal runs by one sort and one running maximum
-(_merge), a point is a zero-length run on both of its lines, found by one
-sort of the zero-length runs' cells, and the runs are put in canonical
-order by one sort per kind (_canonical).  _placed_ends returns these rows
-of ends [xa, ya, xb, yb], moved back to the second copy's offset, which
-the CLI formats as they come and drops.  Each row's kind comes from
-comparisons of its ends (_kinds), taken once per pair for both the writer
-and a caller that keeps contacts, which turns the rows into
-ContactComponent tuples in one bulk step (_bulk) without per-contact
+line are merged into maximal runs as a union of closed intervals, with the
+starts and the ends sorted apart (_merge), a point is a zero-length run on
+both of its lines, found by one sort of the zero-length runs' cells, and
+the runs are put in canonical order by one sort per kind (_canonical).
+_placed_ends returns these rows of ends [xa, ya, xb, yb], moved back to the
+second copy's offset, which the CLI formats as they come and drops.  Each
+row's kind comes from comparisons of its ends (_kinds), taken once per pair
+for both the writer and a caller that keeps contacts, which turns the rows
+into ContactComponent tuples in one bulk step (_bulk) without per-contact
 checks.
 """
 
@@ -217,23 +217,19 @@ def _merge(rows: _Columns) -> _Columns:
     maximal runs of each line and sorted by (line, lo); runs that overlap or
     share an endpoint merge.
 
-    After sorting by (line, lo, hi), a run starts where the line changes or
-    where lo passes the largest hi of the line so far.  That running maximum
-    is one np.maximum.accumulate over the keys line rank * (number of
-    distinct his) + rank of hi: every key of a line exceeds every key of the
-    lines before it, so the maximum never reaches back across a line.
+    The union of closed intervals: with the starts sorted by (line, lo) and,
+    apart from them, the ends by (line, hi), start k begins a run where the
+    line changes or lo[k] > hi[k - 1], and a run ends at the last end before
+    the next run begins.
     """
     if not len(rows[0]):
         return rows
-    order = np.lexsort(rows[::-1])
-    line, lo, hi = (c.take(order) for c in rows)
+    line, lo, hi = rows
+    by_lo, by_hi = np.lexsort((lo, line)), np.lexsort((hi, line))
+    line, lo, hi = line.take(by_lo), lo.take(by_lo), hi.take(by_hi)
     start = np.ones(len(line), bool)
-    start[1:] = line[1:] != line[:-1]
-    his, hi_rank = np.unique(hi, return_inverse=True)
-    reach = np.maximum.accumulate((np.cumsum(start) - 1) * len(his) + hi_rank)
-    start[1:] |= lo[1:] > his[reach[:-1] % len(his)]
-    last = np.append(np.flatnonzero(start)[1:] - 1, len(line) - 1)
-    return line[start], lo[start], his[reach[last] % len(his)]
+    start[1:] = (line[1:] != line[:-1]) | (lo[1:] > hi[:-1])
+    return line[start], lo[start], hi[np.append(start[1:], True)]
 
 
 # builds a ContactComponent from its four fields without __new__'s checks
@@ -242,18 +238,14 @@ _KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
 
 
 def _kinds(ends: np.ndarray) -> np.ndarray:
-    """The kind of each (k, 4) int64 row of ends [xa, ya, xb, yb] as an index
-    into _KIND_NAMES: 0, 1 or 2 for a horizontal segment going right, a point
-    or a vertical segment going up, 3 for a row that is none of these.
+    """The kind of each (k, 4) int64 row of ends [xa, ya, xb, yb] of a point
+    or a segment going up or right, as an index into _KIND_NAMES: 0, 1 or 2
+    for a horizontal segment, a point or a vertical segment.
 
-    With right = xb > xa and up = yb > ya, a row's kind is 1 - right + up,
-    and 3 where it goes left, goes down, or goes both right and up.  The
-    ends are compared, not subtracted, so no row can overflow."""
+    With right = xb > xa and up = yb > ya, a row's kind is 1 - right + up.
+    The ends are compared, not subtracted, so no row can overflow."""
     xa, ya, xb, yb = ends.T
-    right, up = xb > xa, yb > ya
-    kinds = 1 - right + up
-    kinds[(xb < xa) | (yb < ya) | (right & up)] = 3
-    return kinds
+    return 1 - (xb > xa) + (yb > ya)
 
 
 def _lengths(ends: np.ndarray) -> np.ndarray:
@@ -263,8 +255,8 @@ def _lengths(ends: np.ndarray) -> np.ndarray:
 
 
 def _bulk(ends: np.ndarray, kinds: np.ndarray) -> tuple[ContactComponent, ...]:
-    """Contacts from (k, 4) int64 rows of ends [xa, ya, xb, yb] and their
-    _kinds, which the caller guarantees are each 0, 1 or 2."""
+    """Contacts from (k, 4) int64 rows of ends [xa, ya, xb, yb] of points and
+    segments going up or right, and their _kinds."""
     if not len(ends):
         return ()
     xa, ya, xb, yb = ends.T.tolist()
@@ -304,7 +296,7 @@ def _canonical(contacts: _Contacts) -> np.ndarray:
     twice = np.flatnonzero((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
     px, py = x.take(twice), y.take(twice)  # the points, sorted by (x, y)
     hy, hx0, hx1 = hy[~h_zero], hx0[~h_zero], hx1[~h_zero]
-    order = np.lexsort((hx1, hy, hx0))  # the horizontal segments by (xa, y, xb)
+    order = np.lexsort((hy, hx0))  # the horizontal segments by (xa, y): runs of one line are disjoint
     hy, hx0, hx1 = hy.take(order), hx0.take(order), hx1.take(order)
     vx, vy0, vy1 = vx[~v_zero], vy0[~v_zero], vy1[~v_zero]  # _merge sorted them by (x, ya), and ya fixes yb
     return np.column_stack(

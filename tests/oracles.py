@@ -26,7 +26,7 @@ from translate_kiss import (
     rightward_runs,
 )
 from translate_kiss import disk
-from translate_kiss.rect import _merge, _rect_array, _sweep
+from translate_kiss.rect import _rect_array, _sweep
 from translate_kiss.render import FILL_A0, FILLS
 from translate_kiss.ruler import ruler_sum
 
@@ -104,7 +104,8 @@ def loop_components(contacts):
     """_sweep's (vertical, horizontal) rows as contacts, one at a time:
     merge_lines on each kind, a point where a zero-length run is alone on
     both its lines, one Contact per component with its kind and length
-    decided here, sorted by (kind, a, b).  The oracle for rect._components."""
+    decided here, sorted by (kind, a, b).  The oracle for the contacts that
+    rect._canonical and rect._bulk make."""
     vertical, horizontal = (merge_lines(zip(*(c.tolist() for c in rows))) for rows in contacts)
     lone = {(x, y) for x, y, y1 in vertical if y == y1}
     lone &= {(x, y) for y, x, x1 in horizontal if x == x1}
@@ -115,17 +116,21 @@ def loop_components(contacts):
 
 
 def kinds_by_select(ends):
-    """rect._kinds as one np.select over the three valid shapes: 0 for a
-    horizontal segment going right, 1 for a point, 2 for a vertical segment
-    going up, 3 for anything else."""
+    """rect._kinds of rows of points and segments going up or right, as one
+    np.select over the three shapes: 0 for a horizontal segment going right,
+    1 for a point, 2 for a vertical segment going up (-1 for any other row,
+    which is no contact)."""
     xa, ya, xb, yb = ends.T
-    return np.select([(ya == yb) & (xa < xb), (xa == xb) & (ya == yb), (xa == xb) & (ya < yb)], [0, 1, 2], 3)
+    return np.select([(ya == yb) & (xa < xb), (xa == xb) & (ya == yb), (xa == xb) & (ya < yb)], [0, 1, 2], -1)
 
 
 def canonical_by_unique(contacts):
-    """rect._canonical with its points found by np.unique: the (x, y) of every
-    zero-length merged run of either kind, kept where it is seen twice."""
-    vertical, horizontal = (np.column_stack(_merge(rows)) for rows in contacts)
+    """rect._canonical with its lines merged by merge_lines and its points
+    found by np.unique: the (x, y) of every zero-length merged run of either
+    kind, kept where it is seen twice."""
+    vertical, horizontal = (
+        np.array(merge_lines(zip(*(c.tolist() for c in rows))), np.int64).reshape(-1, 3) for rows in contacts
+    )
     v_zero = vertical[:, 1] == vertical[:, 2]
     h_zero = horizontal[:, 1] == horizontal[:, 2]
     cells, seen = np.unique(

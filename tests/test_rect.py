@@ -249,22 +249,11 @@ class TestContactContract:
         ]
         assert cert.pair_verdicts[0].contacts == (c,) and v == PairVerdict(0, 1, True, (c,), 2)
 
-    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=8))
-    def test_bulk_ends_match_the_constructor(self, rows):
-        # _kinds gives 3 exactly for the rows ContactComponent(a, b) refuses
-        ends = np.array(rows, np.int64).reshape(-1, 4)
-        kinds = _kinds(ends)
-        for (xa, ya, xb, yb), kind in zip(rows, kinds.tolist()):
-            try:
-                ContactComponent((xa, ya), (xb, yb))
-            except ParameterError:
-                assert kind == 3
-            else:
-                assert kind != 3
-        if (kinds == 3).any():
-            return
-        got = _bulk(ends, kinds)
-        expected = tuple(ContactComponent((xa, ya), (xb, yb)) for xa, ya, xb, yb in rows)
+    @given(st.lists(ends, max_size=8))
+    def test_bulk_ends_match_the_constructor(self, pairs):
+        rows = np.array([a + b for a, b in pairs], np.int64).reshape(-1, 4)
+        got = _bulk(rows, _kinds(rows))
+        expected = tuple(ContactComponent(a, b) for a, b in pairs)
         assert got == expected and all(type(c) is ContactComponent for c in got)
         assert [tuple(c) for c in got] == [tuple(c) for c in expected]
 
@@ -313,26 +302,37 @@ class TestMerge:
         self.check(rows)
 
 
-# ends of every shape: small values make left, down and diagonal rows
-# common, and the int64 extremes would overflow a subtraction of ends
+# small values make points common, and the int64 extremes would overflow a
+# subtraction of ends
 end_values = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), -(2**61), 2**61 - 1, 2**63 - 1]))
 
 
-class TestKinds:
-    """_kinds against the np.select oracle."""
+@st.composite
+def contact_rows(draw):
+    """Ends [xa, ya, xb, yb] of a segment going right, a point or a segment
+    going up; a segment whose ends are drawn equal is a point."""
+    c, u, v = draw(st.tuples(end_values, end_values, end_values))
+    lo, hi = sorted((u, v))
+    return draw(st.sampled_from([(lo, c, hi, c), (u, c, u, c), (c, lo, c, hi)]))
 
-    @given(st.lists(st.tuples(*[end_values] * 4), max_size=12))
+
+class TestKinds:
+    """_kinds, of the rows of points and of segments going up or right,
+    against the np.select oracle."""
+
+    @given(st.lists(contact_rows(), max_size=12))
     def test_matches_select(self, rows):
         ends = np.array(rows, np.int64).reshape(-1, 4)
         assert _kinds(ends).tolist() == kinds_by_select(ends).tolist()
 
     def test_every_shape(self):
-        rows = [
-            [0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 2],  # right, point, up
-            [2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1],
-        ]
-        assert _kinds(np.array(rows, np.int64)).tolist() == [0, 1, 2, 3, 3, 3, 3, 3, 3]
+        rows = [[0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 2]]  # right, point, up
+        assert _kinds(np.array(rows, np.int64)).tolist() == [0, 1, 2]
         assert _kinds(np.empty((0, 4), np.int64)).tolist() == []
+        # every other row is no contact, and the constructor refuses it
+        for xa, ya, xb, yb in [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]:
+            with pytest.raises(ParameterError):
+                ContactComponent((xa, ya), (xb, yb))
 
 
 class TestCanonical:

@@ -24,7 +24,7 @@ from translate_kiss import (
 )
 from translate_kiss import rect, render, verify
 
-from oracles import naive_contacts, tallest_by_max
+from oracles import merge_lines, naive_contacts, tallest_by_max
 
 # sha256 of serialize(verify_construction(m, n)), schema tk-1, for the
 # parameters of acceptance criterion 5, as the pure-Python rect sweep
@@ -253,6 +253,12 @@ def test_no_rect_is_built(monkeypatch, call, rects_allowed):
 
 
 class TestRightwardRuns:
+    @pytest.mark.parametrize("n", range(9))
+    def test_runs_are_the_merged_right_edges(self, n):
+        for m in range(2, 6):
+            edges = [(x1, y0, y1) for _, y0, x1, y1 in build_disk(m, n).rows.tolist()]
+            assert [[r.x, r.y0, r.y1] for r in rightward_runs(build_disk(m, n))] == merge_lines(edges)
+
     def test_runs_of_4_3(self):
         runs = rightward_runs(build_disk(4, 3))
         tallest = max(runs, key=lambda r: r.height)
