@@ -124,22 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress summary output")
     sub = parser.add_subparsers(dest="command", required=True)
+    # -m and -n, shared by the subcommands that take an (m, n)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("-m", type=int, required=True)
+    size.add_argument("-n", type=int, required=True)
 
-    p_build = sub.add_parser("build", help="build a disk and write it as JSON")
-    p_build.add_argument("-m", type=int, required=True)
-    p_build.add_argument("-n", type=int, required=True)
+    p_build = sub.add_parser("build", parents=[size], help="build a disk and write it as JSON")
     p_build.add_argument("--out", default=None, help="output path (default stdout)")
     p_build.set_defaults(func=_cmd_build)
 
-    p_verify = sub.add_parser("verify", help="verify the full construction")
-    p_verify.add_argument("-m", type=int, required=True)
-    p_verify.add_argument("-n", type=int, required=True)
+    p_verify = sub.add_parser("verify", parents=[size], help="verify the full construction")
     p_verify.add_argument("--json", default=None, help="write the certificate here ('-' for stdout)")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_render = sub.add_parser("render", help="render a disk or scene as SVG")
-    p_render.add_argument("-m", type=int, required=True)
-    p_render.add_argument("-n", type=int, required=True)
+    p_render = sub.add_parser("render", parents=[size], help="render a disk or scene as SVG")
     group = p_render.add_mutually_exclusive_group()
     group.add_argument("--scene", action="store_true", help="render all translates (default)")
     group.add_argument("--shape", action="store_true", help="render the bare disk")
@@ -152,9 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_l1.add_argument("--r-max", type=int, required=True)
     p_l1.set_defaults(func=_cmd_lemma1)
 
-    p_l2 = sub.add_parser("lemma2", help="exhaustively check stepped translates stay disjoint")
-    p_l2.add_argument("-m", type=int, required=True)
-    p_l2.add_argument("-n", type=int, required=True)
+    p_l2 = sub.add_parser("lemma2", parents=[size], help="exhaustively check stepped translates stay disjoint")
     p_l2.set_defaults(func=_cmd_lemma2)
 
     return parser

@@ -37,10 +37,10 @@ both of its lines, found by one sort of the zero-length runs' cells, and
 the runs are put in canonical order by one sort per kind (_canonical).
 _placed_ends returns these rows of ends [xa, ya, xb, yb], moved back to the
 second copy's offset, which the CLI formats as they come and drops.  Each
-row's kind comes from comparisons of its ends (_kinds), taken once per pair
-for both the writer and a caller that keeps contacts, which turns the rows
-into ContactComponent tuples in one bulk step (_bulk) without per-contact
-checks.
+row's kind comes from two comparisons of its ends (_kinds), the rule that
+ContactComponent applies to one contact; the writer and _bulk, which turns
+the rows into ContactComponent tuples in one step without per-contact
+checks, each take it from the rows they are given.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ from .errors import ContractViolation, ParameterError, RangeError, _int_in, _sho
 POINT = "point"
 HSEG = "horizontal-segment"
 VSEG = "vertical-segment"
+# a contact's kind, indexed by 1 - (xb > xa) + (yb > ya) (_kinds)
+_KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
 
 
 @dataclass(frozen=True, order=True)
@@ -113,15 +115,10 @@ class ContactComponent(tuple):
         (xa, ya), (xb, yb) = a, b
         for name, value in zip(("xa", "ya", "xb", "yb"), (xa, ya, xb, yb)):
             _int_in(name, value)
-        if ya == yb and xa < xb:
-            kind = HSEG
-        elif xa == xb and ya < yb:
-            kind = VSEG
-        elif a == b:
-            kind = POINT
-        else:
+        if not (xa <= xb and ya <= yb and (xa == xb or ya == yb)):
             a, b = (", ".join(map(_show, p)) for p in (a, b))
             raise ParameterError(f"contact ({a})-({b}) is not a point or a segment going up or right")
+        kind = _KIND_NAMES[1 - (xb > xa) + (yb > ya)]
         return tuple.__new__(cls, (kind, a, b, xb - xa + yb - ya))
 
     # fields read by index in C, so reading one runs no Python code
@@ -234,7 +231,6 @@ def _merge(rows: _Columns) -> _Columns:
 
 # builds a ContactComponent from its four fields without __new__'s checks
 _trusted = partial(tuple.__new__, ContactComponent)
-_KIND_NAMES = np.array([HSEG, POINT, VSEG], dtype=object)
 
 
 def _kinds(ends: np.ndarray) -> np.ndarray:
@@ -254,13 +250,13 @@ def _lengths(ends: np.ndarray) -> np.ndarray:
     return ends[:, 2] - ends[:, 0] + ends[:, 3] - ends[:, 1]
 
 
-def _bulk(ends: np.ndarray, kinds: np.ndarray) -> tuple[ContactComponent, ...]:
+def _bulk(ends: np.ndarray) -> tuple[ContactComponent, ...]:
     """Contacts from (k, 4) int64 rows of ends [xa, ya, xb, yb] of points and
-    segments going up or right, and their _kinds."""
+    segments going up or right."""
     if not len(ends):
         return ()
     xa, ya, xb, yb = ends.T.tolist()
-    names = _KIND_NAMES[kinds].tolist()
+    names = _KIND_NAMES[_kinds(ends)].tolist()
     return tuple(map(_trusted, zip(names, zip(xa, ya), zip(xb, yb), _lengths(ends).tolist())))
 
 
@@ -354,12 +350,6 @@ def _placed_ends(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[np.ndarray]:
     return None if raw is None else _canonical(raw) + (b.dx, b.dy, b.dx, b.dy)
 
 
-def _placed_contacts(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[tuple[ContactComponent, ...]]:
-    """_placed_ends as contacts, or None on interior overlap."""
-    ends = _placed_ends(rows, a, b)
-    return None if ends is None else _bulk(ends, _kinds(ends))
-
-
 def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
     """All maximal contact components between the unions of A and B.
 
@@ -370,8 +360,7 @@ def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:
     contacts = _sweep(_rect_array(A), _rect_array(B))
     if contacts is None:
         raise ContractViolation("unions have overlapping interiors")
-    ends = _canonical(contacts)
-    return list(_bulk(ends, _kinds(ends)))
+    return list(_bulk(_canonical(contacts)))
 
 
 def total_contact_length(components: list[ContactComponent]) -> int:

@@ -9,9 +9,9 @@ pieces in chunks of _CHUNK rows or three chunks per pair verdict, then a
 trailer.  Each chunk is one bytes % template applied to a flat tuple of
 fields, so no dict is built per piece or per contact and nothing is
 encoded.  A certificate's chunks come from _certificate_chunks, which takes
-each verdict with the (k, 4) int64 rows of its contacts' ends and their
-kinds (rect._kinds) and formats the contacts from those rows, each row
-with its kind's template.  serialize feeds it a Certificate's verdicts,
+each verdict with the (k, 4) int64 rows of its contacts' ends and formats
+the contacts from those rows, each row with the template of the kind its
+ends give (rect._kinds).  serialize feeds it a Certificate's verdicts,
 and the CLI and parse the verdicts verify._verdicts builds from the pairs
 the sweep, verify._pair_rows, yields for the scene.
 
@@ -41,7 +41,7 @@ import numpy as np
 from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import HSEG, POINT, VSEG, _gc_paused, _kinds, _lengths
+from .rect import _KIND_NAMES, _gc_paused, _kinds, _lengths
 from .verify import Certificate, PairVerdict, _pair_rows, _verdict_totals, _verdicts
 
 SCHEMA_VERSION = "tk-1"
@@ -55,9 +55,9 @@ _HEAD = b'{"schema_version":"%s","kind":"%s","m":%d,"n":%d,'
 # piece k of the path is bar k // 2 + 1 when k is even, else connector k // 2 + 1
 _PIECE = b'{"role":"%s","index":%%d,"rect":[%%d,%%d,%%d,%%d]}'
 _BAR, _CONNECTOR = _PIECE % b"bar", _PIECE % b"connector"
-# one contact template per kind, indexed as rect._kinds numbers the kinds
+# one contact template per kind, in rect._KIND_NAMES' order
 _CONTACT = np.array(
-    [b'{"kind":"%s","a":[%%d,%%d],"b":[%%d,%%d],"length":%%d}' % k.encode() for k in (HSEG, POINT, VSEG)],
+    [b'{"kind":"%s","a":[%%d,%%d],"b":[%%d,%%d],"length":%%d}' % k.encode() for k in _KIND_NAMES],
     dtype=object,
 )
 _VERDICT_HEAD = b'%s{"i":%d,"j":%d,"interiors_disjoint":%s,"contacts":['
@@ -85,15 +85,14 @@ def _pieces(rows: np.ndarray) -> Iterator[bytes]:
         yield template % tuple(fields)
 
 
-def _contacts(ends: np.ndarray, kinds: np.ndarray) -> bytes:
+def _contacts(ends: np.ndarray) -> bytes:
     """The JSON objects of the contacts with these (k, 4) int64 rows of ends
-    [xa, ya, xb, yb] and their _kinds, each 0, 1 or 2, comma-separated, from
-    one % call; each row's template is its kind's, and its length is derived
-    from its ends."""
+    [xa, ya, xb, yb], comma-separated, from one % call; each row's template
+    is that of its kind (_kinds), and its length is derived from its ends."""
     if not len(ends):
         return b""
     fields = np.column_stack((ends, _lengths(ends))).ravel().tolist()
-    return b",".join(_CONTACT[kinds].tolist()) % tuple(fields)
+    return b",".join(_CONTACT[_kinds(ends)].tolist()) % tuple(fields)
 
 
 def _offsets(scene: Union[Scene, Certificate]) -> bytes:
@@ -108,19 +107,19 @@ def _rows(contacts: tuple) -> np.ndarray:
 
 def _certificate_chunks(
     scene: Union[Scene, Certificate],
-    verdicts: Iterable[tuple[PairVerdict, np.ndarray, np.ndarray]],
+    verdicts: Iterable[tuple[PairVerdict, np.ndarray]],
     totals: Callable[[], tuple[int, bool]],
 ) -> Iterator[bytes]:
     """A certificate's bytes, in order: a header with the scene's offsets,
-    three chunks for each verdict (its fields, its contacts written from the
-    rows of ends and their kinds given with it, and its
+    three chunks for each (verdict, ends) pair (the verdict's fields, its
+    contacts written from the rows of ends given with it, and its
     segment_length_total), and a trailer with touching_count and ok from
     totals(), called after the last verdict."""
     head = _HEAD % (SCHEMA_VERSION.encode(), b"certificate", scene.m, scene.n)
     yield head + b'"offsets":[%s],"pair_verdicts":[' % _offsets(scene)
-    for k, (v, ends, kinds) in enumerate(verdicts):
+    for k, (v, ends) in enumerate(verdicts):
         yield _VERDICT_HEAD % (b"," if k else b"", v.i, v.j, _JSON_BOOL[v.interiors_disjoint])
-        yield _contacts(ends, kinds)
+        yield _contacts(ends)
         yield _VERDICT_TAIL % v.segment_length_total
     touching, ok = totals()
     yield b'],"touching_count":%d,"ok":%s}\n' % (touching, _JSON_BOOL[ok])
@@ -131,7 +130,7 @@ def _chunks(obj: Document) -> Iterator[bytes]:
     if type(obj) not in _KINDS:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if isinstance(obj, Certificate):
-        verdicts = ((v, (ends := _rows(v.contacts)), _kinds(ends)) for v in obj.pair_verdicts)
+        verdicts = ((v, _rows(v.contacts)) for v in obj.pair_verdicts)
         yield from _certificate_chunks(obj, verdicts, lambda: (obj.touching_count, obj.ok))
         return
     head = _HEAD % (SCHEMA_VERSION.encode(), _KINDS[type(obj)].encode(), obj.m, obj.n)

@@ -16,9 +16,7 @@ import numpy as np
 from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
 from .errors import ContractViolation, _int_in
 from .placement import Scene, place_translates
-from .rect import (
-    _NO_ENDS, ContactComponent, Vec2, _bulk, _gc_paused, _kinds, _lengths, _merge, _placed_contacts, _placed_ends
-)
+from .rect import _NO_ENDS, ContactComponent, Vec2, _bulk, _gc_paused, _lengths, _merge, _placed_ends
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,14 @@ def _pair_rows(scene: Scene) -> Iterator[tuple[int, int, bool, np.ndarray]]:
 
 def _verdicts(
     pairs: Iterable[tuple[int, int, bool, np.ndarray]], kept: list[PairVerdict], keep: bool
-) -> Iterator[tuple[PairVerdict, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[PairVerdict, np.ndarray]]:
     """The verdict of each (i, j, interiors_disjoint, ends) pair, appended to
-    kept and yielded with its ends and their _kinds, taken once for the
-    writer and the contacts.  The verdict holds its contacts only when keep;
-    its segment_length_total is summed from the ends either way."""
+    kept and yielded with its ends, from which the writer formats its
+    contacts.  The verdict holds its contacts only when keep; its
+    segment_length_total is summed from the ends either way."""
     for i, j, disjoint, ends in pairs:
-        kinds = _kinds(ends)
-        kept.append(PairVerdict(i, j, disjoint, _bulk(ends, kinds) if keep else (), int(_lengths(ends).sum())))
-        yield kept[-1], ends, kinds
+        kept.append(PairVerdict(i, j, disjoint, _bulk(ends) if keep else (), int(_lengths(ends).sum())))
+        yield kept[-1], ends
 
 
 def verify_construction(m: int, n: int) -> Certificate:
@@ -163,9 +160,10 @@ def verify_touching_heights(m: int, n: int, i: int) -> TouchingReport:
     tallest = VerticalRun(*(int(column[first]) for column in runs))
     unique = bool((heights == heights[first]).sum() == 1)
 
-    contacts = _placed_contacts(sub.rows, d_offset, d_prime_offset)
-    if contacts is None:
+    ends = _placed_ends(sub.rows, d_offset, d_prime_offset)
+    if ends is None:
         raise ContractViolation("unions have overlapping interiors")
+    contacts = _bulk(ends)
     has_segment = any(c.length >= 1 for c in contacts)
 
     return TouchingReport(

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import json
 import pickle
 import random
 from itertools import combinations
@@ -26,8 +27,9 @@ from translate_kiss import (
     verify_construction,
 )
 
-from translate_kiss.rect import _bulk, _gc_paused, _merge, _placed_contacts, _rect_array, _sweep
+from translate_kiss.rect import _bulk, _gc_paused, _merge, _rect_array, _sweep
 from translate_kiss.rect import _canonical, _kinds, _placed_ends, _x_window
+from translate_kiss.serial import _contacts
 
 from oracles import (
     canonical_by_unique,
@@ -252,7 +254,7 @@ class TestContactContract:
     @given(st.lists(ends, max_size=8))
     def test_bulk_ends_match_the_constructor(self, pairs):
         rows = np.array([a + b for a, b in pairs], np.int64).reshape(-1, 4)
-        got = _bulk(rows, _kinds(rows))
+        got = _bulk(rows)
         expected = tuple(ContactComponent(a, b) for a, b in pairs)
         assert got == expected and all(type(c) is ContactComponent for c in got)
         assert [tuple(c) for c in got] == [tuple(c) for c in expected]
@@ -308,10 +310,10 @@ end_values = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), -(2**61), 
 
 
 @st.composite
-def contact_rows(draw):
+def contact_rows(draw, values=end_values):
     """Ends [xa, ya, xb, yb] of a segment going right, a point or a segment
     going up; a segment whose ends are drawn equal is a point."""
-    c, u, v = draw(st.tuples(end_values, end_values, end_values))
+    c, u, v = draw(st.tuples(values, values, values))
     lo, hi = sorted((u, v))
     return draw(st.sampled_from([(lo, c, hi, c), (u, c, u, c), (c, lo, c, hi)]))
 
@@ -325,6 +327,13 @@ class TestKinds:
         ends = np.array(rows, np.int64).reshape(-1, 4)
         assert _kinds(ends).tolist() == kinds_by_select(ends).tolist()
 
+    @given(st.lists(contact_rows(), max_size=12))
+    def test_constructor_matches_select(self, rows):
+        # the constructor shares _kinds' rule, so it is checked against the oracle
+        names = ["horizontal-segment", "point", "vertical-segment"]
+        want = [names[k] for k in kinds_by_select(np.array(rows, np.int64).reshape(-1, 4)).tolist()]
+        assert [ContactComponent((xa, ya), (xb, yb)).kind for xa, ya, xb, yb in rows] == want
+
     def test_every_shape(self):
         rows = [[0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 2]]  # right, point, up
         assert _kinds(np.array(rows, np.int64)).tolist() == [0, 1, 2]
@@ -333,6 +342,38 @@ class TestKinds:
         for xa, ya, xb, yb in [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]:
             with pytest.raises(ParameterError):
                 ContactComponent((xa, ya), (xb, yb))
+
+
+# ends inside the 2**61 sweep bound, so every length fits in int64
+bounded_values = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**61) + 1, 2**61 - 1]))
+
+
+class TestContactTemplates:
+    """serial._contacts, which writes each row with its kind's template,
+    against JSON objects built here from the rows."""
+
+    @staticmethod
+    def check(rows):
+        def kind(xa, ya, xb, yb):
+            return "point" if (xa, ya) == (xb, yb) else "horizontal-segment" if ya == yb else "vertical-segment"
+
+        want = [
+            {"kind": kind(*r), "a": [r[0], r[1]], "b": [r[2], r[3]], "length": r[2] - r[0] + r[3] - r[1]}
+            for r in rows
+        ]
+        assert json.loads(b"[" + _contacts(np.array(rows, np.int64).reshape(-1, 4)) + b"]") == want
+
+    @given(st.lists(contact_rows(bounded_values), max_size=12))
+    def test_matches_objects(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 2]], [[-(2**61) + 1, 5, 2**61 - 1, 5], [7, 7, 7, 7]]],
+        ids=["empty", "every-kind", "extremes"],
+    )
+    def test_cases(self, rows):
+        self.check(rows)
 
 
 class TestCanonical:
@@ -549,14 +590,20 @@ def naive_placed(A, B):
         return None
 
 
+def placed_contacts(rows, a, b):
+    """_placed_ends as contacts, or None on interior overlap."""
+    ends = _placed_ends(rows, a, b)
+    return None if ends is None else _bulk(ends)
+
+
 def placed(rows, v):
-    """_placed_contacts between rows at the origin and at v, as (kind, a, b)."""
-    found = _placed_contacts(rows, Vec2(0, 0), v)
+    """placed_contacts between rows at the origin and at v, as (kind, a, b)."""
+    found = placed_contacts(rows, Vec2(0, 0), v)
     return None if found is None else [(c.kind, c.a, c.b) for c in found]
 
 
 class TestTightWindow:
-    """_placed_contacts' window, tight in x and y, needs rows that are
+    """_placed_ends' window, tight in x and y, needs rows that are
     nondecreasing in every column, each meeting the next in y, and laid out
     in x as _x_window's closed form says; the disk's rows in path order are."""
 
@@ -657,7 +704,7 @@ class TestBoxCut:
 
 
 class TestPlacedBound:
-    """_placed_contacts checks the 2**61 bound on each copy's first and last
+    """_placed_ends checks the 2**61 bound on each copy's first and last
     rows only, which hold its extremes as the rows are nondecreasing."""
 
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -670,7 +717,7 @@ class TestPlacedBound:
         v = Vec2(step, 0) if column % 2 == 0 else Vec2(0, step)
         a, b = (v, Vec2(0, 0)) if side == "a" else (Vec2(0, 0), v)
         with pytest.raises(RangeError):
-            _placed_contacts(rows, a, b)
+            placed_contacts(rows, a, b)
 
     @pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (2, 3)])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -687,12 +734,12 @@ class TestPlacedBound:
             else:
                 b = Vec2(-top - x0 - min(d.dx, 0), -top - y0 - min(d.dy, 0))
             a = b + d
-            found = _placed_contacts(rows, a, b)
+            found = placed_contacts(rows, a, b)
             got = None if found is None else [(c.kind, c.a, c.b) for c in found]
             assert got == naive_placed([r.translate(a) for r in rects], [r.translate(b) for r in rects]), d
             one_past = Vec2(sign, sign)
             with pytest.raises(RangeError):
-                _placed_contacts(rows, a + one_past, b + one_past)
+                placed_contacts(rows, a + one_past, b + one_past)
 
 
 class TestGcPaused:
