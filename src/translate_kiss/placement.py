@@ -15,6 +15,7 @@ m >= n - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
@@ -25,6 +26,8 @@ from .rect import Vec2
 from .ruler import ruler_sum
 
 MAX_PROFILE_COLUMNS = 2**24
+# elements of the (shifts, columns) arrays of one check_lemma2_exhaustive pass
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -99,29 +102,40 @@ def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     disk._column_profile gives in closed form, so no disk is built.  Case
     (r, xstar, ystar) shifts the translate by (dx, base - ystar), where
     dx = (r - 1) m + xstar and base = ruler_sum(r - 1), so column c of the
-    disk faces column c - dx of the translate, and the two interiors overlap
-    there exactly when ystar lies strictly between base + lo[c - dx] - hi[c]
-    and base + hi[c - dx] - lo[c].  One vectorised pass per (r, xstar) thus
-    decides every ystar at once.  A profile (m * 2^n columns) wider than
-    MAX_PROFILE_COLUMNS = 2^24 raises ParameterError.
+    translate faces column c + dx of the disk, and the two interiors overlap
+    there exactly when ystar lies strictly between base + lo[c] - hi[c + dx]
+    and base + hi[c] - lo[c + dx].  The cases run in order of increasing dx,
+    so one vectorised pass decides every ystar of a block of consecutive
+    shifts.  Profiles wider than MAX_PROFILE_COLUMNS raise ParameterError.
     """
     _check_disk_params(m, n, 2)
-    if m * 2**n > MAX_PROFILE_COLUMNS:
-        raise ParameterError(
-            f"lemma 2 profile of m * 2**n = {m * 2**n} columns exceeds {MAX_PROFILE_COLUMNS}"
-        )
-    lo, hi = _column_profile(m, n)
+    cols = m * 2**n
+    if cols > MAX_PROFILE_COLUMNS:
+        raise ParameterError(f"lemma 2 profile of m * 2**n = {cols} columns exceeds {MAX_PROFILE_COLUMNS}")
     top = _last_ystar(n)
-    for r in range(1, 2**n + 1):
-        base = ruler_sum(r - 1)
-        for xstar in range(1, m):
-            dx = (r - 1) * m + xstar
-            # smallest and largest overlapping ystar per facing column, within 1..top
-            first = np.maximum(base + lo[:-dx] - hi[dx:] + 1, 1)
-            last = np.minimum(base + hi[:-dx] - lo[dx:] - 1, top)
-            bad = first[first <= last]
-            if bad.size:
-                return Lemma2Case(m=m, n=n, r=r, xstar=xstar, ystar=int(bad.min()))
+    bases = np.fromiter(map(ruler_sum, range(2**n)), np.int32, 2**n)
+    # int32 is exact below the column cap; a block reads at most isqrt(_BLOCK)
+    # columns past the end, where a lo this high overlaps nothing
+    prof = np.empty((2, cols + isqrt(_BLOCK)), np.int32)
+    prof[0, :cols], prof[1, :cols] = _column_profile(m, n)
+    prof[:, cols:] = prof[1, :cols].max() + top
+    d0 = 1
+    while d0 < cols:
+        w = cols - d0
+        d1 = min(d0 + max(_BLOCK // w, 1), cols)
+        dx = np.arange(d0, d1)
+        lo_dx, hi_dx = np.lib.stride_tricks.sliding_window_view(prof, w, axis=1)[:, d0:d1]
+        # smallest and largest overlapping ystar per shift and facing column, within 1..top
+        first = prof[0, :w] - hi_dx
+        last = prof[1, :w] - lo_dx
+        first += bases[dx // m, None] + 1
+        last += bases[dx // m, None] - 1
+        bad = np.maximum(first, 1, out=first) <= np.minimum(last, top, out=last)
+        rows = np.flatnonzero(bad.any(axis=1) & (dx % m != 0))
+        if rows.size:
+            r, xstar = divmod(d0 + int(rows[0]), m)
+            return Lemma2Case(m=m, n=n, r=r + 1, xstar=xstar, ystar=int(first[rows[0]][bad[rows[0]]].min()))
+        d0 = d1
     return None
 
 

@@ -25,7 +25,7 @@ from translate_kiss import (
     prefix_sum,
     rightward_runs,
 )
-from translate_kiss import disk
+from translate_kiss import disk, placement
 from translate_kiss.rect import _rect_array, _sweep
 from translate_kiss.render import FILL_A0, FILLS
 from translate_kiss.ruler import ruler_sum
@@ -259,6 +259,27 @@ def sweep_lemma2_exhaustive(m, n):
         off = case.offset
         if _sweep(rects, rects + (off.dx, off.dy, off.dx, off.dy)) is None:
             return case
+    return None
+
+
+def pass_lemma2_exhaustive(m, n):
+    """Per-(r, xstar) oracle: one numpy pass over the column profile for each
+    bar r and step xstar, deciding every ystar of that one shift at once.
+
+    It reads placement._column_profile and placement.ruler_sum at call time,
+    so a profile or ruler patched there reaches this oracle too."""
+    lo, hi = placement._column_profile(m, n)
+    top = placement.ruler_sum(2**n - 1) + 2
+    for r in range(1, 2**n + 1):
+        base = placement.ruler_sum(r - 1)
+        for xstar in range(1, m):
+            dx = (r - 1) * m + xstar
+            # smallest and largest overlapping ystar per facing column, within 1..top
+            first = np.maximum(base + lo[:-dx] - hi[dx:] + 1, 1)
+            last = np.minimum(base + hi[:-dx] - lo[dx:] - 1, top)
+            bad = first[first <= last]
+            if bad.size:
+                return Lemma2Case(m=m, n=n, r=r, xstar=xstar, ystar=int(bad.min()))
     return None
 
 

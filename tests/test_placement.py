@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -24,7 +25,13 @@ from translate_kiss import (
 from translate_kiss import disk, placement, rect
 from translate_kiss.rect import _rect_array
 
-from oracles import lemma2_instance, rect_column_profile, scan_pair_witness, sweep_lemma2_exhaustive
+from oracles import (
+    lemma2_instance,
+    pass_lemma2_exhaustive,
+    rect_column_profile,
+    scan_pair_witness,
+    sweep_lemma2_exhaustive,
+)
 
 
 class FakeDisk:
@@ -44,6 +51,43 @@ def patch_disk(monkeypatch, shape):
     monkeypatch.setattr(disk, "build_disk", lambda m, n: shape)
     profile = rect_column_profile(_rect_array(shape.rects()))
     monkeypatch.setattr(placement, "_column_profile", lambda m, n: profile)
+
+
+# a block of a few dozen elements, so that blocks split inside one bar
+FEW_DOZEN = 40
+
+
+def patch_random_staircase(monkeypatch, seed):
+    """Connector heights drawn from 1..4 instead of the ruler sequence, for a
+    random (m, n), which is returned; most such staircases fail, so the first
+    failing case is compared too."""
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 5), rng.randint(2, 4)
+    sums = [0, *accumulate(rng.randint(1, 4) for _ in range(2**n - 1))]
+    for module in (disk, placement):
+        monkeypatch.setattr(module, "ruler_sum", sums.__getitem__)
+    # the disk's rows and column profile read their heights in one call
+    monkeypatch.setattr(disk, "_ruler_sums", lambda k: np.array(sums[:k], np.int64))
+    return m, n
+
+
+def patch_shifted_columns(monkeypatch, seed):
+    """A random (m, n) disk, which is returned, cut into unit columns, one to
+    three of them moved up or down: these fail at ystar > 1 too, unlike the
+    staircases above."""
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 5), rng.randint(2, 4)
+    cols = {}
+    for r in build_disk(m, n).rects():
+        for x in range(r.x0, r.x1):
+            lo, hi = cols.get(x, (r.y0, r.y1))
+            cols[x] = (min(lo, r.y0), max(hi, r.y1))
+    for x in rng.sample(sorted(cols), rng.randint(1, 3)):
+        k = rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])
+        cols[x] = (cols[x][0] + k, cols[x][1] + k)
+    pieces = (Rect(x, lo, x + 1, hi) for x, (lo, hi) in cols.items())
+    patch_disk(monkeypatch, FakeDisk(pieces))
+    return m, n
 
 
 class TestPlaceTranslates:
@@ -167,34 +211,61 @@ class TestLemma2:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_profile_matches_sweep_on_random_staircases(self, monkeypatch, seed):
-        # connector heights drawn from 1..4 instead of the ruler sequence;
-        # most such staircases fail, so the first failing case is compared too
-        rng = random.Random(seed)
-        m, n = rng.randint(2, 5), rng.randint(2, 4)
-        sums = [0, *accumulate(rng.randint(1, 4) for _ in range(2**n - 1))]
-        for module in (disk, placement):
-            monkeypatch.setattr(module, "ruler_sum", sums.__getitem__)
-        # the disk's rows and column profile read their heights in one call
-        monkeypatch.setattr(disk, "_ruler_sums", lambda k: np.array(sums[:k], np.int64))
+        m, n = patch_random_staircase(monkeypatch, seed)
         assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_profile_matches_sweep_on_shifted_columns(self, monkeypatch, seed):
-        # the disk cut into unit columns, one to three of them moved up or
-        # down: these fail at ystar > 1 too, unlike the staircases above
-        rng = random.Random(seed)
-        m, n = rng.randint(2, 5), rng.randint(2, 4)
-        cols = {}
-        for r in build_disk(m, n).rects():
-            for x in range(r.x0, r.x1):
-                lo, hi = cols.get(x, (r.y0, r.y1))
-                cols[x] = (min(lo, r.y0), max(hi, r.y1))
-        for x in rng.sample(sorted(cols), rng.randint(1, 3)):
-            k = rng.choice([-3, -2, -1, 1, 2, 3, 4, 5])
-            cols[x] = (cols[x][0] + k, cols[x][1] + k)
-        pieces = (Rect(x, lo, x + 1, hi) for x, (lo, hi) in cols.items())
-        patch_disk(monkeypatch, FakeDisk(pieces))
+        m, n = patch_shifted_columns(monkeypatch, seed)
         assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_blocks_match_the_pass_oracle(self, monkeypatch, n):
+        for block in (placement._BLOCK, FEW_DOZEN):
+            monkeypatch.setattr(placement, "_BLOCK", block)
+            for m in range(2, 9):
+                assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("patch", [patch_random_staircase, patch_shifted_columns], ids=["staircase", "shifted"])
+    def test_small_blocks_match_the_pass_oracle_on_broken_disks(self, monkeypatch, patch, seed):
+        # at most 80 columns here, so blocks of a few dozen elements split
+        # inside one bar and a failure can fall in any block
+        monkeypatch.setattr(placement, "_BLOCK", FEW_DOZEN)
+        m, n = patch(monkeypatch, seed)
+        assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+
+    @pytest.mark.parametrize("block", [FEW_DOZEN, placement._BLOCK])
+    def test_a_late_failure_in_a_later_block(self, monkeypatch, block):
+        # (3, 2): one cell per column, ten apart, clears every shift but the
+        # last, dx = 11 = (4 - 1) 3 + 2, which puts the translate's column 0
+        # (lifted by S(3) = 4) one cell into the low last column.  With 40
+        # elements the blocks are shifts [1, 4), [4, 9) and [9, 12): the
+        # failure is the third row of the last block, the first row is a
+        # multiple of m, and the columns past the end are the padding's
+        heights = [*range(0, 110, 10), 3]
+        patch_disk(monkeypatch, FakeDisk(Rect(x, y, x + 1, y + 1) for x, y in enumerate(heights)))
+        monkeypatch.setattr(placement, "_BLOCK", block)
+        want = Lemma2Case(m=3, n=2, r=4, xstar=2, ystar=1)
+        assert check_lemma2_exhaustive(3, 2) == want == pass_lemma2_exhaustive(3, 2)
+        assert sweep_lemma2_exhaustive(3, 2) == want
+
+    def test_memory_is_bounded_at_width(self, monkeypatch):
+        # a flat strip two cells high over 2^20 columns overlaps at case
+        # (1, 1, 1); the check allocated 1.31 times the profile's own bytes,
+        # pass_lemma2_exhaustive's one pass per (r, xstar) 1.56 times
+        m, n = 2**10, 10
+        lo = np.zeros(m * 2**n, np.int64)
+        hi = lo + 2
+        monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+        tracemalloc.start()
+        try:
+            got = check_lemma2_exhaustive(m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == Lemma2Case(m=m, n=n, r=1, xstar=1, ystar=1)
+        assert peak < 1.5 * (lo.nbytes + hi.nbytes)
 
     @pytest.mark.parametrize("lift, expected", [(-1, (1, 1, 5)), (0, (1, 1, 6)), (1, (2, 1, 1))])
     def test_profile_stops_at_the_last_ystar(self, monkeypatch, lift, expected):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -181,6 +182,17 @@ class TestVerifyConstruction:
             assert all(i == 0 for i, _ in overlapping), (m, n)
             if m == n - 2:
                 assert overlapping == [(0, n - 1)]
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_overlap_map(self, n):
+        # measured, not proved: the overlapping pairs are (0, m + 1) .. (0, u),
+        # none from m = n - 1 on, with u = n - 1 except at m = 2 for
+        # n = 9..11, where u = n - 2; no other pair overlaps
+        for m in range(2, n + 2):
+            u = n - 2 if m == 2 and n >= 9 else n - 1
+            want = {(0, j) for j in range(m + 1, u + 1)}
+            flags = [(i, j, disjoint) for i, j, disjoint, _ in verify._pair_rows(place_translates(m, n))]
+            assert flags == [(i, j, (i, j) not in want) for i, j in combinations(range(n + 1), 2)], (m, n)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_largest_m_stays_inside_the_sweep_bound(self, n):
