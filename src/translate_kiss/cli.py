@@ -13,6 +13,8 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 * 3 for I/O errors.
 
 Each error exit prints one ``error:`` (or ``i/o error:``) line on stderr.
+``main`` parses with one parser per process, built on its first call;
+``build_parser`` returns a fresh one on every call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import deque
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -156,9 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # main's own parser, never handed out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, ContractViolation) as exc:

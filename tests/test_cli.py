@@ -1,4 +1,7 @@
+import argparse
+import hashlib
 import json
+import sys
 import time
 import tracemalloc
 
@@ -332,3 +335,101 @@ def test_oversized_input_exits_2_without_allocating(capsys, argv):
     assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _main_as_fresh(argv):
+    """main(argv), after checking that main's shared parser reads argv as a fresh parser does."""
+    assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    return main(argv)
+
+
+def test_shared_parser_keeps_no_quiet(capsys):
+    assert main(["--quiet", "verify", "-m", "4", "-n", "3"]) == 0
+    assert capsys.readouterr().out == ""
+    assert _main_as_fresh(["verify", "-m", "4", "-n", "3"]) == 0
+    assert capsys.readouterr().out == "PASS m=4 n=3: 6 pairs checked, 3/3 translates touch A0\n"
+
+
+def test_shared_parser_keeps_no_shape(tmp_path):
+    shape, scene = tmp_path / "F.svg", tmp_path / "G.svg"
+    assert main(["render", "-m", "2", "-n", "2", "--shape", "--out", str(shape)]) == 0
+    assert _main_as_fresh(["render", "-m", "2", "-n", "2", "--out", str(scene)]) == 0
+    assert shape.read_bytes() == render_svg(build_disk(2, 2))
+    assert scene.read_bytes() == render_svg(place_translates(2, 2))
+    assert scene.read_bytes().count(b"<g ") == 3
+
+
+def test_shared_parser_keeps_no_json_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "-m", "4", "-n", "3", "--json", "cert.json"]) == 0
+    written = (tmp_path / "cert.json").read_bytes()
+    capsys.readouterr()
+    assert _main_as_fresh(["verify", "-m", "4", "-n", "3"]) == 0
+    assert capsys.readouterr().out == "PASS m=4 n=3: 6 pairs checked, 3/3 translates touch A0\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+    assert (tmp_path / "cert.json").read_bytes() == written
+
+
+def test_shared_parser_recovers_from_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma2", "-m", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _main_as_fresh(["lemma2", "-m", "3", "-n", "3"]) == 0
+    assert capsys.readouterr() == ("PASS: all cases for m=3, n=3 are disjoint\n", "")
+
+
+# sha256 of each parser's format_help() at 80 columns, as argparse formats them on
+# Python 3.10 and 3.11
+HELP_SHA256 = {
+    None: "462c8d57392403724d0ff923b123debc5f07b1ca5e84c58bfe732cd8a2f1b1eb",
+    "build": "3adbc1254563aab300269205b1384de37abc5245665f7344ffc2d917bc4fe06e",
+    "verify": "b0096c46d2ae5fc8e116b95ba8b5878b731e591a325704368cf01f4f5301206a",
+    "render": "dca496f6cb88c813793e91d73fed001f93f9ffe70bdbc0ab633d8812d3c25cda",
+    "lemma1": "2c930400d06cf7658a7ad1c9c2f550183e9216e12a2488b572f7c0f225a48e9c",
+    "lemma2": "5b6650e19b21bab2754d168abe433187e0da6a5f47c92269a54a11f6c2a85c68",
+}
+
+
+def _helps(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {None: parser.format_help(), **{name: p.format_help() for name, p in sub.choices.items()}}
+
+
+def test_shared_parser_help_is_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--quiet", "lemma2", "-m", "2", "-n", "2"]) == 0
+    for argv in (["lemma2", "-m", "2"], ["lemma1", "--k-max", "2"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    shared = _helps(cli._parser())
+    assert shared == _helps(cli.build_parser())
+    if sys.version_info[:2] in ((3, 10), (3, 11)):
+        assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in shared.items()} == HELP_SHA256
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch, tmp_path, capsys):
+    calls = [
+        ["--quiet", "build", "-m", "2", "-n", "1", "--out", str(tmp_path / "shape.json")],
+        ["verify", "-m", "2", "-n", "2"],
+        ["render", "-m", "2", "-n", "2", "--out", str(tmp_path / "fig.svg")],
+        ["lemma1", "--k-max", "2", "--r-max", "4"],
+        ["lemma2", "-m", "2", "-n", "2"],
+    ]
+    assert main(calls[-1]) == 0  # builds main's parser if no earlier call did
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert [main(argv) for _ in range(20) for argv in calls] == [0] * 100
+    assert len(built) == 0
+    assert cli.build_parser() is not cli.build_parser()
+    assert len(built) == 14  # seven per fresh parser: the main one, -m/-n and five subcommands
+    cli.build_parser().add_argument("--extra", required=True)
+    capsys.readouterr()
+    assert main(calls[-1]) == 0
+    assert capsys.readouterr().out == "PASS: all cases for m=2, n=2 are disjoint\n"
