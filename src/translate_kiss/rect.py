@@ -24,8 +24,9 @@ end.  A is first cut to the range that meets B's bounding box.  A rect left
 in A is kept only if it meets the y-cover of its x-window, and only kept
 rects search for their y-windows, so each gets a window tight in x and y; a
 pair with no kept rect has no contact and stops there.  Blocks that build
-many acyclic objects (the contacts, the verdicts) run under _gc_paused, so
-the cyclic garbage collector does not walk them again and again.
+many acyclic objects (a pair's contacts, decoded JSON) run under
+_gc_paused, so the cyclic garbage collector does not walk them again and
+again.
 
 A contact is the closed segment between its ends a and b, a point if a == b.
 The sweep puts each touching pair on the line of its zero x-gap and on the
@@ -36,11 +37,13 @@ starts and the ends sorted apart (_merge), a point is a zero-length run on
 both of its lines, found by one sort of the zero-length runs' cells, and
 the runs are put in canonical order by one sort per kind (_canonical).
 _placed_ends returns these rows of ends [xa, ya, xb, yb], moved back to the
-second copy's offset, which the CLI formats as they come and drops.  Each
-row's kind comes from two comparisons of its ends (_kinds), the rule that
-ContactComponent applies to one contact; the writer and _bulk, which turns
-the rows into ContactComponent tuples in one step without per-contact
-checks, each take it from the rows they are given.
+second copy's offset, which the CLI formats as they come and drops, and
+which a verdict of verify_construction or parse holds until its contacts
+are first read.  Each row's kind comes from two comparisons of its ends
+(_kinds), the rule that ContactComponent applies to one contact; the
+writer and _bulk, which turns the rows into ContactComponent tuples in one
+step without per-contact checks, each take it from the rows they are
+given.
 """
 
 from __future__ import annotations

@@ -12,8 +12,12 @@ encoded.  A certificate's chunks come from _certificate_chunks, which takes
 each verdict with the (k, 4) int64 rows of its contacts' ends and formats
 the contacts from those rows, each row with the template of the kind its
 ends give (rect._kinds).  serialize feeds it a Certificate's verdicts,
-and the CLI and parse the verdicts verify._verdicts builds from the pairs
-the sweep, verify._pair_rows, yields for the scene.
+each with the rows of ends it holds, or else rows made from its contacts
+(verify._ends), and the CLI and parse the verdicts verify._verdicts builds
+from the pairs the sweep, verify._pair_rows, yields for the scene.  So
+neither writing a certificate nor parsing one makes a ContactComponent:
+the verdicts of verify_construction and parse hold their rows of ends
+until their contacts are read.
 
 parse holds every document to one rule: it rebuilds the object from the
 (m, n) of the canonical header alone, and accepts the input only if it is
@@ -32,8 +36,6 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from itertools import chain
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional, Union
 
 import numpy as np
@@ -42,7 +44,7 @@ from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
 from .rect import _KIND_NAMES, _gc_paused, _kinds, _lengths
-from .verify import Certificate, PairVerdict, _pair_rows, _verdict_totals, _verdicts
+from .verify import Certificate, PairVerdict, _ends, _pair_rows, _verdict_totals, _verdicts
 
 SCHEMA_VERSION = "tk-1"
 
@@ -62,8 +64,6 @@ _CONTACT = np.array(
 )
 _VERDICT_HEAD = b'%s{"i":%d,"j":%d,"interiors_disjoint":%s,"contacts":['
 _VERDICT_TAIL = b'],"segment_length_total":%d}'
-# a ContactComponent is the tuple (kind, a, b, length)
-_ENDS = itemgetter(1, 2)
 # what parse reads without decoding: the header
 _HEADER = re.compile(
     rb'\{"schema_version":"%s","kind":"(shape|scene|certificate)","m":(-?\d+),"n":(-?\d+),' % SCHEMA_VERSION.encode()
@@ -99,12 +99,6 @@ def _offsets(scene: Union[Scene, Certificate]) -> bytes:
     return b",".join(b"[%d,%d]" % (t.dx, t.dy) for t in scene.offsets)
 
 
-def _rows(contacts: tuple) -> np.ndarray:
-    """The contacts' ends as (k, 4) int64 rows [xa, ya, xb, yb]."""
-    ends = chain.from_iterable(chain.from_iterable(map(_ENDS, contacts)))
-    return np.fromiter(ends, np.int64, 4 * len(contacts)).reshape(-1, 4)
-
-
 def _certificate_chunks(
     scene: Union[Scene, Certificate],
     verdicts: Iterable[tuple[PairVerdict, np.ndarray]],
@@ -130,7 +124,7 @@ def _chunks(obj: Document) -> Iterator[bytes]:
     if type(obj) not in _KINDS:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if isinstance(obj, Certificate):
-        verdicts = ((v, _rows(v.contacts)) for v in obj.pair_verdicts)
+        verdicts = ((v, _ends(v)) for v in obj.pair_verdicts)
         yield from _certificate_chunks(obj, verdicts, lambda: (obj.touching_count, obj.ok))
         return
     head = _HEAD % (SCHEMA_VERSION.encode(), _KINDS[type(obj)].encode(), obj.m, obj.n)
@@ -229,8 +223,7 @@ def _rebuilt(data: bytes) -> Optional[Document]:
     if kind == b"certificate":
         if len(data) < n * (n + 1) // 2 * _SHORTEST_PAIR:
             return None
-        with _gc_paused():  # the contacts and verdicts hold no cycles
-            return _certificate(obj, data)
+        return _certificate(obj, data)
     return obj if _writes(_chunks(obj), data) else None
 
 

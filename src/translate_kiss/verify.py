@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,12 +20,47 @@ from .placement import Scene, place_translates
 from .rect import _NO_ENDS, ContactComponent, Vec2, _bulk, _gc_paused, _lengths, _merge, _placed_ends
 
 
+class _Contacts:
+    """PairVerdict.contacts.  A verdict that _verdicts makes holds the (k, 4)
+    int64 rows of its contacts' ends, which rect._bulk turns into the tuple
+    of ContactComponent on the first read, kept for every later one; any
+    other value is held and read as given."""
+
+    def __get__(self, obj: Optional[PairVerdict], cls: type) -> tuple[ContactComponent, ...]:
+        if obj is None:
+            raise AttributeError("contacts")  # so the dataclass field has no default
+        held = obj.__dict__["contacts"]
+        if isinstance(held, np.ndarray):
+            with _gc_paused():  # the contacts hold no cycles
+                held = obj.__dict__["contacts"] = _bulk(held)
+        return held
+
+    def __set__(self, obj: PairVerdict, value: Any) -> None:
+        obj.__dict__["contacts"] = value
+
+
+def _ends(v: PairVerdict) -> np.ndarray:
+    """The (k, 4) int64 rows [xa, ya, xb, yb] of v's contacts' ends: the rows
+    v holds, or else rows made from its ContactComponents, each the tuple
+    (kind, a, b, length)."""
+    held = v.__dict__["contacts"]
+    if isinstance(held, np.ndarray):
+        return held
+    ends = chain.from_iterable(chain.from_iterable(map(itemgetter(1, 2), held)))
+    return np.fromiter(ends, np.int64, 4 * len(held)).reshape(-1, 4)
+
+
 @dataclass(frozen=True)
 class PairVerdict:
+    """The verdict on translates A_i and A_j, i < j.  contacts is a tuple of
+    ContactComponent in canonical order; a verdict that verify_construction
+    or parse returns holds their rows of ends instead and makes the tuple
+    when contacts is first read."""
+
     i: int
     j: int
     interiors_disjoint: bool
-    contacts: tuple[ContactComponent, ...]
+    contacts: tuple[ContactComponent, ...] = _Contacts()
     segment_length_total: int
 
 
@@ -58,10 +94,12 @@ def _verdicts(
 ) -> Iterator[tuple[PairVerdict, np.ndarray]]:
     """The verdict of each (i, j, interiors_disjoint, ends) pair, appended to
     kept and yielded with its ends, from which the writer formats its
-    contacts.  The verdict holds its contacts only when keep; its
-    segment_length_total is summed from the ends either way."""
+    contacts.  The verdict holds the ends, read-only, as its contacts only
+    when keep, else no contacts; its segment_length_total is summed from
+    the ends either way."""
     for i, j, disjoint, ends in pairs:
-        kept.append(PairVerdict(i, j, disjoint, _bulk(ends) if keep else (), int(_lengths(ends).sum())))
+        ends.flags.writeable = False
+        kept.append(PairVerdict(i, j, disjoint, ends if keep else (), int(_lengths(ends).sum())))
         yield kept[-1], ends
 
 
@@ -73,8 +111,7 @@ def verify_construction(m: int, n: int) -> Certificate:
     """
     scene = place_translates(m, n)
     verdicts: list[PairVerdict] = []
-    with _gc_paused():  # the contacts and verdicts hold no cycles
-        deque(_verdicts(_pair_rows(scene), verdicts, keep=True), maxlen=0)
+    deque(_verdicts(_pair_rows(scene), verdicts, keep=True), maxlen=0)
     return Certificate(m, n, scene.offsets, tuple(verdicts), *_verdict_totals(n, verdicts))
 
 

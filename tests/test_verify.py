@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 from itertools import combinations
 
 import pytest
@@ -392,3 +394,92 @@ class TestTranslationInvariance:
                 assert [(c.kind, c.length) for c in base] == [
                     (c.kind, c.length) for c in moved
                 ]
+
+
+def _contact_builds(monkeypatch):
+    """Counts of rect._bulk calls and ContactComponent constructions, by
+    either __new__ or the trusted constructor _bulk uses, from here on."""
+    counts = {"bulk": 0, "contacts": 0}
+    bulk, trusted, new = rect._bulk, rect._trusted, rect.ContactComponent.__new__
+
+    def counted_bulk(ends):
+        counts["bulk"] += 1
+        return bulk(ends)
+
+    def counted_trusted(fields):
+        counts["contacts"] += 1
+        return trusted(fields)
+
+    def counted_new(cls, a, b):
+        counts["contacts"] += 1
+        return new(cls, a, b)
+
+    for module in (rect, verify):
+        monkeypatch.setattr(module, "_bulk", counted_bulk)
+    monkeypatch.setattr(rect, "_trusted", counted_trusted)
+    monkeypatch.setattr(rect.ContactComponent, "__new__", counted_new)
+    return counts
+
+
+class TestLazyContacts:
+    """verify_construction and parse return verdicts that hold their
+    contacts' rows of ends; the ContactComponent tuple is made on the first
+    read of contacts."""
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (6, 7), (8, 10)])
+    def test_no_contact_is_built_until_read(self, monkeypatch, m, n):
+        counts = _contact_builds(monkeypatch)
+        made = verify_construction(m, n)
+        data = serialize(made)
+        parsed = parse(data)
+        assert serialize(parsed) == data
+        assert counts == {"bulk": 0, "contacts": 0}
+        assert made.ok is parsed.ok is (m >= n - 1)
+        for cert in (made, parsed):
+            built = dict(counts)
+            for v in cert.pair_verdicts:
+                first = v.contacts
+                assert first is v.contacts and type(first) is tuple
+                assert counts["bulk"] == built["bulk"] + 1
+                assert counts["contacts"] == built["contacts"] + len(first)
+                built = dict(counts)
+        assert counts["contacts"] == 2 * sum(len(v.contacts) for v in made.pair_verdicts) > 0
+
+    def test_held_ends_are_read_only(self):
+        for v in verify_construction(5, 5).pair_verdicts:
+            assert not verify._ends(v).flags.writeable
+
+    def test_contacts_field_has_no_default(self):
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(verify.PairVerdict))
+        with pytest.raises(TypeError):
+            verify.PairVerdict(0, 1, True, segment_length_total=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verify_construction(3, 2).pair_verdicts[0].contacts = ()
+
+    @pytest.mark.parametrize("m, n", [(3, 2), (4, 5), (6, 7), (8, 10)])
+    def test_lazy_verdict_behaves_as_its_tuple(self, m, n):
+        data = serialize(verify_construction(m, n))
+        eager = [
+            verify.PairVerdict(v.i, v.j, v.interiors_disjoint, tuple(v.contacts), v.segment_length_total)
+            for v in verify_construction(m, n).pair_verdicts
+        ]
+        # each check reads fresh verdicts, whose contacts are still rows of ends
+        checks = [
+            lambda v, e: v == e,
+            lambda v, e: e == v,
+            lambda v, e: not (v != e) and not (e != v),
+            lambda v, e: hash(v) == hash(e),
+            lambda v, e: repr(v) == repr(e),
+            lambda v, e: pickle.loads(pickle.dumps(v)) == e,
+            lambda v, e: pickle.loads(pickle.dumps(e)) == v,
+            lambda v, e: copy.deepcopy(v) == e and copy.copy(v) == e,
+            lambda v, e: dataclasses.replace(v) == e and type(dataclasses.replace(v).contacts) is tuple,
+            lambda v, e: dataclasses.replace(v, i=-1) == dataclasses.replace(e, i=-1),
+        ]
+        for check in checks:
+            for cert in (verify_construction(m, n), parse(data)):
+                assert all(map(check, cert.pair_verdicts, eager))
+        # a certificate whose contacts were all read writes them from the tuples
+        cert = parse(data)
+        assert [v.contacts for v in cert.pair_verdicts] == [e.contacts for e in eager]
+        assert serialize(cert) == data
