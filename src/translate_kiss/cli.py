@@ -8,8 +8,8 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
   m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall or of more than 2^23
   rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), a lemma 2 profile wider
   than 2^24 columns, and lemma1 with k_max < 1, r_max above 2^22 or
-  min(k_max, r_max) * r_max above 2^30 window sums) and broken
-  preconditions (ContractViolation);
+  min(k_max, r_max) * r_max above 2^30 window sums), broken
+  preconditions (ContractViolation) and allocation failures (MemoryError);
 * 3 for I/O errors.
 
 Each error exit prints one ``error:`` (or ``i/o error:``) line on stderr.
@@ -30,7 +30,7 @@ from .disk import build_disk
 from .errors import ConstructionBroken, ContractViolation, ParameterError
 from .placement import check_lemma2_exhaustive, place_translates
 from .render import _svg_chunks
-from .ruler import PrefixTable, _check_windows, check_lemma1_exhaustive
+from .ruler import _check_ruler_windows
 from .serial import _certificate_chunks, _chunks
 from .verify import PairVerdict, _pair_rows, _verdict_totals, _verdicts
 
@@ -97,9 +97,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma1(args: argparse.Namespace) -> int:
-    _check_windows(args.k_max, args.r_max)  # before the table is built
-    table = PrefixTable.build(args.r_max)
-    failure = check_lemma1_exhaustive(args.k_max, args.r_max, table)
+    failure = _check_ruler_windows(args.k_max, args.r_max)
     if failure is None:
         _say(args, f"PASS: all windows with k <= {args.k_max} and r + k - 1 <= {args.r_max} have sum >= prefix sum")
         return EXIT_OK
@@ -174,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -339,7 +339,7 @@ def _placed_ends(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[np.ndarray]:
     lx, hx = _x_window(m, len(rows), x0 - d.dx, x1 - d.dx)
     first = max(lx, np.searchsorted(Y1, y0 - d.dy, "left"))
     last = min(hx, np.searchsorted(Y0, y1 - d.dy, "right"))
-    cut = slice(first, last)
+    cut = slice(first, max(first, last))  # hx < 0 once B lies 2 or more units left of A
     lx, hx = _x_window(m, len(rows), X0[cut] + d.dx, X1[cut] + d.dx)
     near = Y0.take(lx) <= Y1[cut] + d.dy
     near &= Y1.take(hx - 1) >= Y0[cut] + d.dy

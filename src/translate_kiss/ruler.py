@@ -4,7 +4,9 @@ sums, and the Lemma 1 prefix-sum table and minimal-prefix-sum window check.
 ``ruler(i)`` counts bits from the right up to and including the first set bit
 of ``i``.  The sequence of these values gives the connector heights of the
 rectilinear disks; its key property is that every length-k window has sum at
-least the sum of the first k terms, checked on int32 sums wherever they fit.
+least the sum of the first k terms.  The check runs on the sums cast to the
+narrowest of int16, int32 and int64 that holds every window exactly: int16
+for the ruler's own sums up to k = 1424, as each term is at most 23.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, RangeError, _int_in, _show
 
 MAX_TABLE_LIMIT = 2**22  # building 2^20 terms peaks near 50 MiB, so about 200 MiB at the cap
-MAX_WINDOW_WORK = 2**30  # bound on min(k_max, r_max) * r_max window sums; 2^28 of them take 1.5 s
+MAX_WINDOW_WORK = 2**30  # bound on min(k_max, r_max) * r_max window sums; 2^30 take 0.5 s on int16, 1.3 s on int64
 
 
 def ruler(i: int) -> int:
@@ -37,7 +39,7 @@ def _ruler_sums(k: int) -> np.ndarray:
     terms[:1] = 0  # S(0) = 0
     for b in range(1, k.bit_length()):
         terms[2**b :: 2**b] += 1
-    return np.cumsum(terms)
+    return np.cumsum(terms, out=terms)
 
 
 @dataclass(frozen=True)
@@ -78,20 +80,38 @@ def _check_windows(k_max: int, r_max: int) -> None:
         )
 
 
-def _window_sums(sums: tuple[int, ...], r_max: int) -> np.ndarray:
-    """sums[0..r_max] as int32 if they and every difference of two of them fit
-    in int32, else int64; each must be an int, and no sum or difference may pass int64."""
-    read = sums[: r_max + 1]
-    if len(read) <= r_max or not {int}.issuperset(map(type, read)):
-        raise ParameterError(f"lemma 1 at r_max = {_show(r_max)} needs r_max + 1 table sums, each an int")
-    try:
-        read = np.fromiter(read, np.int64, len(read))
-    except OverflowError:
-        raise RangeError("a table sum passes int64") from None
-    lo, hi = int(read.min()), int(read.max())
+def _narrowed(sums: np.ndarray, k_top: int) -> np.ndarray:
+    """The int64 sums cast, wrapping, to the narrowest of int16, int32 and
+    int64 that holds -W..W, W = min(k_top * max|term|, max - min).
+
+    A window of at most k_top terms is a sum of those terms and a difference
+    of two sums, so it lies in -W..W, and taken there modulo 2^b it is the
+    true difference.  Raises RangeError if two sums differ by 2**63 or more."""
+    lo, hi = int(sums.min()), int(sums.max())
     if hi - lo >= 2**63:
         raise RangeError("two table sums differ by 2**63 or more")
-    return read.astype(np.int32) if -(2**31) <= lo and hi < 2**31 and hi - lo < 2**31 else read
+    terms = np.diff(sums)  # each |term| <= hi - lo < 2**63
+    bound = min(k_top * max(int(terms.max()), -int(terms.min())), hi - lo)
+    del terms  # freed before the cast
+    lane = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    return sums.astype(lane, copy=False)
+
+
+def _first_short_window(sums: np.ndarray, k_top: int) -> tuple[int, int] | None:
+    """The first (k, r) in lexicographic order with k <= k_top whose window
+    sums[r + k - 1] - sums[r - 1] falls below sums[k] - sums[0], or None.
+
+    sums is int64, more than k_top of them.  Each k's windows are subtracted
+    in the _narrowed lane into one reused buffer and compared with windows[0],
+    the prefix; r is located only when the smallest window falls short."""
+    lanes = _narrowed(sums, k_top)
+    count = len(lanes)
+    buffer = np.empty(count - 1, lanes.dtype)
+    for k in range(1, k_top + 1):
+        windows = np.subtract(lanes[k:], lanes[: count - k], out=buffer[: count - k])
+        if windows.min() < windows[0]:
+            return k, int(np.argmax(windows < windows[0])) + 1
+    return None
 
 
 def check_lemma1_exhaustive(
@@ -100,16 +120,27 @@ def check_lemma1_exhaustive(
     """Check every window with k <= k_max and r + k - 1 <= r_max.
 
     Returns None if all windows pass, else the first failing (k, r) in
-    lexicographic order.  Vectorized per k, into one buffer, so the full
-    desk-scale sweep stays well under a second.
+    lexicographic order.  The table's r_max + 1 sums are read once, each an
+    int (else ParameterError) within int64 (else RangeError), and checked by
+    _first_short_window, so the full desk-scale sweep stays well under a
+    second.
     """
     _check_windows(k_max, r_max)
     if r_max > table.limit:
         raise RangeError(f"r_max {_show(r_max)} exceeds table limit {table.limit}")
-    sums = _window_sums(table.sums, r_max)
-    buffer = np.empty(r_max, sums.dtype)
-    for k in range(1, min(k_max, r_max) + 1):
-        windows = np.subtract(sums[k:], sums[: r_max + 1 - k], out=buffer[: r_max + 1 - k])
-        if windows.min() < sums[k] - sums[0]:
-            return (k, int(np.argmax(windows < sums[k] - sums[0])) + 1)
-    return None
+    read = table.sums[: r_max + 1]
+    if len(read) <= r_max or not {int}.issuperset(map(type, read)):
+        raise ParameterError(f"lemma 1 at r_max = {_show(r_max)} needs r_max + 1 table sums, each an int")
+    try:
+        sums = np.fromiter(read, np.int64, len(read))
+    except OverflowError:
+        raise RangeError("a table sum passes int64") from None
+    return _first_short_window(sums, min(k_max, r_max))
+
+
+def _check_ruler_windows(k_max: int, r_max: int) -> tuple[int, int] | None:
+    """check_lemma1_exhaustive(k_max, r_max, PrefixTable.build(r_max)), run on
+    the _ruler_sums array itself: no table is built."""
+    _check_windows(k_max, r_max)
+    _int_in("table limit", r_max, 1, MAX_TABLE_LIMIT)
+    return _first_short_window(_ruler_sums(r_max + 1), min(k_max, r_max))

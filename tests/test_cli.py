@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 import time
@@ -33,6 +34,8 @@ from translate_kiss import (
 )
 from translate_kiss import cli
 from translate_kiss.cli import main
+
+ruler_module = importlib.import_module("translate_kiss.ruler")  # the package's `ruler` is the function
 
 
 def test_build_writes_shape(tmp_path, capsys):
@@ -166,6 +169,43 @@ def test_lemma1_with_too_many_windows_exits_2(capsys):
     assert "window sums" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dip", [None, 6, 100])
+@pytest.mark.parametrize("k_max, r_max", [(1, 1), (4, 8), (64, 512), (300, 300), (512, 4096), (1024, 65536)])
+def test_lemma1_line_is_the_library_verdict_on_a_built_table(monkeypatch, capsys, k_max, r_max, dip):
+    # the CLI scans the ruler's sums without a PrefixTable; with term dip
+    # lowered by one in both, it must still print what the library finds
+    if dip is not None:
+        sums_of = ruler_module._ruler_sums
+
+        def dipped(k):
+            sums = sums_of(k)
+            sums[dip:] -= 1
+            return sums
+
+        monkeypatch.setattr(ruler_module, "_ruler_sums", dipped)
+    found = check_lemma1_exhaustive(k_max, r_max, PrefixTable.build(r_max))
+    assert main(["lemma1", "--k-max", str(k_max), "--r-max", str(r_max)]) == (found is not None)
+    if found is None:
+        line = f"PASS: all windows with k <= {k_max} and r + k - 1 <= {r_max} have sum >= prefix sum"
+    else:
+        line = f"FAIL: window k={found[0]}, r={found[1]} beats the prefix"
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [(MemoryError("Unable to allocate 32.0 MiB"), "Unable to allocate 32.0 MiB"), (MemoryError(), "out of memory")],
+)
+def test_allocation_failure_exits_2_with_one_line(monkeypatch, capsys, error, message):
+    # an array the machine cannot hold is a refused input, not a FAIL verdict
+    def exhausted(k_max, r_max):
+        raise error
+
+    monkeypatch.setattr(cli, "_check_ruler_windows", exhausted)
+    assert main(["lemma1", "--k-max", "256", "--r-max", "4194304"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_lemma2_pass(capsys):
     assert main(["lemma2", "-m", "2", "-n", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -256,7 +296,7 @@ FAIL_3_5 = "FAIL m=3 n=5: 15 pairs checked, 4/5 translates touch A0"
     [
         (
             ["lemma1", "--k-max", "4", "--r-max", "8"],
-            "check_lemma1_exhaustive",
+            "_check_ruler_windows",
             (3, 5),
             "FAIL: window k=3, r=5 beats the prefix",
         ),

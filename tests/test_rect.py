@@ -683,7 +683,8 @@ def box_offsets(w, h):
 
 class TestBoxCut:
     """_placed_ends first cuts A to the rows that meet B's bounding box; the
-    cut keeps every row on the box's edges and corners."""
+    cut keeps every row on the box's edges and corners, and is empty for a
+    box that lies apart, on either side."""
 
     @pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (2, 3), (5, 3)])
     def test_boxes_apart_touching_at_a_corner_or_along_an_edge(self, m, n):
@@ -693,12 +694,26 @@ class TestBoxCut:
             B = [r.translate(v) for r in rects]
             assert placed(shape.rows, v) == naive_placed(rects, B), v
 
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (2, 3), (5, 3)])
+    def test_boxes_up_to_three_widths_apart(self, m, n):
+        # the cut's x-window lies wholly left or right of the rows once the
+        # copies are 2 or more units apart in x; it must then be empty
+        shape = build_disk(m, n)
+        rects, box = shape.rects(), shape.bounding_box()
+        w, h = box.width, box.height
+        for dx in range(-3 * w, 3 * w + 1):
+            for dy in (-3 * h, -h - 2, -h, -1, 0, 1, h, h + 2, 3 * h):
+                v = Vec2(dx, dy)
+                B = [r.translate(v) for r in rects]
+                assert placed(shape.rows, v) == naive_placed(rects, B), v
+
     def test_the_cases_occur(self):
         # apart: no contact; the corner (w, h): the last bar meets the first
         # at one point; the right edge: the last bar's side meets the first's
         shape = build_disk(3, 2)
         box = shape.bounding_box()
         assert placed(shape.rows, Vec2(box.width + 1, 0)) == []
+        assert placed(shape.rows, Vec2(-box.width - 1, 0)) == placed(shape.rows, Vec2(-box.width - 2, 0)) == []
         assert placed(shape.rows, Vec2(box.width, box.height)) == [("point", (12, 5), (12, 5))]
         assert placed(shape.rows, Vec2(box.width, box.height - 1)) == [("vertical-segment", (12, 4), (12, 5))]
 

@@ -13,7 +13,7 @@ from translate_kiss import (
     prefix_sum,
     ruler,
 )
-from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, _ruler_sums, _window_sums, ruler_sum
+from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, _narrowed, _ruler_sums, ruler_sum
 
 from oracles import lemma1_first_failure, ruler_by_halving
 
@@ -130,48 +130,50 @@ class TestLemma1:
         expected = lemma1_first_failure(k_max, r_max, terms)
         assert check_lemma1_exhaustive(k_max, r_max, table) == expected
 
-    def test_shifted_tables_match_the_oracle_on_both_dtypes(self):
-        # the same terms with every sum shifted: up to 2**31 - 1 exactly,
-        # across it, around zero, down to -2**31 exactly and just past it.
-        # The window loop runs on int32 when the sums fit, on int64 otherwise,
-        # and the verdict depends on the terms alone.
-        failing = {np.int32: 0, np.int64: 0}
+    @pytest.mark.filterwarnings("error")
+    def test_shifted_tables_match_the_oracle_on_every_lane(self):
+        # the same terms scaled by 1, 2**20 or 2**32, which fixes the lane:
+        # W lies in 1..448, in 2**20..448 * 2**20 or at 2**32 and above.  Each
+        # scaled table is shifted so that its sums sit at zero, cross 0,
+        # +-2**15 or +-2**31, or lie wholly past int32 on either side; a
+        # narrow lane then wraps every sum, and the verdict depends on the
+        # terms alone.
+        seen = {np.int16: set(), np.int32: set(), np.int64: set()}
         for seed in range(40):
             k_max, r_max, terms = planted_dips(seed)
-            base = (0, *accumulate(terms))
-            top = base[r_max]
-            for shift, dtype in [
-                (2**31 - 1 - top, np.int32),
-                (2**31 - 1 - top // 2, np.int64),
-                (-(top // 2) - 1, np.int32),
-                (-(2**31), np.int32),
-                (-(2**31) - 1, np.int64),
-            ]:
-                table = PrefixTable(len(terms), tuple(s + shift for s in base))
-                assert _window_sums(table.sums, r_max).dtype == dtype, (seed, shift)
-                found = check_lemma1_exhaustive(k_max, r_max, table)
-                assert found == lemma1_first_failure(k_max, r_max, terms), (seed, shift)
-                failing[dtype] += found is not None
-        assert failing[np.int32] and failing[np.int64]
+            expected = lemma1_first_failure(k_max, r_max, terms)
+            for scale, lane in [(1, np.int16), (2**20, np.int32), (2**32, np.int64)]:
+                base = (0, *accumulate(t * scale for t in terms))
+                half = base[r_max] // 2
+                for shift in [0, -half, 2**15 - half, -(2**15) - half, 2**31 - half, -(2**31) - half, 2**40, -(2**40)]:
+                    table = PrefixTable(len(terms), tuple(s + shift for s in base))
+                    sums = np.array(table.sums[: r_max + 1], np.int64)
+                    assert _narrowed(sums, min(k_max, r_max)).dtype == lane, (seed, scale, shift)
+                    assert check_lemma1_exhaustive(k_max, r_max, table) == expected, (seed, scale, shift)
+                    seen[lane].add(expected is None)
+        assert all(verdicts == {True, False} for verdicts in seen.values())
 
     def test_sums_in_int32_but_spread_past_it_run_on_int64(self):
         # every sum fits in int32, but two differ by more than 2**31 - 1
         terms = [3, 1, 2**31 - 1, 1, 0, 2]
         table = PrefixTable(6, tuple(s - 2**30 for s in (0, *accumulate(terms))))
-        assert max(table.sums) < 2**31 and _window_sums(table.sums, 6).dtype == np.int64
+        assert max(table.sums) < 2**31 and _narrowed(np.array(table.sums), 6).dtype == np.int64
         assert check_lemma1_exhaustive(6, 6, table) == lemma1_first_failure(6, 6, terms) == (1, 2)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dip", [None, 2**20 - 5])
-    def test_built_table_same_on_int32_as_on_an_int64_copy(self, dip):
+    def test_built_table_same_on_every_lane(self, dip):
+        # the built table, and copies scaled by 2**11 and by 2**27 and moved
+        # past int32, whose windows need int32 and int64 (W = 16 * 21 * scale)
         r_max = 2**20
         sums = PrefixTable.build(r_max).sums
         if dip is not None:  # term dip + 1 becomes 0, so a window of one fails there
             sums = sums[: dip + 1] + tuple(s - (sums[dip + 1] - sums[dip]) for s in sums[dip + 1 :])
-        narrow, wide = PrefixTable(r_max, sums), PrefixTable(r_max, tuple(s + 2**31 for s in sums))
-        assert _window_sums(narrow.sums, r_max).dtype == np.int32
-        assert _window_sums(wide.sums, r_max).dtype == np.int64
         want = None if dip is None else (1, dip + 1)
-        assert check_lemma1_exhaustive(16, r_max, narrow) == check_lemma1_exhaustive(16, r_max, wide) == want
+        for scale, shift, lane in [(1, 0, np.int16), (2**11, 0, np.int32), (2**27, 2**31, np.int64)]:
+            table = PrefixTable(r_max, tuple(s * scale + shift for s in sums))
+            assert _narrowed(np.array(table.sums), 16).dtype == lane
+            assert check_lemma1_exhaustive(16, r_max, table) == want, scale
 
     @pytest.mark.parametrize("sums", [(0, 1, 3.5, 4, 7), (0, True, 3, 4, 7), (0, 1, 3)])
     def test_a_float_bool_or_short_table_is_refused(self, sums):
