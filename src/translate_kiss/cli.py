@@ -6,10 +6,12 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 * 1 for a verification FAIL (verify at m < n - 1), or ConstructionBroken;
 * 2 for usage or parameter errors (ParameterError, including m < 2, n > 20,
   m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall or of more than 2^23
-  rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), a lemma 2 profile wider
-  than 2^24 columns, and lemma1 with k_max < 1, r_max above 2^22 or
-  min(k_max, r_max) * r_max above 2^30 window sums), broken
-  preconditions (ContractViolation) and allocation failures (MemoryError);
+  rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), lemma2 with more than
+  2^35 (shift, column) pairs to compare, c (c - 1) / 2 for c = m * 2^n
+  columns (so (14, 14) runs and (15, 15) does not), and lemma1 with
+  k_max < 1, r_max above 2^22 or min(k_max, r_max) * r_max above 2^30
+  window sums), broken preconditions (ContractViolation) and allocation
+  failures (MemoryError);
 * 3 for I/O errors.
 
 Each error exit prints one ``error:`` (or ``i/o error:``) line on stderr.
@@ -32,7 +34,7 @@ from .placement import check_lemma2_exhaustive, place_translates
 from .render import _svg_chunks
 from .ruler import _check_ruler_windows
 from .serial import _certificate_chunks, _chunks
-from .verify import PairVerdict, _pair_rows, _verdict_totals, _verdicts
+from .verify import PairVerdict, _verdict_totals, _verdicts
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,7 +74,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     scene = place_translates(m, n)
     # each pair's verdict so far without its contacts: only the pair being written holds them
     verdicts: list[PairVerdict] = []
-    pairs = _verdicts(_pair_rows(scene), verdicts, keep=False)
+    pairs = _verdicts(scene, verdicts, keep=False)
     totals = partial(_verdict_totals, n, verdicts)
 
     def summary() -> str:

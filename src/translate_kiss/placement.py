@@ -25,7 +25,7 @@ from .errors import ConstructionBroken, ParameterError, _int_in
 from .rect import Vec2
 from .ruler import ruler_sum
 
-MAX_PROFILE_COLUMNS = 2**24
+MAX_LEMMA2_WORK = 2**35  # (shift, column) pairs compared; (14, 14) compares 2.6e10, (15, 15) 1.2e11
 # elements of the (shifts, columns) arrays of one check_lemma2_exhaustive pass
 _BLOCK = 2**16
 
@@ -106,15 +106,17 @@ def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     there exactly when ystar lies strictly between base + lo[c] - hi[c + dx]
     and base + hi[c] - lo[c + dx].  The cases run in order of increasing dx,
     so one vectorised pass decides every ystar of a block of consecutive
-    shifts.  Profiles wider than MAX_PROFILE_COLUMNS raise ParameterError.
+    shifts.  More than MAX_LEMMA2_WORK of the cols (cols - 1) / 2 (shift,
+    column) pairs compared, cols = m 2^n, raise ParameterError.
     """
     _check_disk_params(m, n, 2)
     cols = m * 2**n
-    if cols > MAX_PROFILE_COLUMNS:
-        raise ParameterError(f"lemma 2 profile of m * 2**n = {cols} columns exceeds {MAX_PROFILE_COLUMNS}")
+    work = cols * (cols - 1) // 2
+    if work > MAX_LEMMA2_WORK:
+        raise ParameterError(f"lemma 2 check of {cols} columns compares {work} pairs, more than {MAX_LEMMA2_WORK}")
     top = _last_ystar(n)
     bases = np.fromiter(map(ruler_sum, range(2**n)), np.int32, 2**n)
-    # int32 is exact below the column cap; a block reads at most isqrt(_BLOCK)
+    # int32 is exact below the work cap; a block reads at most isqrt(_BLOCK)
     # columns past the end, where a lo this high overlaps nothing
     prof = np.empty((2, cols + isqrt(_BLOCK)), np.int32)
     prof[0, :cols], prof[1, :cols] = _column_profile(m, n)

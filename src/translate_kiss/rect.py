@@ -122,7 +122,7 @@ class ContactComponent(tuple):
             a, b = (", ".join(map(_show, p)) for p in (a, b))
             raise ParameterError(f"contact ({a})-({b}) is not a point or a segment going up or right")
         kind = _KIND_NAMES[1 - (xb > xa) + (yb > ya)]
-        return tuple.__new__(cls, (kind, a, b, xb - xa + yb - ya))
+        return tuple.__new__(cls, (kind, (xa, ya), (xb, yb), xb - xa + yb - ya))
 
     # fields read by index in C, so reading one runs no Python code
     kind = property(itemgetter(0), doc="POINT, HSEG or VSEG")

@@ -13,8 +13,8 @@ each verdict with the (k, 4) int64 rows of its contacts' ends and formats
 the contacts from those rows, each row with the template of the kind its
 ends give (rect._kinds).  serialize feeds it a Certificate's verdicts,
 each with the rows of ends it holds, or else rows made from its contacts
-(verify._ends), and the CLI and parse the verdicts verify._verdicts builds
-from the pairs the sweep, verify._pair_rows, yields for the scene.  So
+(verify._ends), and the CLI and parse the verdicts that the sweep of the
+scene's pairs, verify._verdicts, yields with their rows of ends.  So
 neither writing a certificate nor parsing one makes a ContactComponent:
 the verdicts of verify_construction and parse hold their rows of ends
 until their contacts are read.
@@ -44,7 +44,7 @@ from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
 from .rect import _KIND_NAMES, _gc_paused, _kinds, _lengths
-from .verify import Certificate, PairVerdict, _ends, _pair_rows, _verdict_totals, _verdicts
+from .verify import Certificate, PairVerdict, _ends, _verdict_totals, _verdicts
 
 SCHEMA_VERSION = "tk-1"
 
@@ -158,7 +158,7 @@ def _certificate(scene: Scene, data: bytes) -> Optional[Certificate]:
     None, from the first pair whose bytes differ."""
     verdicts: list[PairVerdict] = []
     totals = partial(_verdict_totals, scene.n, verdicts)
-    pairs = _verdicts(_pair_rows(scene), verdicts, keep=True)
+    pairs = _verdicts(scene, verdicts, keep=True)
     if not _writes(_certificate_chunks(scene, pairs, totals), data):
         return None
     return Certificate(scene.m, scene.n, scene.offsets, tuple(verdicts), *totals())

@@ -6,11 +6,10 @@ segment; isolated point contacts are recorded but do not qualify.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,8 +53,8 @@ def _ends(v: PairVerdict) -> np.ndarray:
 class PairVerdict:
     """The verdict on translates A_i and A_j, i < j.  contacts is a tuple of
     ContactComponent in canonical order; a verdict that verify_construction
-    or parse returns holds their rows of ends instead and makes the tuple
-    when contacts is first read."""
+    or parse returns, made by the sweep _verdicts, holds their rows of ends
+    instead and makes the tuple when contacts is first read."""
 
     i: int
     j: int
@@ -76,30 +75,21 @@ class Certificate:
     ok: bool
 
 
-def _pair_rows(scene: Scene) -> Iterator[tuple[int, int, bool, np.ndarray]]:
-    """(i, j, interiors_disjoint, ends) for each pair of the scene's
-    translates i < j in order, where ends are the (k, 4) int64 rows
+def _verdicts(scene: Scene, kept: list[PairVerdict], keep: bool) -> Iterator[tuple[PairVerdict, np.ndarray]]:
+    """The verdict on each pair of the scene's translates i < j in order,
+    appended to kept and yielded with its ends: the (k, 4) int64 rows
     [xa, ya, xb, yb] of A_i's contacts with A_j in canonical order, or
-    _NO_ENDS when their interiors overlap.  One copy of the disk's rows
-    serves every pair."""
+    _NO_ENDS when their interiors overlap, from which the writer formats its
+    contacts.  One copy of the disk's rows serves every pair.  The verdict
+    holds the ends, read-only, as its contacts only when keep, else no
+    contacts; its segment_length_total is summed from the ends either way."""
     offsets = scene.offsets
     rows = build_disk(scene.m, scene.n).rows
     for i, j in combinations(range(scene.n + 1), 2):
-        ends = _placed_ends(rows, offsets[i], offsets[j])
-        yield i, j, ends is not None, _NO_ENDS if ends is None else ends
-
-
-def _verdicts(
-    pairs: Iterable[tuple[int, int, bool, np.ndarray]], kept: list[PairVerdict], keep: bool
-) -> Iterator[tuple[PairVerdict, np.ndarray]]:
-    """The verdict of each (i, j, interiors_disjoint, ends) pair, appended to
-    kept and yielded with its ends, from which the writer formats its
-    contacts.  The verdict holds the ends, read-only, as its contacts only
-    when keep, else no contacts; its segment_length_total is summed from
-    the ends either way."""
-    for i, j, disjoint, ends in pairs:
+        found = _placed_ends(rows, offsets[i], offsets[j])
+        ends = _NO_ENDS if found is None else found
         ends.flags.writeable = False
-        kept.append(PairVerdict(i, j, disjoint, ends if keep else (), int(_lengths(ends).sum())))
+        kept.append(PairVerdict(i, j, found is not None, ends if keep else (), int(_lengths(ends).sum())))
         yield kept[-1], ends
 
 
@@ -110,9 +100,8 @@ def verify_construction(m: int, n: int) -> Certificate:
     broken build.
     """
     scene = place_translates(m, n)
-    verdicts: list[PairVerdict] = []
-    deque(_verdicts(_pair_rows(scene), verdicts, keep=True), maxlen=0)
-    return Certificate(m, n, scene.offsets, tuple(verdicts), *_verdict_totals(n, verdicts))
+    verdicts = tuple(v for v, _ in _verdicts(scene, [], keep=True))
+    return Certificate(m, n, scene.offsets, verdicts, *_verdict_totals(n, verdicts))
 
 
 def _verdict_totals(n: int, verdicts: Sequence[PairVerdict]) -> tuple[int, bool]:

@@ -125,6 +125,32 @@ def test_streamed_certificate_holds_less_than_its_file(tmp_path):
     assert peak < path.stat().st_size
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["line", "json"])
+@pytest.mark.parametrize("m, n", [(6, 6), (6, 8)], ids=["pass", "fail"])
+def test_streamed_verdicts_hold_no_contacts(tmp_path, monkeypatch, capsys, m, n, to_file):
+    # the verdicts the CLI keeps for its totals hold no pair's contacts, only
+    # the fields the totals read, so the stream holds one pair's rows at a time
+    recorded = []
+    verdicts = cli._verdicts
+
+    def recording(*args, **kwargs):
+        for v, ends in verdicts(*args, **kwargs):
+            recorded.append(v)
+            yield v, ends
+
+    monkeypatch.setattr(cli, "_verdicts", recording)
+    cert = verify_construction(m, n)
+    path = tmp_path / "cert.json"
+    argv = ["verify", "-m", str(m), "-n", str(n)] + (["--json", str(path)] if to_file else [])
+    assert main(argv) == (0 if cert.ok else 1)
+    assert all(type(v.__dict__["contacts"]) is tuple and v.contacts == () for v in recorded)
+    fields = [(v.i, v.j, v.interiors_disjoint, v.segment_length_total) for v in recorded]
+    assert fields == [(v.i, v.j, v.interiors_disjoint, v.segment_length_total) for v in cert.pair_verdicts]
+    assert any(v.contacts for v in cert.pair_verdicts)
+    if to_file:
+        assert path.read_bytes() == serialize(cert)
+
+
 def test_verify_quiet(capsys):
     assert main(["--quiet", "verify", "-m", "4", "-n", "3"]) == 0
     assert capsys.readouterr().out == ""
@@ -338,6 +364,7 @@ HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default
         ["render", "-m", "21", "-n", "21", "--scene"],
         ["lemma2", "-m", str(2**22 + 1), "-n", "2"],
         ["lemma2", "-m", str(10**12), "-n", "20"],
+        ["lemma2", "-m", "16", "-n", "16"],
         ["lemma1", "--k-max", "1", "--r-max", "10000000000"],
         ["lemma1", "--k-max", "1", "--r-max", str(2**22 + 1)],
         ["lemma1", "--k-max", "4194304", "--r-max", "4194304"],
@@ -353,6 +380,7 @@ HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default
         "render-n21",
         "lemma2-wide",
         "lemma2-huge-m",
+        "lemma2-slow",
         "lemma1-huge-r",
         "lemma1-big-table",
         "lemma1-many-windows",

@@ -204,6 +204,23 @@ class TestLemma2:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         assert check_lemma2_exhaustive(5, 5) is None
 
+    def test_work_bound(self, monkeypatch):
+        # (15, 15) compares 1.2e11 (shift, column) pairs, past the bound, and
+        # (14, 14) 2.6e10 under it, so its walk would start: the sentinel
+        # stops it at the profile
+        with pytest.raises(ParameterError, match="compares"):
+            check_lemma2_exhaustive(15, 15)
+
+        class Walked(Exception):
+            pass
+
+        def walked(m, n):
+            raise Walked
+
+        monkeypatch.setattr(placement, "_column_profile", walked)
+        with pytest.raises(Walked):
+            check_lemma2_exhaustive(14, 14)
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_profile_matches_sweep(self, n):
         for m in range(2, 7):
@@ -253,11 +270,14 @@ class TestLemma2:
     def test_memory_is_bounded_at_width(self, monkeypatch):
         # a flat strip two cells high over 2^20 columns overlaps at case
         # (1, 1, 1); the check allocated 1.31 times the profile's own bytes,
-        # pass_lemma2_exhaustive's one pass per (r, xstar) 1.56 times
+        # pass_lemma2_exhaustive's one pass per (r, xstar) 1.56 times.  The
+        # work bound refuses this width, since the walk could take days, so it
+        # is lifted here: the strip fails at the first shift
         m, n = 2**10, 10
         lo = np.zeros(m * 2**n, np.int64)
         hi = lo + 2
         monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+        monkeypatch.setattr(placement, "MAX_LEMMA2_WORK", 2**40)
         tracemalloc.start()
         try:
             got = check_lemma2_exhaustive(m, n)

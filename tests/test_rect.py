@@ -21,7 +21,9 @@ from translate_kiss import (
     Vec2,
     build_disk,
     contact_components,
+    parse,
     place_translates,
+    serialize,
     total_contact_length,
     union_interiors_disjoint,
     verify_construction,
@@ -199,6 +201,21 @@ class TestContactEnds:
     def test_other_ends_rejected(self, a, b):
         with pytest.raises(ParameterError):
             ContactComponent(a, b)
+
+    def test_list_ends_stored_as_tuples(self):
+        # list ends made a contact unequal to its tuple-ended twin, and
+        # unhashable, so a certificate holding one did not round-trip
+        c = ContactComponent([0, 0], [1, 0])
+        assert c == ContactComponent((0, 0), (1, 0)) and hash(c) == hash(ContactComponent((0, 0), (1, 0)))
+        assert type(c.a) is tuple and type(c.b) is tuple
+        cert = verify_construction(4, 3)
+        verdicts = tuple(
+            dataclasses.replace(v, contacts=tuple(ContactComponent(list(d.a), list(d.b)) for d in v.contacts))
+            for v in cert.pair_verdicts
+        )
+        assert any(v.contacts for v in verdicts)
+        listed = dataclasses.replace(cert, pair_verdicts=verdicts)
+        assert serialize(listed) == serialize(cert) and parse(serialize(listed)) == listed
 
 
 ends = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3), st.booleans()).map(

@@ -25,7 +25,7 @@ from translate_kiss import (
     verify_construction,
     verify_touching_heights,
 )
-from translate_kiss import rect, render, verify
+from translate_kiss import cli, rect, render, verify
 
 from oracles import merge_lines, naive_contacts, tallest_by_max
 
@@ -193,7 +193,8 @@ class TestVerifyConstruction:
         for m in range(2, n + 2):
             u = n - 2 if m == 2 and n >= 9 else n - 1
             want = {(0, j) for j in range(m + 1, u + 1)}
-            flags = [(i, j, disjoint) for i, j, disjoint, _ in verify._pair_rows(place_translates(m, n))]
+            verdicts = verify._verdicts(place_translates(m, n), [], keep=False)
+            flags = [(v.i, v.j, v.interiors_disjoint) for v, _ in verdicts]
             assert flags == [(i, j, (i, j) not in want) for i, j in combinations(range(n + 1), 2)], (m, n)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
@@ -204,6 +205,42 @@ class TestVerifyConstruction:
         assert verify_construction(m, n).ok
         with pytest.raises(ParameterError):
             verify_construction(m + 1, n)
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (4, 6)])
+def test_one_copy_of_the_rows_and_one_sweep_per_pair(tmp_path, monkeypatch, capsys, m, n):
+    # every reader of a scene's verdicts builds the disk's rows once and
+    # sweeps each pair once, in combinations order, on those rows
+    data = serialize(verify_construction(m, n))
+    argv = ["verify", "-m", str(m), "-n", str(n)]
+    runs = {
+        "verify_construction": lambda: verify_construction(m, n),
+        "parse": lambda: parse(data),
+        "cli": lambda: cli.main(argv),
+        "cli --json": lambda: cli.main(argv + ["--json", str(tmp_path / "cert.json")]),
+    }
+    builds, swept = [], []
+    build_disk, placed_ends = verify.build_disk, verify._placed_ends
+
+    def counted_build(*args):
+        builds.append(build_disk(*args))
+        return builds[-1]
+
+    def counted_ends(rows, a, b):
+        swept.append((rows, a, b))
+        return placed_ends(rows, a, b)
+
+    monkeypatch.setattr(verify, "build_disk", counted_build)
+    monkeypatch.setattr(verify, "_placed_ends", counted_ends)
+    offsets = place_translates(m, n).offsets
+    pairs = [(offsets[i], offsets[j]) for i, j in combinations(range(n + 1), 2)]
+    for name, run in runs.items():
+        builds.clear()
+        swept.clear()
+        run()
+        assert len(builds) == 1, name
+        assert all(rows is builds[0].rows for rows, _, _ in swept), name
+        assert [(a, b) for _, a, b in swept] == pairs, name
 
 
 @pytest.mark.parametrize("m, n", GOLDEN_CERTIFICATES)
