@@ -6,10 +6,11 @@ right by one and down by one.  Summed from A_1 at the origin, it puts A_i
 at (m (2^n - 2^(n+1-i)) + i - 1, 2 (2^n - 2^(n+1-i) - i + 1)), the closed
 form a Scene uses.  A_0 is A_1 shifted down by n+1.  The paper takes
 m >= n, so each pair witness's step j - i < n is in Lemma 2's range
-1..m - 1, but a Scene takes any m >= 2: measured for 3 <= n <= 12 and
-pinned in CI at n = 16 and n = 20 (m = n passes, m = n - 2 fails, and at
-n = 20 m = n - 1 passes), not proved, the construction passes iff
-m >= n - 1.
+1..m - 1, but a Scene takes any m >= 2.  Measured for 3 <= n <= 13 and
+2 <= m <= n + 1, not proved: (0, j) overlaps iff L = n + 1 - j >= 2 and
+m + 1 <= j <= c(L) m + 1, c(L) = max{t : S(t - 1) <= L + 1} for the ruler
+prefix sum S, and no other pair does, so the construction passes iff
+m >= n - 1 (at m = n - 2 only (0, n - 1) overlaps; CI pins n = 16, 20).
 """
 
 from __future__ import annotations

@@ -13,29 +13,27 @@ each verdict with the (k, 4) int64 rows of its contacts' ends and formats
 the contacts from those rows, each row with the template of the kind its
 ends give (rect._kinds).  serialize feeds it a Certificate's verdicts,
 each with the rows of ends it holds, or else rows made from its contacts
-(verify._ends), and the CLI and parse the verdicts that the sweep of the
-scene's pairs, verify._verdicts, yields with their rows of ends.  So
-neither writing a certificate nor parsing one makes a ContactComponent:
-the verdicts of verify_construction and parse hold their rows of ends
-until their contacts are read.
+(verify._ends), and the CLI the verdicts that the sweep of the scene's
+pairs, verify._verdicts, yields with their rows of ends.  So writing a
+certificate of verify_construction makes no ContactComponent: its
+verdicts hold their rows of ends until their contacts are read.
 
-parse holds every document to one rule: it rebuilds the object from the
-(m, n) of the canonical header alone, and accepts the input only if it is
-exactly the bytes serialize writes for that object.  A certificate is
-rebuilt by sweeping its scene's pairs again, so its contacts, verdicts and
-totals must be the real ones of the placed translates.  Input too short to
-hold the object's pieces or pairs is refused before any rows are made.
-The writer's chunks are compared in order against the input in place,
-stopping at the first that differs, so the bytes are never built a second
-time.  Only refused input is decoded, with json.loads, to choose the class
-of the error.
+parse holds every document to one rule: it makes the object from the
+(m, n) of the canonical header alone, a shape or a scene directly and a
+certificate as verify_construction(m, n), and accepts the input only if it
+is exactly the bytes serialize writes for that object.  So a certificate's
+contacts, verdicts and totals must be the real ones of the placed
+translates.  Input too short to hold the object's pieces or pairs is
+refused before any rows are made.  The writer's chunks are compared in
+order against the input in place, stopping at the first that differs, so
+the bytes are never built a second time.  Only refused input is decoded,
+with json.loads, to choose the class of the error.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional, Union
 
 import numpy as np
@@ -44,7 +42,7 @@ from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
 from .rect import _KIND_NAMES, _gc_paused, _kinds, _lengths
-from .verify import Certificate, PairVerdict, _ends, _verdict_totals, _verdicts
+from .verify import Certificate, PairVerdict, _ends, verify_construction
 
 SCHEMA_VERSION = "tk-1"
 
@@ -152,18 +150,6 @@ def _writes(chunks: Iterable[bytes], data: bytes) -> bool:
     return end == len(data)
 
 
-def _certificate(scene: Scene, data: bytes) -> Optional[Certificate]:
-    """The scene's certificate, recomputed pair by pair by the sweep that
-    verify_construction runs, if serialize writes exactly data for it; else
-    None, from the first pair whose bytes differ."""
-    verdicts: list[PairVerdict] = []
-    totals = partial(_verdict_totals, scene.n, verdicts)
-    pairs = _verdicts(scene, verdicts, keep=True)
-    if not _writes(_certificate_chunks(scene, pairs, totals), data):
-        return None
-    return Certificate(scene.m, scene.n, scene.offsets, tuple(verdicts), *totals())
-
-
 def _require(doc: Any, key: str) -> Any:
     if not isinstance(doc, dict):
         raise MalformedDocument(f"expected an object with field {key!r}, got {type(doc).__name__}")
@@ -223,7 +209,7 @@ def _rebuilt(data: bytes) -> Optional[Document]:
     if kind == b"certificate":
         if len(data) < n * (n + 1) // 2 * _SHORTEST_PAIR:
             return None
-        return _certificate(obj, data)
+        obj = verify_construction(m, n)
     return obj if _writes(_chunks(obj), data) else None
 
 
@@ -231,11 +217,10 @@ def parse(data: bytes) -> Document:
     """The shape, scene or certificate whose serialize() bytes are exactly data.
 
     The object is made from data's header alone: a shape or a scene from its
-    (m, n), and a certificate by verifying the (m, n) scene again, pair by
-    pair.  It is accepted only if serialize writes exactly data for it, so a
-    certificate's contacts and verdicts must be the real ones of its
-    translates.  Raises MalformedDocument, or a subclass of it, for any
-    other input.
+    (m, n), and a certificate as verify_construction(m, n).  It is accepted
+    only if serialize writes exactly data for it, so a certificate's
+    contacts and verdicts must be the real ones of its translates.  Raises
+    MalformedDocument, or a subclass of it, for any other input.
     """
     try:
         obj = _rebuilt(data)

@@ -82,7 +82,10 @@ def _verdicts(scene: Scene, kept: list[PairVerdict], keep: bool) -> Iterator[tup
     _NO_ENDS when their interiors overlap, from which the writer formats its
     contacts.  One copy of the disk's rows serves every pair.  The verdict
     holds the ends, read-only, as its contacts only when keep, else no
-    contacts; its segment_length_total is summed from the ends either way."""
+    contacts; its segment_length_total is summed from the ends either way.
+    Its two readers are verify_construction, which keeps the contacts, and
+    the CLI's streamed certificate, which keeps none; parse reads
+    verify_construction's."""
     offsets = scene.offsets
     rows = build_disk(scene.m, scene.n).rows
     for i, j in combinations(range(scene.n + 1), 2):

@@ -8,6 +8,7 @@ import pytest
 
 from translate_kiss import (
     ContractViolation,
+    DocumentInvariantError,
     ParameterError,
     PrefixTable,
     Rect,
@@ -26,6 +27,7 @@ from translate_kiss import (
     verify_touching_heights,
 )
 from translate_kiss import cli, rect, render, verify
+from translate_kiss.ruler import ruler_sum
 
 from oracles import merge_lines, naive_contacts, tallest_by_max
 
@@ -119,6 +121,14 @@ GOLDEN_SHAPE_SVGS = {
 }
 
 
+def _overlap_bound(L):
+    """c(L) = max{t : S(t - 1) <= L + 1}, S the ruler prefix sum."""
+    t = 1
+    while ruler_sum(t) <= L + 1:
+        t += 1
+    return t
+
+
 def find_verdict(cert, i, j):
     return next(v for v in cert.pair_verdicts if (v.i, v.j) == (i, j))
 
@@ -185,17 +195,35 @@ class TestVerifyConstruction:
             if m == n - 2:
                 assert overlapping == [(0, n - 1)]
 
-    @pytest.mark.parametrize("n", range(3, 12))
+    @staticmethod
+    def _disjoint_flags(m, n):
+        verdicts = verify._verdicts(place_translates(m, n), [], keep=False)
+        return [(v.i, v.j, v.interiors_disjoint) for v, _ in verdicts]
+
+    def test_overlap_bound(self):
+        want = [3, 4, 4, 4, 5, 6, 6, 7, 8, 8, 8, 8, 9, 10, 10, 11, 12, 12, 12]
+        assert [_overlap_bound(L) for L in range(2, 21)] == want
+
+    @pytest.mark.parametrize("n", range(3, 14))
     def test_overlap_map(self, n):
-        # measured, not proved: the overlapping pairs are (0, m + 1) .. (0, u),
-        # none from m = n - 1 on, with u = n - 1 except at m = 2 for
-        # n = 9..11, where u = n - 2; no other pair overlaps
+        # measured, not proved: (0, j) overlaps iff L = n + 1 - j >= 2 and
+        # m + 1 <= j <= c(L) m + 1, and no other pair overlaps (L >= 2 is j < n)
         for m in range(2, n + 2):
-            u = n - 2 if m == 2 and n >= 9 else n - 1
-            want = {(0, j) for j in range(m + 1, u + 1)}
-            verdicts = verify._verdicts(place_translates(m, n), [], keep=False)
-            flags = [(v.i, v.j, v.interiors_disjoint) for v, _ in verdicts]
-            assert flags == [(i, j, (i, j) not in want) for i, j in combinations(range(n + 1), 2)], (m, n)
+            want = {(0, j) for j in range(m + 1, n) if j <= _overlap_bound(n + 1 - j) * m + 1}
+            pairs = combinations(range(n + 1), 2)
+            assert self._disjoint_flags(m, n) == [(i, j, (i, j) not in want) for i, j in pairs], (m, n)
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_facing_reduction(self, n):
+        # (0, j) overlaps iff the (m, L) disk, L = n + 1 - j, overlaps its own
+        # copy moved by (j - 1, L + 1): A_0's last and A_j's first level-L sub-copy
+        for m in range(2, n + 2):
+            flags = self._disjoint_flags(m, n)[:n]
+            facing = [
+                (0, j, rect._placed_ends(build_disk(m, n + 1 - j).rows, Vec2(0, 0), Vec2(j - 1, n + 2 - j)) is not None)
+                for j in range(1, n + 1)
+            ]
+            assert flags == facing, (m, n)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_largest_m_stays_inside_the_sweep_bound(self, n):
@@ -241,6 +269,26 @@ def test_one_copy_of_the_rows_and_one_sweep_per_pair(tmp_path, monkeypatch, caps
         assert len(builds) == 1, name
         assert all(rows is builds[0].rows for rows, _, _ in swept), name
         assert [(a, b) for _, a, b in swept] == pairs, name
+
+
+@pytest.mark.parametrize("edit", [
+    (b'"interiors_disjoint":true', b'"interiors_disjoint":false'),  # pair (0, 1), the first
+    (b'"ok":true}', b'"ok":false}'),  # the trailer
+])
+def test_refused_certificate_sweeps_each_pair_at_most_once(monkeypatch, edit):
+    m, n = 5, 5
+    data = serialize(verify_construction(m, n)).replace(*edit, 1)
+    swept = []
+    placed_ends = verify._placed_ends
+
+    def counted_ends(rows, a, b):
+        swept.append((a, b))
+        return placed_ends(rows, a, b)
+
+    monkeypatch.setattr(verify, "_placed_ends", counted_ends)
+    with pytest.raises(DocumentInvariantError):
+        parse(data)
+    assert 1 <= len(swept) <= n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("m, n", GOLDEN_CERTIFICATES)
