@@ -100,8 +100,8 @@ def build_disk(m: int, n: int) -> Shape:
 def _column_profile(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell range [lo[c], hi[c]) of each unit column c of the (m, n) disk, as
     Shape.rows lays it out, from the same ruler sums: bar i + 1 at height S(i),
-    and connector i (1 <= i < 2^n) in column i m - 1 up to S(i) + 1.  The
-    caller checks m, n."""
+    and connector i (1 <= i < 2^n) in column i m - 1 up to S(i) + 1, so each
+    range is nonempty.  The caller checks m, n."""
     sums = _ruler_sums(2**n)
     lo = np.repeat(sums, m)
     hi = lo + 1

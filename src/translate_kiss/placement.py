@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .disk import SubCopyRef, _check_disk_params, _column_profile, sub_copy_offset
-from .errors import ConstructionBroken, ParameterError, _int_in
+from .errors import ConstructionBroken, ContractViolation, ParameterError, _int_in
 from .rect import Vec2
 from .ruler import ruler_sum
 
@@ -99,16 +99,20 @@ def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     """Decide every case of iter_lemma2_cases; None if all are disjoint, else
     the first failure in their order.
 
-    The disk meets unit column c in one cell range [lo[c], hi[c]), which
-    disk._column_profile gives in closed form, so no disk is built.  Case
-    (r, xstar, ystar) shifts the translate by (dx, base - ystar), where
+    The disk meets unit column c in one nonempty cell range [lo[c], hi[c]),
+    which disk._column_profile gives in closed form, so no disk is built.
+    Case (r, xstar, ystar) shifts the translate by (dx, base - ystar), where
     dx = (r - 1) m + xstar and base = ruler_sum(r - 1), so column c of the
     translate faces column c + dx of the disk, and the two interiors overlap
     there exactly when ystar lies strictly between base + lo[c] - hi[c + dx]
-    and base + hi[c] - lo[c + dx].  The cases run in order of increasing dx,
-    so one vectorised pass decides every ystar of a block of consecutive
-    shifts.  More than MAX_LEMMA2_WORK of the cols (cols - 1) / 2 (shift,
-    column) pairs compared, cols = m 2^n, raise ParameterError.
+    and base + hi[c] - lo[c + dx].  Some ystar in 1..top does iff two
+    thresholds hold, lo[c] - hi[c + dx] <= top - 1 - base and
+    hi[c] - lo[c + dx] >= 2 - base: the interval is never empty, since both
+    columns are, so a column with lo == hi raises ContractViolation.  The
+    cases run in order of increasing dx, so one vectorised pass decides
+    every ystar of a block of consecutive shifts.  More than MAX_LEMMA2_WORK
+    of the cols (cols - 1) / 2 (shift, column) pairs compared, cols = m 2^n,
+    raise ParameterError.
     """
     _check_disk_params(m, n, 2)
     cols = m * 2**n
@@ -117,27 +121,34 @@ def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
         raise ParameterError(f"lemma 2 check of {cols} columns compares {work} pairs, more than {MAX_LEMMA2_WORK}")
     top = _last_ystar(n)
     bases = np.fromiter(map(ruler_sum, range(2**n)), np.int32, 2**n)
+    t_lo, t_hi = top - 1 - bases, 2 - bases
     # int32 is exact below the work cap; a block reads at most isqrt(_BLOCK)
-    # columns past the end, where a lo this high overlaps nothing
+    # columns past the end, where a lo this high fails the second threshold
     prof = np.empty((2, cols + isqrt(_BLOCK)), np.int32)
     prof[0, :cols], prof[1, :cols] = _column_profile(m, n)
+    empty = np.flatnonzero(prof[1, :cols] <= prof[0, :cols])
+    if empty.size:
+        raise ContractViolation(f"column {empty[0]} of the disk is empty")
     prof[:, cols:] = prof[1, :cols].max() + top
+    lo, hi = prof[:, :cols]
+    row, item = prof.strides
     d0 = 1
     while d0 < cols:
         w = cols - d0
         d1 = min(d0 + max(_BLOCK // w, 1), cols)
         dx = np.arange(d0, d1)
-        lo_dx, hi_dx = np.lib.stride_tricks.sliding_window_view(prof, w, axis=1)[:, d0:d1]
-        # smallest and largest overlapping ystar per shift and facing column, within 1..top
-        first = prof[0, :w] - hi_dx
-        last = prof[1, :w] - lo_dx
-        first += bases[dx // m, None] + 1
-        last += bases[dx // m, None] - 1
-        bad = np.maximum(first, 1, out=first) <= np.minimum(last, top, out=last)
+        # row k reads prof's columns d0 + k + c, c < w: a read-only view whose extent numpy checks
+        windows = np.ndarray((2, d1 - d0, w), np.int32, prof, d0 * item, (row, item, item))
+        windows.flags.writeable = False
+        lo_dx, hi_dx = windows
+        bar = dx // m
+        bad = (lo[:w] - hi_dx <= t_lo[bar, None]) & (hi[:w] - lo_dx >= t_hi[bar, None])
         rows = np.flatnonzero(bad.any(axis=1) & (dx % m != 0))
         if rows.size:
-            r, xstar = divmod(d0 + int(rows[0]), m)
-            return Lemma2Case(m=m, n=n, r=r + 1, xstar=xstar, ystar=int(first[rows[0]][bad[rows[0]]].min()))
+            k = int(rows[0])
+            r, xstar = divmod(d0 + k, m)
+            first = np.maximum(lo[:w] - hi_dx[k] + int(bases[r]) + 1, 1)
+            return Lemma2Case(m=m, n=n, r=r + 1, xstar=xstar, ystar=int(first[bad[k]].min()))
         d0 = d1
     return None
 

@@ -32,7 +32,7 @@ from translate_kiss import (
     verify_construction,
     verify_touching_heights,
 )
-from translate_kiss import cli
+from translate_kiss import cli, placement
 from translate_kiss.cli import main
 
 ruler_module = importlib.import_module("translate_kiss.ruler")  # the package's `ruler` is the function
@@ -264,6 +264,16 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "check_lemma2_exhaustive", broken)
     assert main(["lemma2", "-m", "3", "-n", "3"]) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lemma2_on_an_empty_column_exits_2_with_one_line(monkeypatch, capsys):
+    lo, hi = placement._column_profile(3, 3)
+    hi[4] = lo[4]
+    monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+    assert main(["lemma2", "-m", "3", "-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: column 4 of the disk is empty\n"
 
 
 BIG = 10**5000  # more digits than int-to-str conversion allows

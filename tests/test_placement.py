@@ -5,9 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from translate_kiss import (
     ConstructionBroken,
+    ContractViolation,
     Lemma2Case,
     ParameterError,
     PrefixTable,
@@ -193,6 +195,8 @@ class TestLemma2:
             lo, hi = disk._column_profile(m, n)
             want_lo, want_hi = rect_column_profile(_rect_array(build_disk(m, n).rects()))
             assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+            # check_lemma2_exhaustive's two thresholds are exact only on nonempty columns
+            assert (hi > lo).all()
 
     def test_no_disk_is_built(self, monkeypatch):
         def refuse(*args):
@@ -242,6 +246,38 @@ class TestLemma2:
             monkeypatch.setattr(placement, "_BLOCK", block)
             for m in range(2, 9):
                 assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+
+    @pytest.mark.parametrize("m, n", [*((m, 8) for m in range(2, 7)), (8, 8)])
+    def test_default_blocks_match_the_pass_oracle_on_larger_disks(self, m, n):
+        # 512 to 2048 columns, so a block of 2^16 elements spans several bars
+        assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_thresholds_match_the_pass_oracle_on_any_profile(self, data):
+        # any nonempty column ranges: either the disk's with a few columns
+        # moved or cut, or heights drawn freely, which fail at once
+        m, n = data.draw(st.integers(2, 5), "m"), data.draw(st.integers(2, 4), "n")
+        cols = m * 2**n
+        lo, hi = disk._column_profile(m, n)
+        if data.draw(st.booleans(), "free"):
+            lo = np.array(data.draw(st.lists(st.integers(-8, 40), min_size=cols, max_size=cols)))
+            hi = lo + 1
+        for c in data.draw(st.lists(st.integers(0, cols - 1), max_size=4), "columns"):
+            lo[c] += data.draw(st.integers(-4, 4))
+            hi[c] = max(hi[c] + data.draw(st.integers(-4, 4)), lo[c] + 1)
+        for block in (placement._BLOCK, FEW_DOZEN):
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+                patched.setattr(placement, "_BLOCK", block)
+                assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+
+    def test_an_empty_column_raises(self, monkeypatch):
+        lo, hi = disk._column_profile(4, 3)
+        hi[5] = lo[5]
+        monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+        with pytest.raises(ContractViolation, match="column 5"):
+            check_lemma2_exhaustive(4, 3)
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("patch", [patch_random_staircase, patch_shifted_columns], ids=["staircase", "shifted"])
