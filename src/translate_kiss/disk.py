@@ -9,7 +9,9 @@ by a connector.  A piece's role and index are its position in the path:
 piece k is bar k // 2 + 1 when k is even and connector k // 2 + 1 when k
 is odd.  The pieces are the rows of one int64 array computed in closed form
 from the ruler sums S(i) = 2i - popcount(i); Rect objects are made only for
-callers that ask for `pieces`.
+callers that ask for `pieces`.  The column profile and _placed_ends, the
+sweep of two placed copies that both verifiers call, rest on that layout
+and live here beside it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, _int_in
-from .rect import _LIMIT, Rect, Vec2
+from .rect import _LIMIT, _NO_ENDS, Rect, Vec2, _canonical, _in_bound, _pairs
 from .ruler import _ruler_sums, ruler_sum
 
 MAX_N = 20  # 2^21 - 1 pieces; much beyond that, building the disk exhausts memory
@@ -107,6 +109,56 @@ def _column_profile(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     hi = lo + 1
     hi[m - 1 :: m][:-1] = sums[1:] + 1
     return lo, hi
+
+
+def _x_window(m: int, count: int, x0, x1) -> tuple[np.ndarray, np.ndarray]:
+    """The index range [lo, hi) of a disk's count rows in path order whose
+    closed x-ranges meet [x0, x1], in closed form from the bar width m: bar
+    i + 1 is [i m, (i + 1) m] and connector i is [i m - 1, i m], so 2
+    floor((x0 - 1) / m) rows have x1 < x0 and floor(x1 / m) + floor((x1 + 1)
+    / m) + 1 rows have x0 <= x1; lo is raised to 0 and hi cut to count.
+    Scalars give one range, arrays one range per box."""
+    return np.maximum(2 * ((x0 - 1) // m), 0), np.minimum(x1 // m + (x1 + 1) // m + 1, count)
+
+
+def _placed_ends(rows: np.ndarray, a: Vec2, b: Vec2) -> np.ndarray | None:
+    """The (k, 4) int64 ends [xa, ya, xb, yb] of the contacts between two
+    copies of a disk's rows, Shape.rows, placed at offsets a and b, in
+    canonical order, or None on interior overlap.
+
+    The rows are nondecreasing in each column, so each copy's extremes are
+    its first and last rows, where the 2**61 bound is checked.  The sweep
+    runs in B's frame: B is the rows' four columns, not copied, A the rows
+    moved by a - b, and the ends are moved by b at the end; with |rows| <
+    2**61, A fits in int64, and every gap taken is one between the placed
+    copies.  A is cut to the rows that meet B's bounding box, which keeps
+    each of their x-windows (_x_window) nonempty and inside the rows.  Each
+    row meets the next in y, so the rows of a window [lx, hx) cover [Y0[lx],
+    Y1[hx - 1]] in y: a rect of A is kept only if it meets that cover, and
+    only kept rects search B's y columns for their windows.  A pair with no
+    kept rect has no contact.
+    """
+    corners = rows[[0, -1]]
+    _in_bound(corners + (a.dx, a.dy, a.dx, a.dy))
+    _in_bound(corners + (b.dx, b.dy, b.dx, b.dy))
+    (x0, y0, bar_x1, _), (_, _, x1, y1) = corners.tolist()
+    X0, Y0, X1, Y1 = B = rows.T
+    m, d = bar_x1 - x0, a - b
+    lx, hx = _x_window(m, len(rows), x0 - d.dx, x1 - d.dx)
+    first = max(lx, np.searchsorted(Y1, y0 - d.dy, "left"))
+    last = min(hx, np.searchsorted(Y0, y1 - d.dy, "right"))
+    cut = slice(first, max(first, last))  # hx < 0 once B lies 2 or more units left of A
+    lx, hx = _x_window(m, len(rows), X0[cut] + d.dx, X1[cut] + d.dx)
+    near = Y0.take(lx) <= Y1[cut] + d.dy
+    near &= Y1.take(hx - 1) >= Y0[cut] + d.dy
+    keep = np.flatnonzero(near)
+    if not len(keep):
+        return _NO_ENDS
+    A = [c[cut].take(keep) + v for c, v in zip(B, (d.dx, d.dy, d.dx, d.dy))]
+    lo = np.maximum(lx.take(keep), np.searchsorted(Y1, A[1], "left"))
+    hi = np.minimum(hx.take(keep), np.searchsorted(Y0, A[3], "right"))
+    raw = _pairs(A, B, lo, hi)
+    return None if raw is None else _canonical(raw) + (b.dx, b.dy, b.dx, b.dy)
 
 
 def sub_copy_offset(m: int, n: int, ref: SubCopyRef) -> Vec2:

@@ -6,11 +6,18 @@ right by one and down by one.  Summed from A_1 at the origin, it puts A_i
 at (m (2^n - 2^(n+1-i)) + i - 1, 2 (2^n - 2^(n+1-i) - i + 1)), the closed
 form a Scene uses.  A_0 is A_1 shifted down by n+1.  The paper takes
 m >= n, so each pair witness's step j - i < n is in Lemma 2's range
-1..m - 1, but a Scene takes any m >= 2.  Measured for 3 <= n <= 13 and
-2 <= m <= n + 1, not proved: (0, j) overlaps iff L = n + 1 - j >= 2 and
-m + 1 <= j <= c(L) m + 1, c(L) = max{t : S(t - 1) <= L + 1} for the ruler
-prefix sum S, and no other pair does, so the construction passes iff
-m >= n - 1 (at m = n - 2 only (0, n - 1) overlaps; CI pins n = 16, 20).
+1..m - 1, but a Scene takes any m >= 2.
+
+Argued, and checked by test_facing_reduction for 3 <= n <= 11: with
+L = n + 1 - j, A_j's first level-L sub-copy is A_0's last level-L sub-copy
+D moved by (j - 1, L + 1).  The rest of A_0 lies in columns left of D, and
+for j >= 2 the rest of A_j in columns right of D (for j = 1, D is all of
+A_0), so A_0 and A_j overlap iff the (m, L) disk overlaps its copy moved
+by (j - 1, L + 1).  Measured for 3 <= n <= 13 and 2 <= m <= n + 1, not
+proved: (0, j) overlaps iff L = n + 1 - j >= 2 and m + 1 <= j <= c(L) m + 1,
+c(L) = max{t : S(t - 1) <= L + 1} for the ruler prefix sum S, and no other
+pair does, so the construction passes iff m >= n - 1 (at m = n - 2 only
+(0, n - 1) overlaps; CI pins n = 16, 20).
 """
 
 from __future__ import annotations

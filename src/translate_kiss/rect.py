@@ -9,22 +9,13 @@ coordinate with |v| >= 2**61 (RangeError), so it stays exact too.  One pair
 core (_pairs) pairs each rect of A with a window of B rows and works on
 contiguous int64 columns, each gathered by one take: the closed
 intersections' corners by elementwise maximum and minimum, their gaps by
-subtraction, and no reduction along a row.  Two rules make the windows.
+subtraction, and no reduction along a row.  The caller makes the windows.
 _sweep, for Rect lists in any order, sorts B's columns by x0 and pads each
 window by B's widest rect, so it bounds the window in x only;
 union_interiors_disjoint and contact_components wrap it, and no package
-code calls them.  _placed_ends, which both verifiers call, sweeps two
-copies of the disk's rows in the second copy's frame: B is the four columns
-of Shape.rows, which is in Fortran order, and A the rows moved by the
-difference of the offsets.  The rows are nondecreasing in all four columns,
-so each copy's extremes are its first and last rows, where the 2**61 bound
-is checked, and the rows meeting a box are one index range: its x-part is a
-closed form in the bar width (_x_window), its y-part one binary search per
-end.  A is first cut to the range that meets B's bounding box.  A rect left
-in A is kept only if it meets the y-cover of its x-window, and only kept
-rects search for their y-windows, so each gets a window tight in x and y; a
-pair with no kept rect has no contact and stops there.  Blocks that build
-many acyclic objects (a pair's contacts, decoded JSON) run under
+code calls them.  The verifiers' sweep of two placed copies of one disk
+lives in disk, beside the row layout that its windows rest on.  Blocks
+that build many acyclic objects (_bulk's contacts, decoded JSON) run under
 _gc_paused, so the cyclic garbage collector does not walk them again and
 again.
 
@@ -35,15 +26,12 @@ the sweep to the contacts everything stays an int64 array: the rows of each
 line are merged into maximal runs as a union of closed intervals, with the
 starts and the ends sorted apart (_merge), a point is a zero-length run on
 both of its lines, found by one sort of the zero-length runs' cells, and
-the runs are put in canonical order by one sort per kind (_canonical).
-_placed_ends returns these rows of ends [xa, ya, xb, yb], moved back to the
-second copy's offset, which the CLI formats as they come and drops, and
-which a verdict of verify_construction or parse holds until its contacts
-are first read.  Each row's kind comes from two comparisons of its ends
-(_kinds), the rule that ContactComponent applies to one contact; the
-writer and _bulk, which turns the rows into ContactComponent tuples in one
-step without per-contact checks, each take it from the rows they are
-given.
+the runs are put in canonical order by one sort per kind (_canonical), as
+rows of ends [xa, ya, xb, yb].  Each row's kind comes from two comparisons
+of its ends (_kinds), the rule that ContactComponent applies to one
+contact; the writer and _bulk, which turns the rows into ContactComponent
+tuples in one step without per-contact checks, each take it from the rows
+they are given.
 """
 
 from __future__ import annotations
@@ -255,12 +243,13 @@ def _lengths(ends: np.ndarray) -> np.ndarray:
 
 def _bulk(ends: np.ndarray) -> tuple[ContactComponent, ...]:
     """Contacts from (k, 4) int64 rows of ends [xa, ya, xb, yb] of points and
-    segments going up or right."""
+    segments going up or right, built with the cyclic collector paused."""
     if not len(ends):
         return ()
     xa, ya, xb, yb = ends.T.tolist()
     names = _KIND_NAMES[_kinds(ends)].tolist()
-    return tuple(map(_trusted, zip(names, zip(xa, ya), zip(xb, yb), _lengths(ends).tolist())))
+    with _gc_paused():  # the contacts hold no cycles
+        return tuple(map(_trusted, zip(names, zip(xa, ya), zip(xb, yb), _lengths(ends).tolist())))
 
 
 @contextmanager
@@ -301,56 +290,6 @@ def _canonical(contacts: _Contacts) -> np.ndarray:
     return np.column_stack(
         [np.concatenate(c) for c in ((hx0, px, vx), (hy, py, vy0), (hx1, px, vx), (hy, py, vy1))]
     )
-
-
-def _x_window(m: int, count: int, x0, x1) -> tuple[np.ndarray, np.ndarray]:
-    """The index range [lo, hi) of a disk's count rows in path order whose
-    closed x-ranges meet [x0, x1], in closed form from the bar width m: bar
-    i + 1 is [i m, (i + 1) m] and connector i is [i m - 1, i m], so 2
-    floor((x0 - 1) / m) rows have x1 < x0 and floor(x1 / m) + floor((x1 + 1)
-    / m) + 1 rows have x0 <= x1; lo is raised to 0 and hi cut to count.
-    Scalars give one range, arrays one range per box."""
-    return np.maximum(2 * ((x0 - 1) // m), 0), np.minimum(x1 // m + (x1 + 1) // m + 1, count)
-
-
-def _placed_ends(rows: np.ndarray, a: Vec2, b: Vec2) -> Optional[np.ndarray]:
-    """The (k, 4) int64 ends [xa, ya, xb, yb] of the contacts between two
-    copies of a disk's rows, Shape.rows, placed at offsets a and b, in
-    canonical order, or None on interior overlap.
-
-    The rows are nondecreasing in each column, so each copy's extremes are
-    its first and last rows, where the 2**61 bound is checked.  The sweep
-    runs in B's frame: B is the rows' four columns, not copied, A the rows
-    moved by a - b, and the ends are moved by b at the end; with |rows| <
-    2**61, A fits in int64, and every gap taken is one between the placed
-    copies.  A is cut to the rows that meet B's bounding box, which keeps
-    each of their x-windows (_x_window) nonempty and inside the rows.  Each
-    row meets the next in y, so the rows of a window [lx, hx) cover [Y0[lx],
-    Y1[hx - 1]] in y: a rect of A is kept only if it meets that cover, and
-    only kept rects search B's y columns for their windows.  A pair with no
-    kept rect has no contact.
-    """
-    corners = rows[[0, -1]]
-    _in_bound(corners + (a.dx, a.dy, a.dx, a.dy))
-    _in_bound(corners + (b.dx, b.dy, b.dx, b.dy))
-    (x0, y0, bar_x1, _), (_, _, x1, y1) = corners.tolist()
-    X0, Y0, X1, Y1 = B = rows.T
-    m, d = bar_x1 - x0, a - b
-    lx, hx = _x_window(m, len(rows), x0 - d.dx, x1 - d.dx)
-    first = max(lx, np.searchsorted(Y1, y0 - d.dy, "left"))
-    last = min(hx, np.searchsorted(Y0, y1 - d.dy, "right"))
-    cut = slice(first, max(first, last))  # hx < 0 once B lies 2 or more units left of A
-    lx, hx = _x_window(m, len(rows), X0[cut] + d.dx, X1[cut] + d.dx)
-    near = Y0.take(lx) <= Y1[cut] + d.dy
-    near &= Y1.take(hx - 1) >= Y0[cut] + d.dy
-    keep = np.flatnonzero(near)
-    if not len(keep):
-        return _NO_ENDS
-    A = [c[cut].take(keep) + v for c, v in zip(B, (d.dx, d.dy, d.dx, d.dy))]
-    lo = np.maximum(lx.take(keep), np.searchsorted(Y1, A[1], "left"))
-    hi = np.minimum(hx.take(keep), np.searchsorted(Y0, A[3], "right"))
-    raw = _pairs(A, B, lo, hi)
-    return None if raw is None else _canonical(raw) + (b.dx, b.dy, b.dx, b.dy)
 
 
 def contact_components(A: list[Rect], B: list[Rect]) -> list[ContactComponent]:

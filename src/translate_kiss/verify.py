@@ -13,10 +13,10 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .disk import Shape, SubCopyRef, build_disk, sub_copy_offset
+from .disk import Shape, SubCopyRef, _placed_ends, build_disk, sub_copy_offset
 from .errors import ContractViolation, _int_in
 from .placement import Scene, place_translates
-from .rect import _NO_ENDS, ContactComponent, Vec2, _bulk, _gc_paused, _lengths, _merge, _placed_ends
+from .rect import _NO_ENDS, ContactComponent, Vec2, _bulk, _lengths, _merge
 
 
 class _Contacts:
@@ -30,8 +30,7 @@ class _Contacts:
             raise AttributeError("contacts")  # so the dataclass field has no default
         held = obj.__dict__["contacts"]
         if isinstance(held, np.ndarray):
-            with _gc_paused():  # the contacts hold no cycles
-                held = obj.__dict__["contacts"] = _bulk(held)
+            held = obj.__dict__["contacts"] = _bulk(held)
         return held
 
     def __set__(self, obj: PairVerdict, value: Any) -> None:

@@ -29,8 +29,11 @@ from translate_kiss import (
     verify_construction,
 )
 
+import translate_kiss
+from translate_kiss import rect
+from translate_kiss.disk import _placed_ends, _x_window
 from translate_kiss.rect import _bulk, _gc_paused, _merge, _rect_array, _sweep
-from translate_kiss.rect import _canonical, _kinds, _placed_ends, _x_window
+from translate_kiss.rect import _canonical, _kinds
 from translate_kiss.serial import _contacts
 
 from oracles import (
@@ -267,6 +270,21 @@ class TestContactContract:
             "m", "n", "offsets", "pair_verdicts", "touching_count", "ok"
         ]
         assert cert.pair_verdicts[0].contacts == (c,) and v == PairVerdict(0, 1, True, (c,), 2)
+
+    def test_package_exports(self):
+        # adding or dropping a public name takes an edit here
+        assert translate_kiss.__all__ == [
+            "Certificate", "ConstructionBroken", "ContactComponent", "ContractViolation",
+            "DocumentInvariantError", "Lemma2Case", "MalformedDocument", "PairVerdict",
+            "PairWitness", "ParameterError", "PrefixTable", "RangeError", "Rect", "Scene",
+            "SchemaVersionMismatch", "Shape", "SubCopyRef", "TouchingReport", "Vec2",
+            "VerticalRun", "build_disk", "check_lemma1_exhaustive", "check_lemma2_exhaustive",
+            "contact_components", "extract_sub_copy", "iter_lemma2_cases", "parse",
+            "place_translates", "prefix_sum", "render_svg", "rightward_runs", "ruler",
+            "serialize", "sub_copy_offset", "theorem_pair_witness", "total_contact_length",
+            "union_interiors_disjoint", "verify_construction", "verify_touching_heights",
+        ]
+        assert all(hasattr(translate_kiss, name) for name in translate_kiss.__all__)
 
     @given(st.lists(ends, max_size=8))
     def test_bulk_ends_match_the_constructor(self, pairs):
@@ -809,6 +827,25 @@ class TestGcPaused:
             with _gc_paused():
                 raise KeyError("x")
         assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_bulk_builds_every_contact_paused(self, collector, monkeypatch, enabled):
+        # _bulk pauses the collector itself, so contact_components, which
+        # calls it bare, builds its contacts with the collector off too
+        seen, trusted = [], rect._trusted
+
+        def recorded(fields):
+            seen.append(gc.isenabled())
+            return trusted(fields)
+
+        monkeypatch.setattr(rect, "_trusted", recorded)
+        (gc.enable if enabled else gc.disable)()
+        ends = np.array([[0, 0, 0, 2], [1, 1, 1, 1], [0, 3, 4, 3]], np.int64)
+        A, B = [Rect(0, 0, 2, 2)], [Rect(2, 0, 4, 2), Rect(0, 2, 2, 4), Rect(-1, -1, 0, 0)]
+        for build in (lambda: _bulk(ends), lambda: contact_components(A, B)):
+            seen.clear()
+            assert len(build()) == 3 and seen == [False] * 3
+            assert gc.isenabled() == enabled
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_verify_construction_keeps_the_state(self, collector, enabled):

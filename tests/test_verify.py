@@ -26,7 +26,7 @@ from translate_kiss import (
     verify_construction,
     verify_touching_heights,
 )
-from translate_kiss import cli, rect, render, verify
+from translate_kiss import cli, disk, rect, render, verify
 from translate_kiss.ruler import ruler_sum
 
 from oracles import merge_lines, naive_contacts, tallest_by_max
@@ -220,7 +220,7 @@ class TestVerifyConstruction:
         for m in range(2, n + 2):
             flags = self._disjoint_flags(m, n)[:n]
             facing = [
-                (0, j, rect._placed_ends(build_disk(m, n + 1 - j).rows, Vec2(0, 0), Vec2(j - 1, n + 2 - j)) is not None)
+                (0, j, disk._placed_ends(build_disk(m, n + 1 - j).rows, Vec2(0, 0), Vec2(j - 1, n + 2 - j)) is not None)
                 for j in range(1, n + 1)
             ]
             assert flags == facing, (m, n)
