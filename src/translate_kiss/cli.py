@@ -165,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ContractViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParameterError, ContractViolation, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except ConstructionBroken as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -174,9 +174,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

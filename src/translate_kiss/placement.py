@@ -180,7 +180,8 @@ def theorem_pair_witness(m: int, n: int, i: int, j: int) -> PairWitness:
     """Solve for the sub-copy of A_i that A_j's leftmost sub-copy steps off from.
 
     Sub-copy `copy` starts at bar first + 1 = (copy - 1) * 2^level + 1, at
-    x = first * m, so the target's dx fixes the copy and its dy must agree.
+    x = first * m, so the target's dx fixes the copy, whose offset must then
+    be the target.
     """
     scene = place_translates(m, n)
     _int_in("i", i, 1, n - 1)
@@ -188,10 +189,9 @@ def theorem_pair_witness(m: int, n: int, i: int, j: int) -> PairWitness:
     level = n + 1 - j
     shift = j - i
     target = scene.offsets[j] - scene.offsets[i] - Vec2(shift, -shift)
-    first, rem = divmod(target.dx, m)
+    first = target.dx // m
     copy = first // 2**level + 1
-    solved = not rem and first % 2**level == 0 and 1 <= copy <= 2 ** (n - level)
-    if not (solved and sub_copy_offset(m, n, SubCopyRef(level=level, copy=copy)) == target):
+    if not 1 <= copy <= 2 ** (n - level) or sub_copy_offset(m, n, SubCopyRef(level=level, copy=copy)) != target:
         raise ConstructionBroken(
             f"no sub-copy of A_{i} matches A_{j}'s leftmost copy (m={m}, n={n})"
         )

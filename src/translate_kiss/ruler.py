@@ -142,5 +142,5 @@ def _check_ruler_windows(k_max: int, r_max: int) -> tuple[int, int] | None:
     """check_lemma1_exhaustive(k_max, r_max, PrefixTable.build(r_max)), run on
     the _ruler_sums array itself: no table is built."""
     _check_windows(k_max, r_max)
-    _int_in("table limit", r_max, 1, MAX_TABLE_LIMIT)
+    _int_in("r_max", r_max, 1, MAX_TABLE_LIMIT)
     return _first_short_window(_ruler_sums(r_max + 1), min(k_max, r_max))

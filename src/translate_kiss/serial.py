@@ -27,7 +27,7 @@ translates.  Input too short to hold the object's pieces or pairs is
 refused before any rows are made.  The writer's chunks are compared in
 order against the input in place, stopping at the first that differs, so
 the bytes are never built a second time.  Only refused input is decoded,
-with json.loads, to choose the class of the error.
+with json.loads, to choose the class of the error; no nested object is kept.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .disk import _CHUNK, Shape
 from .errors import DocumentInvariantError, MalformedDocument, ParameterError, SchemaVersionMismatch
 from .placement import Scene
-from .rect import _KIND_NAMES, _gc_paused, _kinds, _lengths
+from .rect import _KIND_NAMES, _kinds, _lengths
 from .verify import Certificate, PairVerdict, _ends, verify_construction
 
 SCHEMA_VERSION = "tk-1"
@@ -158,31 +158,32 @@ def _require(doc: Any, key: str) -> Any:
     return doc[key]
 
 
-def _int(value: Any, what: str) -> int:
-    if type(value) is not int:
-        raise DocumentInvariantError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _refusal(data: bytes) -> NoReturn:
     """Raise the error for data that parse does not accept.  Only here is the
     input decoded as JSON, to choose the error's class: MalformedDocument for
     bad JSON, a missing field or a shape's pieces that are not a list,
     SchemaVersionMismatch for another schema, and DocumentInvariantError for
     a bad m or n and for everything else."""
+    # every object decodes to one shared stub, and objects finish innermost
+    # first, so the pairs the hook was given last are the document's if it is one
+    stub, last = {}, [[]]
+
+    def hook(pairs: list[tuple[str, Any]]) -> dict:
+        last[0] = pairs
+        return stub
+
     try:
-        with _gc_paused():  # decoded JSON holds no cycles
-            doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=hook)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an oversized int
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    doc = dict(last[0]) if doc is stub else doc
     version = _require(doc, "schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"expected schema {SCHEMA_VERSION!r}, got {version!r}")
     kind = _require(doc, "kind")
     if kind not in _KINDS.values():
         raise MalformedDocument(f"unknown document kind {kind!r}")
-    m = _int(_require(doc, "m"), "m")
-    n = _int(_require(doc, "n"), "n")
+    m, n = _require(doc, "m"), _require(doc, "n")
     try:
         Shape(m, n) if kind == "shape" else Scene(m, n)
     except ParameterError as exc:

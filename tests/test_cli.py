@@ -195,6 +195,12 @@ def test_lemma1_with_too_many_windows_exits_2(capsys):
     assert "window sums" in capsys.readouterr().err
 
 
+def test_lemma1_names_its_own_bound(capsys):
+    # the CLI builds no table, so an r_max above the largest table names r_max
+    assert main(["lemma1", "--k-max", "1", "--r-max", str(2**22 + 1)]) == 2
+    assert capsys.readouterr() == ("", f"error: r_max must be an int in 1..{2**22}, got {2**22 + 1}\n")
+
+
 @pytest.mark.parametrize("dip", [None, 6, 100])
 @pytest.mark.parametrize("k_max, r_max", [(1, 1), (4, 8), (64, 512), (300, 300), (512, 4096), (1024, 65536)])
 def test_lemma1_line_is_the_library_verdict_on_a_built_table(monkeypatch, capsys, k_max, r_max, dip):

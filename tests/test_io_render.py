@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import time
+import tracemalloc
 import xml.dom.minidom
 from types import SimpleNamespace
 
@@ -489,6 +490,45 @@ def test_parse_keeps_the_collector_state(enabled):
             assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _parse_peak(data):
+    """parse(data)'s tracemalloc peak in bytes, with the error it raised, or None."""
+    tracemalloc.start()
+    try:
+        parse(data)
+        error = None
+    except MalformedDocument as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+@pytest.mark.parametrize(
+    "make, m, n, old, new",
+    [
+        (verify_construction, 10, 10, b'"ok":true', b'"ok":trx}'),
+        (verify_construction, 12, 12, b'"ok":true', b'"ok":trx}'),
+        (build_disk, 12, 12, b"]}", b",]}"),
+    ],
+    ids=["certificate-10", "certificate-12", "shape-12"],
+)
+def test_refusal_peaks_no_higher_than_an_acceptance(make, m, n, old, new):
+    # one byte corrupted near the end: the refusal decodes the whole input,
+    # keeping only the document's own object, so it peaks no higher than the
+    # acceptance of the intact input (a shape's writer peaks at about 6x a
+    # (m, 12) shape) or than twice the input
+    intact = serialize(make(m, n))
+    accepted, error = _parse_peak(intact)
+    assert error is None
+    head, found, tail = intact.rpartition(old)
+    assert found
+    data = head + new + tail
+    peak, error = _parse_peak(data)
+    assert type(error) is MalformedDocument, error
+    assert peak <= max(accepted, 2 * len(data)), (peak / len(data), accepted / len(data))
 
 
 def refused_as(cls, data):

@@ -434,3 +434,34 @@ class TestTheoremPairWitness:
         assert theorem_pair_witness(m, n, 1, 2).copy == 2
         with pytest.raises(ConstructionBroken):
             theorem_pair_witness(m, n, 2, 3)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (4, 3), (2, 4), (4, 4), (5, 4), (3, 5)])
+    def test_nudged_scenes_match_copy_scan(self, monkeypatch, m, n):
+        # A_j moved by every (dx, dy) within two level copies and two rows, and
+        # onto each level copy of A_i: the witness is the scan's, and it raises
+        # exactly where the scan finds none
+        good = place_translates(m, n)
+        table = PrefixTable.build(2**n)
+        scene = []
+        monkeypatch.setattr(placement, "place_translates", lambda m, n: scene[0])
+        found = missed = 0
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                level = n + 1 - j
+                reach = 2 * m * 2**level
+                nudges = {Vec2(dx, dy) for dx in range(-reach, reach + 1) for dy in range(-2, 3)}
+                target = good.offsets[j] - good.offsets[i] - Vec2(j - i, i - j)
+                for first in range(0, 2**n, 2**level):
+                    nudges.add(Vec2(first * m, prefix_sum(first, table)) - target)
+                for nudge in nudges:
+                    offsets = good.offsets[:j] + (good.offsets[j] + nudge,) + good.offsets[j + 1 :]
+                    scene[:] = [SimpleNamespace(m=m, n=n, offsets=offsets)]
+                    expected = scan_pair_witness(scene[0], table, i, j)
+                    if expected is None:
+                        missed += 1
+                        with pytest.raises(ConstructionBroken):
+                            theorem_pair_witness(m, n, i, j)
+                    else:
+                        found += 1
+                        assert theorem_pair_witness(m, n, i, j) == expected
+        assert found == sum(2 ** (j - 1) for j in range(2, n + 1) for i in range(1, j)) and missed
