@@ -6,9 +6,9 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 * 1 for a verification FAIL (verify at m < n - 1), or ConstructionBroken;
 * 2 for usage or parameter errors (ParameterError, including m < 2, n > 20,
   m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall or of more than 2^23
-  rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), lemma2 with more than
-  2^35 (shift, column) pairs to compare, c (c - 1) / 2 for c = m * 2^n
-  columns (so (14, 14) runs and (15, 15) does not), and lemma1 with
+  rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), lemma2 at n >= 16,
+  past lemma 1's bound of 2^30 window sums, or of more than 2^22 columns
+  m * 2^n (so (15, 15) runs and n = 16 does not), and lemma1 with
   k_max < 1, r_max above 2^22 or min(k_max, r_max) * r_max above 2^30
   window sums), broken preconditions (ContractViolation) and allocation
   failures (MemoryError);

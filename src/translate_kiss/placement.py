@@ -23,19 +23,16 @@ pair does, so the construction passes iff m >= n - 1 (at m = n - 2 only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Iterator
 
 import numpy as np
 
-from .disk import SubCopyRef, _check_disk_params, _column_profile, sub_copy_offset
+from .disk import SubCopyRef, _check_disk_params, _column_profile, _staircase, sub_copy_offset
 from .errors import ConstructionBroken, ContractViolation, ParameterError, _int_in
 from .rect import Vec2
-from .ruler import ruler_sum
+from .ruler import _check_windows, _first_short_window, ruler_sum
 
-MAX_LEMMA2_WORK = 2**35  # (shift, column) pairs compared; (14, 14) compares 2.6e10, (15, 15) 1.2e11
-# elements of the (shifts, columns) arrays of one check_lemma2_exhaustive pass
-_BLOCK = 2**16
+MAX_LEMMA2_COLUMNS = 2**22  # columns of one check_lemma2_exhaustive profile; (128, 15), at the cap, peaks at 166 MB
 
 
 @dataclass(frozen=True)
@@ -103,61 +100,53 @@ def iter_lemma2_cases(m: int, n: int) -> Iterator[Lemma2Case]:
 
 
 def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
-    """Decide every case of iter_lemma2_cases; None if all are disjoint, else
-    the first failure in their order.
+    """Decide every case of iter_lemma2_cases by Lemma 1's windows, as the
+    paper's proof does; None if all are disjoint, else the first failure in
+    their order.
 
-    The disk meets unit column c in one nonempty cell range [lo[c], hi[c]),
-    which disk._column_profile gives in closed form, so no disk is built.
-    Case (r, xstar, ystar) shifts the translate by (dx, base - ystar), where
-    dx = (r - 1) m + xstar and base = ruler_sum(r - 1), so column c of the
-    translate faces column c + dx of the disk, and the two interiors overlap
-    there exactly when ystar lies strictly between base + lo[c] - hi[c + dx]
-    and base + hi[c] - lo[c + dx].  Some ystar in 1..top does iff two
-    thresholds hold, lo[c] - hi[c + dx] <= top - 1 - base and
-    hi[c] - lo[c + dx] >= 2 - base: the interval is never empty, since both
-    columns are, so a column with lo == hi raises ContractViolation.  The
-    cases run in order of increasing dx, so one vectorised pass decides
-    every ystar of a block of consecutive shifts.  More than MAX_LEMMA2_WORK
-    of the cols (cols - 1) / 2 (shift, column) pairs compared, cols = m 2^n,
-    raise ParameterError.
+    The disk meets unit column c in the cell range [lo[c], hi[c]) that
+    disk._column_profile gives.  It must be the staircase (disk._staircase)
+    of the bar heights S(i) = ruler_sum(i) that the case offsets use, with
+    S(0) = 0 and each term S(i) - S(i - 1) at least 1, else it raises
+    ContractViolation, which names the first column off the staircase when
+    the heights and the width are right.  Case (r, xstar, ystar)
+    with k = r - 1 moves the disk by (dx, S(k) - ystar), dx = k m + xstar,
+    1 <= xstar <= m - 1, so its column c faces column c + dx, and as both
+    are nonempty some ystar >= 1 overlaps there iff hi[c] + S(k) - lo[c +
+    dx] >= 2.  Take c in bar b + 1.  If c + dx lies in bar b + k + 1, as it
+    does for c the bar's first column and any xstar, the condition says the
+    k terms b + 1 .. b + k, a window among the first 2^n - 1, sum below
+    S(k).  The bar's last column, which rises to S(b + 1) + 1, faces bar b +
+    k + 2 and says it of terms b + 2 .. b + k + 1.  Any other column
+    crossing into bar b + k + 2 says it of the k + 1 terms b + 1 .. b + k +
+    1, which exceed the window b + 1 .. b + k by a term of at least 1, so
+    only if that window falls short too.  The verdict thus depends on
+    neither m nor xstar: ruler._first_short_window finds the least k with a
+    short window, and the first failure is (k + 1, 1, 1).  Its ystar is 1
+    since at ystar = 1 the moved column 0 lies just below the column it
+    faces, and neighbouring columns of a staircase share a cell, so at the
+    first column c that overlaps for some ystar the moved column cannot lie
+    wholly above column c + dx.  Before the profile is made, n >= 16 (Lemma
+    1's window bound, ruler._check_windows) and more than MAX_LEMMA2_COLUMNS
+    columns m 2^n raise ParameterError.
     """
     _check_disk_params(m, n, 2)
+    _check_windows(2**n - 1, 2**n - 1)
     cols = m * 2**n
-    work = cols * (cols - 1) // 2
-    if work > MAX_LEMMA2_WORK:
-        raise ParameterError(f"lemma 2 check of {cols} columns compares {work} pairs, more than {MAX_LEMMA2_WORK}")
-    top = _last_ystar(n)
-    bases = np.fromiter(map(ruler_sum, range(2**n)), np.int32, 2**n)
-    t_lo, t_hi = top - 1 - bases, 2 - bases
-    # int32 is exact below the work cap; a block reads at most isqrt(_BLOCK)
-    # columns past the end, where a lo this high fails the second threshold
-    prof = np.empty((2, cols + isqrt(_BLOCK)), np.int32)
-    prof[0, :cols], prof[1, :cols] = _column_profile(m, n)
-    empty = np.flatnonzero(prof[1, :cols] <= prof[0, :cols])
-    if empty.size:
-        raise ContractViolation(f"column {empty[0]} of the disk is empty")
-    prof[:, cols:] = prof[1, :cols].max() + top
-    lo, hi = prof[:, :cols]
-    row, item = prof.strides
-    d0 = 1
-    while d0 < cols:
-        w = cols - d0
-        d1 = min(d0 + max(_BLOCK // w, 1), cols)
-        dx = np.arange(d0, d1)
-        # row k reads prof's columns d0 + k + c, c < w: a read-only view whose extent numpy checks
-        windows = np.ndarray((2, d1 - d0, w), np.int32, prof, d0 * item, (row, item, item))
-        windows.flags.writeable = False
-        lo_dx, hi_dx = windows
-        bar = dx // m
-        bad = (lo[:w] - hi_dx <= t_lo[bar, None]) & (hi[:w] - lo_dx >= t_hi[bar, None])
-        rows = np.flatnonzero(bad.any(axis=1) & (dx % m != 0))
-        if rows.size:
-            k = int(rows[0])
-            r, xstar = divmod(d0 + k, m)
-            first = np.maximum(lo[:w] - hi_dx[k] + int(bases[r]) + 1, 1)
-            return Lemma2Case(m=m, n=n, r=r + 1, xstar=xstar, ystar=int(first[bad[k]].min()))
-        d0 = d1
-    return None
+    if cols > MAX_LEMMA2_COLUMNS:
+        raise ParameterError(f"lemma 2 check of {cols} columns, more than {MAX_LEMMA2_COLUMNS}")
+    heights = np.fromiter(map(ruler_sum, range(2**n)), np.int64, 2**n)
+    if heights[0] or np.diff(heights).min() < 1:
+        raise ContractViolation("the bar heights S(i) do not start at 0 and rise by at least 1")
+    lo, hi = _column_profile(m, n)
+    if not len(lo) == len(hi) == cols:
+        raise ContractViolation(f"the disk has {len(lo)} columns, not {cols}")
+    want_lo, want_hi = _staircase(heights, m)
+    off = np.flatnonzero((lo != want_lo) | (hi != want_hi))
+    if off.size:
+        raise ContractViolation(f"column {off[0]} of the disk is off the staircase of its bar heights")
+    short = _first_short_window(heights, 2**n - 1)
+    return None if short is None else Lemma2Case(m=m, n=n, r=short[0] + 1, xstar=1, ystar=1)
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,23 @@ def pass_lemma2_exhaustive(m, n):
     return None
 
 
+def pass_every_step(m, n, steps):
+    """pass_lemma2_exhaustive with the step x running over 1..steps, past a
+    Lemma2Case's m - 1, and no cut at the last ystar: the first (r, x,
+    ystar), in that order, for which the disk moved by ((r - 1) m + x,
+    S(r - 1) - ystar) overlaps the disk, or None."""
+    lo, hi = placement._column_profile(m, n)
+    for r in range(1, 2**n + 1):
+        base = placement.ruler_sum(r - 1)
+        for x in range(1, steps + 1):
+            dx = (r - 1) * m + x
+            first = np.maximum(base + lo[:-dx] - hi[dx:] + 1, 1)
+            bad = first[first <= base + hi[:-dx] - lo[dx:] - 1]
+            if bad.size:
+                return r, x, int(bad.min())
+    return None
+
+
 def scan_pair_witness(scene, table, i, j):
     """Brute-force oracle: scan every level sub-copy of A_i, with offsets
     read from a prefix-sum table, for the one A_j steps off from."""

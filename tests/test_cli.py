@@ -279,7 +279,7 @@ def test_lemma2_on_an_empty_column_exits_2_with_one_line(monkeypatch, capsys):
     assert main(["lemma2", "-m", "3", "-n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: column 4 of the disk is empty\n"
+    assert captured.err == "error: column 4 of the disk is off the staircase of its bar heights\n"
 
 
 BIG = 10**5000  # more digits than int-to-str conversion allows

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import partial
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from translate_kiss import (
     iter_lemma2_cases,
     place_translates,
     prefix_sum,
+    ruler,
     theorem_pair_witness,
     union_interiors_disjoint,
 )
@@ -29,6 +31,7 @@ from translate_kiss.rect import _rect_array
 
 from oracles import (
     lemma2_instance,
+    pass_every_step,
     pass_lemma2_exhaustive,
     rect_column_profile,
     scan_pair_witness,
@@ -55,8 +58,13 @@ def patch_disk(monkeypatch, shape):
     monkeypatch.setattr(placement, "_column_profile", lambda m, n: profile)
 
 
-# a block of a few dozen elements, so that blocks split inside one bar
-FEW_DOZEN = 40
+def patch_sums(monkeypatch, sums):
+    """Make sums[i] the bar heights S(i) that the disk and the case offsets
+    both read."""
+    for module in (disk, placement):
+        monkeypatch.setattr(module, "ruler_sum", sums.__getitem__)
+    # the disk's rows and column profile read their heights in one call
+    monkeypatch.setattr(disk, "_ruler_sums", lambda k: np.array(sums[:k], np.int64))
 
 
 def patch_random_staircase(monkeypatch, seed):
@@ -65,11 +73,7 @@ def patch_random_staircase(monkeypatch, seed):
     failing case is compared too."""
     rng = random.Random(seed)
     m, n = rng.randint(2, 5), rng.randint(2, 4)
-    sums = [0, *accumulate(rng.randint(1, 4) for _ in range(2**n - 1))]
-    for module in (disk, placement):
-        monkeypatch.setattr(module, "ruler_sum", sums.__getitem__)
-    # the disk's rows and column profile read their heights in one call
-    monkeypatch.setattr(disk, "_ruler_sums", lambda k: np.array(sums[:k], np.int64))
+    patch_sums(monkeypatch, [0, *accumulate(rng.randint(1, 4) for _ in range(2**n - 1))])
     return m, n
 
 
@@ -90,6 +94,65 @@ def patch_shifted_columns(monkeypatch, seed):
     pieces = (Rect(x, lo, x + 1, hi) for x, (lo, hi) in cols.items())
     patch_disk(monkeypatch, FakeDisk(pieces))
     return m, n
+
+
+def patch_free_heights(monkeypatch, seed):
+    """A random (m, n), which is returned, whose disk is one column range
+    per unit column, each one to three cells high at a height drawn from
+    -8..40: most of them overlap at once."""
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 5), rng.randint(2, 4)
+    heights = [rng.randint(-8, 40) for _ in range(m * 2**n)]
+    patch_disk(monkeypatch, FakeDisk(Rect(x, y, x + 1, y + rng.randint(1, 3)) for x, y in enumerate(heights)))
+    return m, n
+
+
+def patch_flat_strip(monkeypatch):
+    """A (2, 2) strip two cells high, which overlaps at case (1, 1, 1)."""
+    patch_disk(monkeypatch, FakeDisk([Rect(0, 0, 8, 2)]))
+    return 2, 2
+
+
+def patch_lifted_strip(monkeypatch, lift):
+    """A flat (2, 2) strip whose first column floats at height h = 6 + lift:
+    for r = 1 the only overlap is at ystar = h, so the cut at the last ystar
+    (6 here) shows; for r = 2 the flat part overlaps at ystar = 1."""
+    h = 6 + lift
+    patch_disk(monkeypatch, FakeDisk((Rect(0, h, 1, h + 1), Rect(1, 0, 8, 1))))
+    return 2, 2
+
+
+def patch_late_failure(monkeypatch):
+    """(3, 2) with one cell per column, ten apart: every shift clears but
+    the last, dx = 11 = (4 - 1) 3 + 2, which puts column 0 (lifted by S(3) =
+    4) one cell into the low last column."""
+    heights = [*range(0, 110, 10), 3]
+    patch_disk(monkeypatch, FakeDisk(Rect(x, y, x + 1, y + 1) for x, y in enumerate(heights)))
+    return 3, 2
+
+
+def patch_empty_column(monkeypatch):
+    """The (4, 3) disk's profile with column 5 empty; no rect has such a column."""
+    lo, hi = disk._column_profile(4, 3)
+    hi[5] = lo[5]
+    monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+    return 4, 3
+
+
+# profiles off the staircase, each with the (r, xstar, ystar) both oracles
+# find on it, "agree" where they are only held to each other, or None where
+# no rect draws it
+NOT_STAIRCASES = [
+    *(pytest.param(partial(patch_shifted_columns, seed=seed), "agree", id=f"shifted-{seed}") for seed in range(40)),
+    *(pytest.param(partial(patch_free_heights, seed=seed), "agree", id=f"free-{seed}") for seed in range(40)),
+    pytest.param(patch_flat_strip, (1, 1, 1), id="flat-strip"),
+    *(
+        pytest.param(partial(patch_lifted_strip, lift=lift), want, id=f"lifted-strip{lift:+d}")
+        for lift, want in [(-1, (1, 1, 5)), (0, (1, 1, 6)), (1, (2, 1, 1))]
+    ),
+    pytest.param(patch_late_failure, (4, 2, 1), id="late-failure"),
+    pytest.param(patch_empty_column, None, id="empty-column"),
+]
 
 
 class TestPlaceTranslates:
@@ -195,7 +258,7 @@ class TestLemma2:
             lo, hi = disk._column_profile(m, n)
             want_lo, want_hi = rect_column_profile(_rect_array(build_disk(m, n).rects()))
             assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
-            # check_lemma2_exhaustive's two thresholds are exact only on nonempty columns
+            # check_lemma2_exhaustive's reduction holds only on nonempty columns
             assert (hi > lo).all()
 
     def test_no_disk_is_built(self, monkeypatch):
@@ -209,11 +272,9 @@ class TestLemma2:
         assert check_lemma2_exhaustive(5, 5) is None
 
     def test_work_bound(self, monkeypatch):
-        # (15, 15) compares 1.2e11 (shift, column) pairs, past the bound, and
-        # (14, 14) 2.6e10 under it, so its walk would start: the sentinel
-        # stops it at the profile
-        with pytest.raises(ParameterError, match="compares"):
-            check_lemma2_exhaustive(15, 15)
+        # (15, 15) runs; n = 16 is past Lemma 1's window bound and m > 2^20
+        # at n = 2 past the column cap, so the sentinel profile is never made
+        assert check_lemma2_exhaustive(15, 15) is None
 
         class Walked(Exception):
             pass
@@ -222,8 +283,13 @@ class TestLemma2:
             raise Walked
 
         monkeypatch.setattr(placement, "_column_profile", walked)
+        with pytest.raises(ParameterError, match="window sums"):
+            check_lemma2_exhaustive(2, 16)
+        for m in (2**20 + 1, 2**23):
+            with pytest.raises(ParameterError, match="columns"):
+                check_lemma2_exhaustive(m, 2)
         with pytest.raises(Walked):
-            check_lemma2_exhaustive(14, 14)
+            check_lemma2_exhaustive(2**20, 2)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_profile_matches_sweep(self, n):
@@ -235,105 +301,74 @@ class TestLemma2:
         m, n = patch_random_staircase(monkeypatch, seed)
         assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_profile_matches_sweep_on_shifted_columns(self, monkeypatch, seed):
-        m, n = patch_shifted_columns(monkeypatch, seed)
-        assert check_lemma2_exhaustive(m, n) == sweep_lemma2_exhaustive(m, n)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_real_disks_match_the_pass_oracle(self, n):
+        for m in range(2, 9):
+            assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_windows_match_the_pass_oracle_on_random_staircases(self, data):
+        # connector heights drawn from 1..5, or the ruler's with one or two
+        # terms moved, staying at least 1; every step up to 4 m, past
+        # Lemma 2's m - 1, has the windows' verdict too
+        m, n = data.draw(st.integers(2, 6), "m"), data.draw(st.integers(2, 5), "n")
+        if data.draw(st.booleans(), "free"):
+            terms = data.draw(st.lists(st.integers(1, 5), min_size=2**n - 1, max_size=2**n - 1), "terms")
+        else:
+            terms = [ruler(i) for i in range(1, 2**n)]
+            for i in data.draw(st.lists(st.integers(0, 2**n - 2), min_size=1, max_size=2), "moved"):
+                terms[i] = max(terms[i] + data.draw(st.integers(-3, 3)), 1)
+        with pytest.MonkeyPatch.context() as patched:
+            patch_sums(patched, [0, *accumulate(terms)])
+            got = check_lemma2_exhaustive(m, n)
+            assert got == pass_lemma2_exhaustive(m, n)
+            assert (got is None) == (pass_every_step(m, n, 4 * m) is None)
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_blocks_match_the_pass_oracle(self, monkeypatch, n):
-        for block in (placement._BLOCK, FEW_DOZEN):
-            monkeypatch.setattr(placement, "_BLOCK", block)
-            for m in range(2, 9):
-                assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+    def test_no_step_overlaps_on_real_disks(self, n):
+        # the bar-r step (r - 1) m + x moved down by any ystar >= 1 is
+        # disjoint for every x up to 4 m, not only Lemma 2's x <= m - 1
+        for m in range(2, 7):
+            assert pass_every_step(m, n, 4 * m) is None
 
-    @pytest.mark.parametrize("m, n", [*((m, 8) for m in range(2, 7)), (8, 8)])
-    def test_default_blocks_match_the_pass_oracle_on_larger_disks(self, m, n):
-        # 512 to 2048 columns, so a block of 2^16 elements spans several bars
-        assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+    @pytest.mark.parametrize("patch, want", NOT_STAIRCASES)
+    def test_a_profile_off_the_staircase_raises(self, monkeypatch, patch, want):
+        m, n = patch(monkeypatch)
+        lo, hi = placement._column_profile(m, n)
+        real_lo, real_hi = disk._column_profile(m, n)
+        first = np.flatnonzero((lo != real_lo) | (hi != real_hi))[0]
+        with pytest.raises(ContractViolation, match=f"^column {first} of the disk is off the staircase"):
+            check_lemma2_exhaustive(m, n)
+        if want is not None:  # both oracles read the patched disk
+            got = pass_lemma2_exhaustive(m, n)
+            assert got == sweep_lemma2_exhaustive(m, n)
+            assert want == "agree" or (got.r, got.xstar, got.ystar) == want
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_thresholds_match_the_pass_oracle_on_any_profile(self, data):
-        # any nonempty column ranges: either the disk's with a few columns
-        # moved or cut, or heights drawn freely, which fail at once
-        m, n = data.draw(st.integers(2, 5), "m"), data.draw(st.integers(2, 4), "n")
-        cols = m * 2**n
-        lo, hi = disk._column_profile(m, n)
-        if data.draw(st.booleans(), "free"):
-            lo = np.array(data.draw(st.lists(st.integers(-8, 40), min_size=cols, max_size=cols)))
-            hi = lo + 1
-        for c in data.draw(st.lists(st.integers(0, cols - 1), max_size=4), "columns"):
-            lo[c] += data.draw(st.integers(-4, 4))
-            hi[c] = max(hi[c] + data.draw(st.integers(-4, 4)), lo[c] + 1)
-        for block in (placement._BLOCK, FEW_DOZEN):
+    def test_bar_heights_and_width_are_checked(self, monkeypatch):
+        # the reduction needs S(0) = 0, terms of at least 1 and m 2^n columns
+        for sums in ([0, 1, 1, 3], [1, 2, 4, 5]):
             with pytest.MonkeyPatch.context() as patched:
-                patched.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
-                patched.setattr(placement, "_BLOCK", block)
-                assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
+                patch_sums(patched, sums)
+                with pytest.raises(ContractViolation, match="start at 0 and rise by at least 1"):
+                    check_lemma2_exhaustive(2, 2)
+        lo, hi = disk._column_profile(2, 2)
+        monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo[:-1], hi[:-1]))
+        with pytest.raises(ContractViolation, match="7 columns, not 8"):
+            check_lemma2_exhaustive(2, 2)
 
-    def test_an_empty_column_raises(self, monkeypatch):
-        lo, hi = disk._column_profile(4, 3)
-        hi[5] = lo[5]
-        monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
-        with pytest.raises(ContractViolation, match="column 5"):
-            check_lemma2_exhaustive(4, 3)
-
-    @pytest.mark.parametrize("seed", range(40))
-    @pytest.mark.parametrize("patch", [patch_random_staircase, patch_shifted_columns], ids=["staircase", "shifted"])
-    def test_small_blocks_match_the_pass_oracle_on_broken_disks(self, monkeypatch, patch, seed):
-        # at most 80 columns here, so blocks of a few dozen elements split
-        # inside one bar and a failure can fall in any block
-        monkeypatch.setattr(placement, "_BLOCK", FEW_DOZEN)
-        m, n = patch(monkeypatch, seed)
-        assert check_lemma2_exhaustive(m, n) == pass_lemma2_exhaustive(m, n)
-
-    @pytest.mark.parametrize("block", [FEW_DOZEN, placement._BLOCK])
-    def test_a_late_failure_in_a_later_block(self, monkeypatch, block):
-        # (3, 2): one cell per column, ten apart, clears every shift but the
-        # last, dx = 11 = (4 - 1) 3 + 2, which puts the translate's column 0
-        # (lifted by S(3) = 4) one cell into the low last column.  With 40
-        # elements the blocks are shifts [1, 4), [4, 9) and [9, 12): the
-        # failure is the third row of the last block, the first row is a
-        # multiple of m, and the columns past the end are the padding's
-        heights = [*range(0, 110, 10), 3]
-        patch_disk(monkeypatch, FakeDisk(Rect(x, y, x + 1, y + 1) for x, y in enumerate(heights)))
-        monkeypatch.setattr(placement, "_BLOCK", block)
-        want = Lemma2Case(m=3, n=2, r=4, xstar=2, ystar=1)
-        assert check_lemma2_exhaustive(3, 2) == want == pass_lemma2_exhaustive(3, 2)
-        assert sweep_lemma2_exhaustive(3, 2) == want
-
-    def test_memory_is_bounded_at_width(self, monkeypatch):
-        # a flat strip two cells high over 2^20 columns overlaps at case
-        # (1, 1, 1); the check allocated 1.31 times the profile's own bytes,
-        # pass_lemma2_exhaustive's one pass per (r, xstar) 1.56 times.  The
-        # work bound refuses this width, since the walk could take days, so it
-        # is lifted here: the strip fails at the first shift
+    def test_memory_is_bounded_at_width(self):
+        # 2^20 columns: the profile, its staircase and a few boolean masks
         m, n = 2**10, 10
-        lo = np.zeros(m * 2**n, np.int64)
-        hi = lo + 2
-        monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
-        monkeypatch.setattr(placement, "MAX_LEMMA2_WORK", 2**40)
+        profile_bytes = 2 * 8 * m * 2**n
         tracemalloc.start()
         try:
             got = check_lemma2_exhaustive(m, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == Lemma2Case(m=m, n=n, r=1, xstar=1, ystar=1)
-        assert peak < 1.5 * (lo.nbytes + hi.nbytes)
-
-    @pytest.mark.parametrize("lift, expected", [(-1, (1, 1, 5)), (0, (1, 1, 6)), (1, (2, 1, 1))])
-    def test_profile_stops_at_the_last_ystar(self, monkeypatch, lift, expected):
-        # a flat (2, 2) strip whose first column floats at height h: for r = 1
-        # the only overlap is at ystar = h, so the cut at the last ystar
-        # (6 here) shows; for r = 2 the flat part overlaps at ystar = 1
-        h = 6 + lift
-        pieces = (Rect(0, h, 1, h + 1), Rect(1, 0, 8, 1))
-        patch_disk(monkeypatch, FakeDisk(pieces))
-        got = check_lemma2_exhaustive(2, 2)
-        assert (got.r, got.xstar, got.ystar) == expected
-        assert got == sweep_lemma2_exhaustive(2, 2)
+        assert got is None
+        assert peak < 2.5 * profile_bytes
 
     def test_column_with_a_gap_raises(self):
         # the rect-derived profile is the evidence that the built disk is
