@@ -8,7 +8,7 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
   m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall or of more than 2^23
   rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), lemma2 at n >= 16,
   past lemma 1's bound of 2^30 window sums, or of more than 2^22 columns
-  m * 2^n (so (15, 15) runs and n = 16 does not), and lemma1 with
+  m * 2^n (so (15, 15) runs and n = 16 does not, at any m), and lemma1 with
   k_max < 1, r_max above 2^22 or min(k_max, r_max) * r_max above 2^30
   window sums), broken preconditions (ContractViolation) and allocation
   failures (MemoryError);

@@ -101,18 +101,13 @@ def build_disk(m: int, n: int) -> Shape:
 
 def _column_profile(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell range [lo[c], hi[c]) of each unit column c of the (m, n) disk, as
-    Shape.rows lays it out, from the same ruler sums.  The caller checks m, n."""
-    return _staircase(_ruler_sums(2**n), m)
-
-
-def _staircase(heights: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The column profile (lo, hi) of bars of width m at these int64 heights:
-    bar i + 1 at height heights[i], and connector i (1 <= i < len(heights))
-    in column i m - 1 up to heights[i] + 1, so each range is nonempty when
-    no height is below the one before."""
-    lo = np.repeat(heights, m)
+    Shape.rows lays it out, from the same ruler sums: bar i + 1 at height S(i),
+    and connector i (1 <= i < 2^n) in column i m - 1 up to S(i) + 1, so each
+    range is nonempty.  The caller checks m, n."""
+    sums = _ruler_sums(2**n)
+    lo = np.repeat(sums, m)
     hi = lo + 1
-    hi[m - 1 :: m][:-1] = heights[1:] + 1
+    hi[m - 1 :: m][:-1] = sums[1:] + 1
     return lo, hi
 
 

@@ -27,12 +27,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .disk import SubCopyRef, _check_disk_params, _column_profile, _staircase, sub_copy_offset
+from .disk import SubCopyRef, _check_disk_params, _column_profile, sub_copy_offset
 from .errors import ConstructionBroken, ContractViolation, ParameterError, _int_in
 from .rect import Vec2
-from .ruler import _check_windows, _first_short_window, ruler_sum
+from .ruler import MAX_WINDOW_WORK, _first_short_window, ruler_sum
 
-MAX_LEMMA2_COLUMNS = 2**22  # columns of one check_lemma2_exhaustive profile; (128, 15), at the cap, peaks at 166 MB
+MAX_LEMMA2_COLUMNS = 2**22  # columns of one check_lemma2_exhaustive profile; (128, 15), at the cap, peaks at 101 MB
 
 
 @dataclass(frozen=True)
@@ -105,46 +105,54 @@ def check_lemma2_exhaustive(m: int, n: int) -> Lemma2Case | None:
     their order.
 
     The disk meets unit column c in the cell range [lo[c], hi[c]) that
-    disk._column_profile gives.  It must be the staircase (disk._staircase)
-    of the bar heights S(i) = ruler_sum(i) that the case offsets use, with
-    S(0) = 0 and each term S(i) - S(i - 1) at least 1, else it raises
+    disk._column_profile gives.  It must be the staircase of the bar heights
+    S(i) = ruler_sum(i) that the case offsets use, with S(0) = 0 and each
+    term S(i) - S(i - 1) at least 1: bar i + 1 spans columns i m .. i m + m
+    - 1 at [S(i), S(i) + 1), but its last column, connector i + 1, rises to
+    S(i + 1) + 1 (the last bar's to S(i) + 1).  Else it raises
     ContractViolation, which names the first column off the staircase when
-    the heights and the width are right.  Case (r, xstar, ystar)
-    with k = r - 1 moves the disk by (dx, S(k) - ystar), dx = k m + xstar,
-    1 <= xstar <= m - 1, so its column c faces column c + dx, and as both
-    are nonempty some ystar >= 1 overlaps there iff hi[c] + S(k) - lo[c +
-    dx] >= 2.  Take c in bar b + 1.  If c + dx lies in bar b + k + 1, as it
-    does for c the bar's first column and any xstar, the condition says the
-    k terms b + 1 .. b + k, a window among the first 2^n - 1, sum below
-    S(k).  The bar's last column, which rises to S(b + 1) + 1, faces bar b +
-    k + 2 and says it of terms b + 2 .. b + k + 1.  Any other column
-    crossing into bar b + k + 2 says it of the k + 1 terms b + 1 .. b + k +
-    1, which exceed the window b + 1 .. b + k by a term of at least 1, so
-    only if that window falls short too.  The verdict thus depends on
-    neither m nor xstar: ruler._first_short_window finds the least k with a
-    short window, and the first failure is (k + 1, 1, 1).  Its ystar is 1
-    since at ystar = 1 the moved column 0 lies just below the column it
-    faces, and neighbouring columns of a staircase share a cell, so at the
-    first column c that overlaps for some ystar the moved column cannot lie
-    wholly above column c + dx.  Before the profile is made, n >= 16 (Lemma
-    1's window bound, ruler._check_windows) and more than MAX_LEMMA2_COLUMNS
-    columns m 2^n raise ParameterError.
+    the heights and the width are right.  Case (r, xstar, ystar) with k = r
+    - 1 moves the disk by (dx, S(k) - ystar), dx = k m + xstar, 1 <= xstar
+    <= m - 1, so its column c faces column c + dx, and as both are nonempty
+    some ystar >= 1 overlaps there iff hi[c] + S(k) - lo[c + dx] >= 2.
+    Take c in bar b + 1.  If c + dx lies in bar b + k + 1, as it does for c
+    the bar's first column and any xstar, the condition says the k terms b
+    + 1 .. b + k, a window among the first 2^n - 1, sum below S(k).  The
+    bar's last column, which rises to S(b + 1) + 1, faces bar b + k + 2 and
+    says it of terms b + 2 .. b + k + 1.  Any other column crossing into bar
+    b + k + 2 says it of the k + 1 terms b + 1 .. b + k + 1, which exceed the
+    window b + 1 .. b + k by a term of at least 1, so only if that window
+    falls short too.  The verdict thus depends on neither m nor xstar:
+    ruler._first_short_window finds the least k with a short window, and
+    the first failure is (k + 1, 1, 1).  Its ystar is 1 since at ystar = 1
+    the moved column 0 lies just below the column it faces, and
+    neighbouring columns of a staircase share a cell, so at the first column
+    c that overlaps for some ystar the moved column cannot lie wholly above
+    column c + dx.  Before the profile is made, ParameterError refuses n >=
+    16, whose (2^n - 1)^2 window sums pass Lemma 1's bound
+    ruler.MAX_WINDOW_WORK, and more than MAX_LEMMA2_COLUMNS columns m 2^n.
     """
     _check_disk_params(m, n, 2)
-    _check_windows(2**n - 1, 2**n - 1)
+    windows = (2**n - 1) ** 2  # Lemma 1's min(k_max, r_max) r_max at k_max = r_max = 2^n - 1
+    if windows > MAX_WINDOW_WORK:
+        raise ParameterError(f"lemma 2 at n = {n} takes {windows} window sums, more than {MAX_WINDOW_WORK}")
     cols = m * 2**n
     if cols > MAX_LEMMA2_COLUMNS:
-        raise ParameterError(f"lemma 2 check of {cols} columns, more than {MAX_LEMMA2_COLUMNS}")
+        raise ParameterError(f"lemma 2 at m = {m}, n = {n} reads {cols} columns, more than {MAX_LEMMA2_COLUMNS}")
     heights = np.fromiter(map(ruler_sum, range(2**n)), np.int64, 2**n)
     if heights[0] or np.diff(heights).min() < 1:
         raise ContractViolation("the bar heights S(i) do not start at 0 and rise by at least 1")
     lo, hi = _column_profile(m, n)
     if not len(lo) == len(hi) == cols:
         raise ContractViolation(f"the disk has {len(lo)} columns, not {cols}")
-    want_lo, want_hi = _staircase(heights, m)
-    off = np.flatnonzero((lo != want_lo) | (hi != want_hi))
-    if off.size:
-        raise ContractViolation(f"column {off[0]} of the disk is off the staircase of its bar heights")
+    # compared in place, bar i + 1 as row i of a (2^n, m) view, so no second
+    # profile is made: only one boolean per column and a temporary
+    bars = heights[:, None]
+    off = lo.reshape(-1, m) != bars
+    off[:, :-1] |= hi.reshape(-1, m)[:, :-1] != bars + 1
+    off[:, -1] |= hi[m - 1 :: m] != np.append(heights[1:], heights[-1]) + 1
+    if off.any():
+        raise ContractViolation(f"column {off.argmax()} of the disk is off the staircase of its bar heights")
     short = _first_short_window(heights, 2**n - 1)
     return None if short is None else Lemma2Case(m=m, n=n, r=short[0] + 1, xstar=1, ystar=1)
 

@@ -201,6 +201,12 @@ def test_lemma1_names_its_own_bound(capsys):
     assert capsys.readouterr() == ("", f"error: r_max must be an int in 1..{2**22}, got {2**22 + 1}\n")
 
 
+def test_lemma2_names_its_own_bound(capsys):
+    # refused by Lemma 1's window bound, lemma2 names n, not lemma1's flags
+    assert main(["lemma2", "-m", "16", "-n", "16"]) == 2
+    assert capsys.readouterr() == ("", "error: lemma 2 at n = 16 takes 4294836225 window sums, more than 1073741824\n")
+
+
 @pytest.mark.parametrize("dip", [None, 6, 100])
 @pytest.mark.parametrize("k_max, r_max", [(1, 1), (4, 8), (64, 512), (300, 300), (512, 4096), (1024, 65536)])
 def test_lemma1_line_is_the_library_verdict_on_a_built_table(monkeypatch, capsys, k_max, r_max, dip):
