@@ -4,6 +4,10 @@ Subcommands: build, verify, render, lemma1, lemma2.  Exit codes:
 
 * 0 for success/PASS;
 * 1 for a verification FAIL (verify at m < n - 1), or ConstructionBroken;
+  a FAIL of verify, with or without --json, also prints one ``first
+  overlap:`` line on stderr naming the first overlapping pair and, for a
+  pair (0, j), its level L = n + 1 - j and the shift (j - 1, L + 1) from
+  A_0's last level-L sub-copy to A_j's first;
 * 2 for usage or parameter errors (ParameterError, including m < 2, n > 20,
   m * 2^(n+1) >= 2^61, an SVG 2^61 px wide or tall or of more than 2^23
   rects (an (m, n) scene draws (n + 1)(2^(n+1) - 1)), lemma2 at n >= 16,
@@ -23,18 +27,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterator
 
 from .disk import build_disk
 from .errors import ConstructionBroken, ContractViolation, ParameterError
-from .placement import check_lemma2_exhaustive, place_translates
+from .placement import _facing_shift, check_lemma2_exhaustive, place_translates
 from .render import _svg_chunks
 from .ruler import _check_ruler_windows
 from .serial import _certificate_chunks, _chunks
-from .verify import PairVerdict, _verdict_totals, _verdicts
+from .verify import PairVerdict, _line_verdicts, _verdict_totals, _verdicts
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,21 +77,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     scene = place_translates(m, n)
     # each pair's verdict so far without its contacts: only the pair being written holds them
     verdicts: list[PairVerdict] = []
-    pairs = _verdicts(scene, verdicts, keep=False)
     totals = partial(_verdict_totals, n, verdicts)
 
     def summary() -> str:
         touching, ok = totals()
         return (
-            f"{'PASS' if ok else 'FAIL'} m={m} n={n}: {len(verdicts)} pairs checked, "
+            f"{'PASS' if ok else 'FAIL'} m={m} n={n}: {n * (n + 1) // 2} pairs checked, "
             f"{touching}/{n} translates touch A0"
         )
 
     if args.json is None:
-        deque(pairs, maxlen=0)  # the verdicts alone, nothing formatted
+        verdicts.extend(_line_verdicts(scene))  # the pairs the paper's proof leaves, nothing formatted
         _say(args, summary())
     else:
-        _write_out(args, _certificate_chunks(scene, pairs, totals), args.json, summary)
+        _write_out(args, _certificate_chunks(scene, _verdicts(scene, verdicts, keep=False), totals), args.json, summary)
+    first = next((v for v in verdicts if not v.interiors_disjoint), None)
+    if first is not None:
+        line = f"first overlap: pair ({first.i}, {first.j})"
+        if first.i == 0:  # the facing sub-copies are A_0's last and A_j's first of level n + 1 - j
+            level = n + 1 - first.j
+            shift = _facing_shift(first.j, level)
+            line += f" at level {level}, A{first.j}'s first sub-copy being A0's last moved by ({shift.dx}, {shift.dy})"
+        print(line, file=sys.stderr)
     return EXIT_OK if totals()[1] else EXIT_FAIL
 
 

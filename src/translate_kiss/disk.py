@@ -43,15 +43,12 @@ class Shape:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """Read-only (2^(n+1) - 1, 4) int64 rows [x0, y0, x1, y1] in path order:
-        bar i + 1 is [i m, S(i), (i + 1) m, S(i) + 1] and connector i rises
-        from S(i - 1) + 1 to S(i) + 1 in column i m - 1.  The array is in
-        Fortran order, so each of its four columns is contiguous."""
-        m, bars = self.m, 2**self.n
-        x, s = np.arange(bars, dtype=np.int64) * m, _ruler_sums(bars)
-        rows = np.empty((2 * bars - 1, 4), np.int64, order="F")
-        rows[0::2] = np.column_stack((x, s, x + m, s + 1))
-        rows[1::2] = np.column_stack((x[1:] - 1, s[:-1] + 1, x[1:], s[1:] + 1))
+        """Read-only (2^(n+1) - 1, 4) int64 rows [x0, y0, x1, y1] in path
+        order, _staircase_rows at the ruler sums S(i): bar i + 1 is [i m,
+        S(i), (i + 1) m, S(i) + 1] and connector i rises from S(i - 1) + 1 to
+        S(i) + 1 in column i m - 1.  The array is in Fortran order, so each
+        of its four columns is contiguous."""
+        rows = _staircase_rows(self.m, _ruler_sums(2**self.n))
         rows.flags.writeable = False
         return rows
 
@@ -97,6 +94,17 @@ def _check_disk_params(m: int, n: int, n_min: int = 0) -> None:
 def build_disk(m: int, n: int) -> Shape:
     """The (m, n) disk: ParameterError unless m >= 2, 0 <= n <= MAX_N, m 2^(n+1) < 2^61."""
     return Shape(m, n)
+
+
+def _staircase_rows(m: int, heights: np.ndarray) -> np.ndarray:
+    """The (2 len(heights) - 1, 4) int64 rows, in Fortran order, of the
+    staircase of bars of width m at the int64 heights H, in Shape.rows'
+    layout: bar i + 1 at H(i), connector i up to H(i) + 1."""
+    x, s = np.arange(len(heights), dtype=np.int64) * m, heights
+    rows = np.empty((2 * len(s) - 1, 4), np.int64, order="F")
+    rows[0::2] = np.column_stack((x, s, x + m, s + 1))
+    rows[1::2] = np.column_stack((x[1:] - 1, s[:-1] + 1, x[1:], s[1:] + 1))
+    return rows
 
 
 def _column_profile(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,20 +4,52 @@ The translates A_1..A_n follow the recursion: the leftmost level-(n+1-i)
 sub-copy of A_i coincides with the second such sub-copy of A_{i-1} shifted
 right by one and down by one.  Summed from A_1 at the origin, it puts A_i
 at (m (2^n - 2^(n+1-i)) + i - 1, 2 (2^n - 2^(n+1-i) - i + 1)), the closed
-form a Scene uses.  A_0 is A_1 shifted down by n+1.  The paper takes
-m >= n, so each pair witness's step j - i < n is in Lemma 2's range
-1..m - 1, but a Scene takes any m >= 2.
+form a Scene uses.  A_0 is A_1 shifted down by n+1.
 
-Argued, and checked by test_facing_reduction for 3 <= n <= 11: with
-L = n + 1 - j, A_j's first level-L sub-copy is A_0's last level-L sub-copy
-D moved by (j - 1, L + 1).  The rest of A_0 lies in columns left of D, and
-for j >= 2 the rest of A_j in columns right of D (for j = 1, D is all of
-A_0), so A_0 and A_j overlap iff the (m, L) disk overlaps its copy moved
-by (j - 1, L + 1).  Measured for 3 <= n <= 13 and 2 <= m <= n + 1, not
-proved: (0, j) overlaps iff L = n + 1 - j >= 2 and m + 1 <= j <= c(L) m + 1,
-c(L) = max{t : S(t - 1) <= L + 1} for the ruler prefix sum S, and no other
-pair does, so the construction passes iff m >= n - 1 (at m = n - 2 only
-(0, n - 1) overlaps; CI pins n = 16, 20).
+verify decides each pair by the paper's proof, and these arguments, on
+the rows the sweep reads (verify._Proof).  Let S be the ruler prefix sum.
+
+Pair (i, j), 1 <= i < j, s = j - i: A_j lies at the Lemma 2 offset (k m +
+s, S(k) - s) from A_i, k + 1 the bar_index of theorem_pair_witness.  Lemma
+2's reduction (check_lemma2_exhaustive) holds at every step x* >= 1, not
+only x* <= m - 1: column c of bar b faces a column of bar b + k or later,
+or from the bar's last column b + k + 1 or later, and S increases.  So if
+no window of k of the first 2^n - 1 terms falls short, A_i and A_j are
+disjoint, at every step.  For s >= 2 they have no contact either, since
+each contact would be an overlap at one of the steps (s +- 1, s +- 1), all
+Lemma 2 cases of the same k.  A corner contact is one at once.  In a
+staircase of bars at least 2 wide, the left neighbour of each column, or
+for a first column the right one, holds its bottom cell, and the right
+neighbour, or for a last column the left one, its top cell, so a contact
+across a horizontal edge is one too.  So is one across a vertical edge,
+unless both columns are single cells at one height, which would make them
+A_i's last column, at S(2^n - 1), and A_j's first, at S(k) - s, lower.
+
+Pair (0, j), L = n + 1 - j: A_j's first level-L sub-copy D' is A_0's last
+level-L sub-copy D moved by (j - 1, L + 1), by the closed form.  The cells
+of A_0 outside D lie left of column D.x0, A_j lies at column D.x0 + 1 or
+to the right of it, and the cells of A_j outside D' lie at column D.x1 + 1
+or to the right, except, at j = 2, the connector leaving D', whose bottom
+is L + 1 above D's top in column D.x1 (for j = 1, D is all of A_0).  So
+A_0 and A_j have exactly the contacts of the (m, L) disk and its copy
+moved by (j - 1, L + 1), and overlap iff those do, which is F(m, L, j -
+1).  F(m, L, s) is false for 0 <= s <= m - 1: each column of the copy is a
+column of the same bar or the bar before, raised by L + 1, so an overlap
+needs a connector of height at least L + 1, and ruler(i) <= L for i <
+2^L.  F(m, L, m) is true for L >= 2: the last column of bar 2^(L - 1)
+reaches S(2^(L - 1)) + 1, L + 2 above the bottom of the last column of the
+bar before, which the copy raises by only L + 1.  At L = 1 no bar with a
+connector has a bar before it, so F(m, 1, m) is false.
+
+So only pairs (0, j) with j - 1 >= m overlap, and the construction passes
+iff m >= n - 1: for m >= n every j - 1 <= m - 1, for m = n - 1 the pair
+with j - 1 = m has L = 1, and for m <= n - 2 the pair (0, m + 1) has L = n
+- m >= 2 (CI pins n = 16, 20); each A_j touches A_0 by
+verify_touching_heights' tallest run.  The paper takes m >= n, so each
+pair witness's step j - i < n is in Lemma 2's range 1..m - 1, but a Scene
+takes any m >= 2.  Measured for 3 <= n <= 13 and 2 <= m <= n + 1, not
+proved: (0, j) with L >= 2 and j >= m + 1 overlaps iff j <= c(L) m + 1,
+c(L) = max{t : S(t - 1) <= L + 1}.
 """
 
 from __future__ import annotations
@@ -81,6 +113,12 @@ class Lemma2Case:
 def place_translates(m: int, n: int) -> Scene:
     """The (m, n) scene, for n >= 2 and a disk's (m, n); it passes iff m >= n - 1 (measured)."""
     return Scene(m, n)
+
+
+def _facing_shift(j: int, level: int) -> Vec2:
+    """The shift (j - 1, level + 1) from A_0's last level-L sub-copy, L =
+    level = n + 1 - j, to A_j's first, which the facing reduction uses."""
+    return Vec2(j - 1, level + 1)
 
 
 def _last_ystar(n: int) -> int:

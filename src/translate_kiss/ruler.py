@@ -97,20 +97,35 @@ def _narrowed(sums: np.ndarray, k_top: int) -> np.ndarray:
     return sums.astype(lane, copy=False)
 
 
+def _short_window(lanes: np.ndarray, k: int, buffer: np.ndarray) -> int | None:
+    """The least r whose window lanes[r + k - 1] - lanes[r - 1] of k terms
+    falls below the prefix lanes[k] - lanes[0], or None: the windows are
+    subtracted into buffer, of at least len(lanes) - k entries in the lanes'
+    dtype, and r is located only when the smallest falls short."""
+    count = len(lanes)
+    windows = np.subtract(lanes[k:], lanes[: count - k], out=buffer[: count - k])
+    if windows.min() < windows[0]:
+        return int(np.argmax(windows < windows[0])) + 1
+    return None
+
+
 def _first_short_window(sums: np.ndarray, k_top: int) -> tuple[int, int] | None:
     """The first (k, r) in lexicographic order with k <= k_top whose window
     sums[r + k - 1] - sums[r - 1] falls below sums[k] - sums[0], or None.
 
-    sums is int64, more than k_top of them.  Each k's windows are subtracted
-    in the _narrowed lane into one reused buffer and compared with windows[0],
-    the prefix; r is located only when the smallest window falls short."""
+    sums is int64, more than k_top of them, and each k's windows are checked
+    by _short_window in the _narrowed lane with one reused buffer.  Only k
+    <= N / 2 is scanned, N = len(sums) - 1: if the window of k > N / 2 terms
+    from r falls short, r >= 2 and r + k - 1 <= N give r <= k, and removing
+    the terms r .. k it shares with the prefix leaves a short window of r -
+    1 <= N - k < k terms from k + 1, so the least short k is at most N / 2."""
+    k_top = min(k_top, (len(sums) - 1) // 2)
     lanes = _narrowed(sums, k_top)
-    count = len(lanes)
-    buffer = np.empty(count - 1, lanes.dtype)
+    buffer = np.empty(len(lanes) - 1, lanes.dtype)
     for k in range(1, k_top + 1):
-        windows = np.subtract(lanes[k:], lanes[: count - k], out=buffer[: count - k])
-        if windows.min() < windows[0]:
-            return k, int(np.argmax(windows < windows[0])) + 1
+        r = _short_window(lanes, k, buffer)
+        if r is not None:
+            return k, r
     return None
 
 

@@ -6,6 +6,7 @@ bit-free recursions, copy scans, the numpy calls a rewrite replaced), and
 each has one definition, here.
 """
 
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -311,6 +312,15 @@ def scan_pair_witness(scene, table, i, j):
         if Vec2(first * m, prefix_sum(first, table)) == target:
             return PairWitness(level, copy, first + 1, shift, shift)
     return None
+
+
+def swept_ends(m, n):
+    """(i, j, ends) for every pair of the (m, n) scene in combinations order,
+    each swept by disk._placed_ends on the disk's full rows, ends None on
+    interior overlap: the sweep that verify ran on every pair before the
+    paper's proof decided any."""
+    rows, offsets = build_disk(m, n).rows, placement.place_translates(m, n).offsets
+    return [(i, j, disk._placed_ends(rows, offsets[i], offsets[j])) for i, j in combinations(range(n + 1), 2)]
 
 
 def svg_by_rect(obj, unit_px):

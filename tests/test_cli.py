@@ -13,6 +13,7 @@ from translate_kiss import (
     ContactComponent,
     ContractViolation,
     Lemma2Case,
+    PairVerdict,
     ParameterError,
     PrefixTable,
     Rect,
@@ -129,7 +130,8 @@ def test_streamed_certificate_holds_less_than_its_file(tmp_path):
 @pytest.mark.parametrize("m, n", [(6, 6), (6, 8)], ids=["pass", "fail"])
 def test_streamed_verdicts_hold_no_contacts(tmp_path, monkeypatch, capsys, m, n, to_file):
     # the verdicts the CLI keeps for its totals hold no pair's contacts, only
-    # the fields the totals read, so the stream holds one pair's rows at a time
+    # the fields the totals read, so the stream holds one pair's rows at a
+    # time; the line alone comes from verify._line_verdicts and keeps none
     recorded = []
     verdicts = cli._verdicts
 
@@ -143,12 +145,15 @@ def test_streamed_verdicts_hold_no_contacts(tmp_path, monkeypatch, capsys, m, n,
     path = tmp_path / "cert.json"
     argv = ["verify", "-m", str(m), "-n", str(n)] + (["--json", str(path)] if to_file else [])
     assert main(argv) == (0 if cert.ok else 1)
+    assert capsys.readouterr().out == summary_line(cert)
+    if not to_file:
+        assert recorded == []
+        return
     assert all(type(v.__dict__["contacts"]) is tuple and v.contacts == () for v in recorded)
     fields = [(v.i, v.j, v.interiors_disjoint, v.segment_length_total) for v in recorded]
     assert fields == [(v.i, v.j, v.interiors_disjoint, v.segment_length_total) for v in cert.pair_verdicts]
     assert any(v.contacts for v in cert.pair_verdicts)
-    if to_file:
-        assert path.read_bytes() == serialize(cert)
+    assert path.read_bytes() == serialize(cert)
 
 
 def test_verify_quiet(capsys):
@@ -373,6 +378,32 @@ def test_fail_certificate_is_written_with_ok_false(capsys, tmp_path):
     assert data.endswith(b'"ok":false}\n')
     cert = parse(data)
     assert not cert.ok and [(v.i, v.j) for v in cert.pair_verdicts if not v.interiors_disjoint] == [(0, 4)]
+
+
+@pytest.mark.parametrize("to_stdout", [[], ["--json", "-"]], ids=["line", "json"])
+@pytest.mark.parametrize("m, n", [(8, 10), (3, 5), (9, 10)])
+def test_a_fail_names_its_first_overlap_on_stderr(capsysbinary, to_stdout, m, n):
+    # stdout keeps its line or certificate; stderr gets one line, naming the
+    # overlapping pair (0, j), its level L = n + 1 - j and the shift (j - 1,
+    # L + 1) between the facing sub-copies, and a PASS prints nothing there
+    cert = verify_construction(m, n)
+    assert main(["verify", "-m", str(m), "-n", str(n), *to_stdout]) == (0 if cert.ok else 1)
+    out, err = capsysbinary.readouterr()
+    assert out == (serialize(cert) if to_stdout else summary_line(cert).encode())
+    want = {
+        (8, 10): "first overlap: pair (0, 9) at level 2, A9's first sub-copy being A0's last moved by (8, 3)\n",
+        (3, 5): "first overlap: pair (0, 4) at level 2, A4's first sub-copy being A0's last moved by (3, 3)\n",
+        (9, 10): "",
+    }
+    assert err.decode() == want[m, n]
+
+
+def test_a_fail_between_later_translates_names_only_the_pair(monkeypatch, capsys):
+    # the facing sub-copies are A_0's, so a pair (i, j) with i >= 1 gets no level or shift
+    verdicts = [PairVerdict(0, j, True, (), 1) for j in range(1, 6)] + [PairVerdict(1, 3, False, (), 0)]
+    monkeypatch.setattr(cli, "_line_verdicts", lambda scene: verdicts)
+    assert main(["verify", "-m", "5", "-n", "5"]) == 1
+    assert capsys.readouterr().err == "first overlap: pair (1, 3)\n"
 
 
 HUGE = str(9 * 10**4299)  # 4300 digits, the most int() parses by default

@@ -13,7 +13,7 @@ from translate_kiss import (
     prefix_sum,
     ruler,
 )
-from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, _narrowed, _ruler_sums, ruler_sum
+from translate_kiss.ruler import MAX_TABLE_LIMIT, MAX_WINDOW_WORK, _first_short_window, _narrowed, _ruler_sums, ruler_sum
 
 from oracles import lemma1_first_failure, ruler_by_halving
 
@@ -129,6 +129,20 @@ class TestLemma1:
         table = PrefixTable(len(terms), (0, *accumulate(terms)))
         expected = lemma1_first_failure(k_max, r_max, terms)
         assert check_lemma1_exhaustive(k_max, r_max, table) == expected
+
+    def test_no_window_past_half_is_scanned(self):
+        # the least short window has k <= N / 2, N = len(sums) - 1, so only
+        # those k are scanned; in these random sequences it is often exactly
+        # floor(N / 2), which a scan one shorter would miss
+        rng = random.Random(0)
+        at_half = 0
+        for _ in range(2000):
+            r_max = rng.randint(2, 12)
+            terms = [rng.randint(0, 3) for _ in range(r_max)]
+            want = lemma1_first_failure(r_max, r_max, terms)
+            assert _first_short_window(np.array((0, *accumulate(terms)), np.int64), r_max) == want, terms
+            at_half += want is not None and want[0] == r_max // 2
+        assert at_half >= 100
 
     @pytest.mark.filterwarnings("error")
     def test_shifted_tables_match_the_oracle_on_every_lane(self):

@@ -4,6 +4,7 @@ import hashlib
 import pickle
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from translate_kiss import (
@@ -23,13 +24,14 @@ from translate_kiss import (
     render_svg,
     rightward_runs,
     serialize,
+    theorem_pair_witness,
     verify_construction,
     verify_touching_heights,
 )
 from translate_kiss import cli, disk, rect, render, verify
 from translate_kiss.ruler import ruler_sum
 
-from oracles import merge_lines, naive_contacts, tallest_by_max
+from oracles import merge_lines, naive_contacts, swept_ends, tallest_by_max
 
 # sha256 of serialize(verify_construction(m, n)), schema tk-1, for the
 # parameters of acceptance criterion 5, as the pure-Python rect sweep
@@ -197,8 +199,8 @@ class TestVerifyConstruction:
 
     @staticmethod
     def _disjoint_flags(m, n):
-        verdicts = verify._verdicts(place_translates(m, n), [], keep=False)
-        return [(v.i, v.j, v.interiors_disjoint) for v, _ in verdicts]
+        # every pair swept on the full rows, which the proof engine is held to
+        return [(i, j, ends is not None) for i, j, ends in swept_ends(m, n)]
 
     def test_overlap_bound(self):
         want = [3, 4, 4, 4, 5, 6, 6, 7, 8, 8, 8, 8, 9, 10, 10, 11, 12, 12, 12]
@@ -235,10 +237,159 @@ class TestVerifyConstruction:
             verify_construction(m + 1, n)
 
 
+def _fast_sweeps(m, n, also=()):
+    """The (rows, a, b) of each sweep that verify._verdicts makes of the (m,
+    n) scene, as its rows' length and the two offsets: A_0's last level-L
+    sub-copy, L = n + 1 - j, against A_j for each j, then the consecutive
+    pairs and the pairs in also on the full rows, in combinations order."""
+    offsets = place_translates(m, n).offsets
+    facing = [
+        (2 ** (n + 2 - j) - 1, offsets[0] + disk.sub_copy_offset(m, n, SubCopyRef(n + 1 - j, 2 ** (j - 1))), offsets[j])
+        for j in range(1, n + 1)
+    ]
+    full = [
+        (2 ** (n + 1) - 1, offsets[i], offsets[j])
+        for i, j in combinations(range(1, n + 1), 2)
+        if j == i + 1 or (i, j) in also
+    ]
+    return facing + full
+
+
+def _engine_run(monkeypatch, m, n):
+    """How verify_construction and verify._line_verdicts depart, on the (m, n)
+    scene, from swept_ends, the sweep of every pair on the full rows: the
+    names of the flags, ends and totals that differ, and the sweeps each
+    made, as _fast_sweeps gives them."""
+    want = swept_ends(m, n)
+    calls, placed_ends = [], verify._placed_ends
+
+    def recording(rows, a, b):
+        calls.append((len(rows), a, b))
+        return placed_ends(rows, a, b)
+
+    monkeypatch.setattr(verify, "_placed_ends", recording)
+    cert = verify_construction(m, n)
+    cert_calls = calls[:]
+    calls.clear()
+    line_verdicts = list(verify._line_verdicts(place_translates(m, n)))
+    first = next(((v.i, v.j) for v in line_verdicts if not v.interiors_disjoint), None)
+    line = (*verify._verdict_totals(n, line_verdicts), first)
+    monkeypatch.setattr(verify, "_placed_ends", placed_ends)
+    got = [(v.i, v.j, v.interiors_disjoint, verify._ends(v).tolist(), v.segment_length_total) for v in cert.pair_verdicts]
+    swept = [
+        (i, j, ends is not None, [] if ends is None else ends.tolist(), 0 if ends is None else int(rect._lengths(ends).sum()))
+        for i, j, ends in want
+    ]
+    touching = sum(1 for i, _, _, _, total in swept if i == 0 and total >= 1)
+    ok = all(flag for _, _, flag, _, _ in swept) and touching == n
+    first = next(((i, j) for i, j, ends in want if ends is None), None)
+    differ = [
+        name
+        for name, same in [
+            ("verdicts", got == swept),
+            ("totals", (cert.touching_count, cert.ok) == (touching, ok)),
+            ("line", line == (touching, ok, first)),
+        ]
+        if not same
+    ]
+    return differ, cert_calls, calls
+
+
+class TestProofEngine:
+    """verify decides a pair with i >= 1 by the Lemma 2 offset and Lemma 1's
+    windows, and A_0's pairs on their facing sub-disks; each test holds it to
+    swept_ends."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_engine_equals_the_full_sweep(self, monkeypatch, n):
+        # every pair of the 99 scenes 2 <= n <= 12, 2 <= m <= n + 3, FAIL
+        # scenes included: the same flags, ends and totals, with only A_0's
+        # facing sub-disks and the consecutive pairs swept
+        for m in range(2, n + 4):
+            differ, cert_calls, line_calls = _engine_run(monkeypatch, m, n)
+            assert differ == [], (m, n)
+            assert cert_calls == _fast_sweeps(m, n), (m, n)
+            assert line_calls == _fast_sweeps(m, n)[:n], (m, n)
+
+    def test_a_facing_shift_of_j_fails_the_differential_test(self, monkeypatch):
+        # a mutant that takes the facing shift to be (j, L + 1) finds no
+        # pair (0, j) at it, so A_0's pairs leave the facing sub-disks
+        monkeypatch.setattr(verify, "_facing_shift", lambda j, level: Vec2(j, level + 1))
+        _, cert_calls, line_calls = _engine_run(monkeypatch, 6, 6)
+        assert cert_calls != _fast_sweeps(6, 6) and line_calls != _fast_sweeps(6, 6)[:6]
+
+    @pytest.mark.parametrize("patch", [
+        lambda rows: rows + (0, 1, 0, 1),  # moved up one: H(0) = 1
+        lambda rows: rows - np.pad([[0, 1, 0, 0]], ((1, len(rows) - 2), (0, 0))),  # connector 1 starts a cell lower
+        # each even bar a cell lower, so every odd connector has height 0,
+        # though H(k) = S(k) at each even k, where the offsets read it
+        lambda rows: disk._staircase_rows(5, rows[0::2, 1] - np.arange(len(rows) // 2 + 1) % 2),
+        # bars 1 and 2 a cell higher: H(0) = 1, and H(k) = S(k) from k = 2 on,
+        # so pair (4, 5), at k = 2, would be taken one cell too high
+        lambda rows: disk._staircase_rows(5, rows[0::2, 1] + (np.arange(len(rows) // 2 + 1) < 2)),
+    ], ids=["moved-up", "connector-lowered", "flat-steps", "first-bars-up"])
+    def test_rows_off_the_staircase_are_all_swept(self, monkeypatch, patch):
+        m, n = 5, 5
+        rows = patch(build_disk(m, n).rows)
+        monkeypatch.setattr(disk.Shape, "rows", property(lambda shape: rows))
+        differ, cert_calls, line_calls = _engine_run(monkeypatch, m, n)
+        assert differ == []
+        offsets = place_translates(m, n).offsets
+        every = [(len(rows), offsets[i], offsets[j]) for i, j in combinations(range(n + 1), 2)]
+        assert cert_calls == line_calls == every
+
+    @pytest.mark.parametrize("moved", ["odd-bars-up", "last-bar-up", "late-bars-down"])
+    def test_a_staircase_of_other_heights(self, monkeypatch, moved):
+        # the disk's bars moved by one on the staircase of other heights H:
+        # every odd bar index up, so H(k) = S(k) at each even k, which the
+        # pair offsets and A_0's sub-copies use, and the proof decides every
+        # pair it decides on the ruler; the last up, which no sub-copy of A_0
+        # then repeats, so A_0's pairs are swept on the full rows; or those
+        # from 2^(n-1) on down, so later pairs sit off their Lemma 2 offsets
+        # and consecutive ones there overlap
+        m, n = 4, 6
+        index = np.arange(2**n)
+        heights = disk._ruler_sums(2**n) + {
+            "odd-bars-up": index % 2,
+            "last-bar-up": index == 2**n - 1,
+            "late-bars-down": np.where(index >= 2 ** (n - 1), -1, 0),
+        }[moved]
+        rows = disk._staircase_rows(m, heights)
+        monkeypatch.setattr(disk.Shape, "rows", property(lambda shape: rows))
+        differ, cert_calls, line_calls = _engine_run(monkeypatch, m, n)
+        assert differ == []
+        fast, offsets = _fast_sweeps(m, n), place_translates(m, n).offsets
+        if moved == "last-bar-up":
+            fast[:n] = [(len(rows), offsets[0], offsets[j]) for j in range(1, n + 1)]
+        if moved == "late-bars-down":
+            late = [(len(rows), offsets[i], offsets[i + 1]) for i in range(1, n) if theorem_pair_witness(m, n, i, i + 1).bar_index > 2 ** (n - 1)]
+            assert late and set(late) <= set(line_calls)
+            assert not verify_construction(m, n).ok
+        else:
+            assert cert_calls == fast and line_calls == fast[:n]
+
+    @pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
+    def test_a_short_window_sends_only_its_pairs_to_the_sweep(self, monkeypatch, pair):
+        # the helper reports a short window of k terms, k that of the pair's
+        # witness; each pair of the (6, 6) scene has its own k
+        m, n = 6, 6
+        ks = {(i, j): theorem_pair_witness(m, n, i, j).bar_index - 1 for i, j in combinations(range(1, n + 1), 2)}
+        short = verify._short_window
+        monkeypatch.setattr(verify, "_short_window", lambda lanes, k, buffer: 1 if k == ks[pair] else short(lanes, k, buffer))
+        differ, cert_calls, line_calls = _engine_run(monkeypatch, m, n)
+        assert differ == []
+        pairs = {p for p, k in ks.items() if k == ks[pair]}
+        assert cert_calls == _fast_sweeps(m, n, also=pairs)
+        offsets = place_translates(m, n).offsets
+        assert line_calls == _fast_sweeps(m, n)[:n] + [(2 ** (n + 1) - 1, offsets[i], offsets[j]) for i, j in sorted(pairs)]
+
+
 @pytest.mark.parametrize("m, n", [(5, 5), (4, 6)])
-def test_one_copy_of_the_rows_and_one_sweep_per_pair(tmp_path, monkeypatch, capsys, m, n):
+def test_one_copy_of_the_rows_for_every_reader(tmp_path, monkeypatch, capsys, m, n):
     # every reader of a scene's verdicts builds the disk's rows once and
-    # sweeps each pair once, in combinations order, on those rows
+    # sweeps, on those rows or a leading slice of them, only the pairs the
+    # proof leaves: A_0's facing sub-disks and, for a certificate, the
+    # consecutive pairs
     data = serialize(verify_construction(m, n))
     argv = ["verify", "-m", str(m), "-n", str(n)]
     runs = {
@@ -260,15 +411,16 @@ def test_one_copy_of_the_rows_and_one_sweep_per_pair(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(verify, "build_disk", counted_build)
     monkeypatch.setattr(verify, "_placed_ends", counted_ends)
-    offsets = place_translates(m, n).offsets
-    pairs = [(offsets[i], offsets[j]) for i, j in combinations(range(n + 1), 2)]
     for name, run in runs.items():
         builds.clear()
         swept.clear()
         run()
         assert len(builds) == 1, name
-        assert all(rows is builds[0].rows for rows, _, _ in swept), name
-        assert [(a, b) for _, a, b in swept] == pairs, name
+        full = builds[0].rows
+        assert all(rows.base is full or rows is full for rows, _, _ in swept), name
+        assert all(np.array_equal(rows, full[: len(rows)]) for rows, _, _ in swept), name
+        want = _fast_sweeps(m, n)[: n if name == "cli" else None]
+        assert [(len(rows), a, b) for rows, a, b in swept] == want, name
 
 
 @pytest.mark.parametrize("edit", [
