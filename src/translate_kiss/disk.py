@@ -9,9 +9,9 @@ by a connector.  A piece's role and index are its position in the path:
 piece k is bar k // 2 + 1 when k is even and connector k // 2 + 1 when k
 is odd.  The pieces are the rows of one int64 array computed in closed form
 from the ruler sums S(i) = 2i - popcount(i); Rect objects are made only for
-callers that ask for `pieces`.  The column profile and _placed_ends, the
-sweep of two placed copies that both verifiers call, rest on that layout
-and live here beside it.
+callers that ask for `pieces`.  _staircase_heights, the check that rows
+are that staircase, and _placed_ends, the sweep of two placed copies, both
+called by both verifiers, rest on that layout and live here beside it.
 """
 
 from __future__ import annotations
@@ -102,21 +102,24 @@ def _staircase_rows(m: int, heights: np.ndarray) -> np.ndarray:
     layout: bar i + 1 at H(i), connector i up to H(i) + 1."""
     x, s = np.arange(len(heights), dtype=np.int64) * m, heights
     rows = np.empty((2 * len(s) - 1, 4), np.int64, order="F")
-    rows[0::2] = np.column_stack((x, s, x + m, s + 1))
-    rows[1::2] = np.column_stack((x[1:] - 1, s[:-1] + 1, x[1:], s[1:] + 1))
+    # each column is contiguous, so it is filled in place, bars and
+    # connectors alternating, with no row-major temporary
+    for column, bar, connector in zip(rows.T, (x, s, x + m, s + 1), (x[1:] - 1, s[:-1] + 1, x[1:], s[1:] + 1)):
+        column[0::2], column[1::2] = bar, connector
     return rows
 
 
-def _column_profile(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell range [lo[c], hi[c]) of each unit column c of the (m, n) disk, as
-    Shape.rows lays it out, from the same ruler sums: bar i + 1 at height S(i),
-    and connector i (1 <= i < 2^n) in column i m - 1 up to S(i) + 1, so each
-    range is nonempty.  The caller checks m, n."""
-    sums = _ruler_sums(2**n)
-    lo = np.repeat(sums, m)
-    hi = lo + 1
-    hi[m - 1 :: m][:-1] = sums[1:] + 1
-    return lo, hi
+def _staircase_heights(rows: np.ndarray, m: int, n: int) -> np.ndarray | None:
+    """H, the bar heights rows[0::2, 1] of 2^n bars, if rows are exactly
+    _staircase_rows(m, H) with H(0) = 0 and every term H(i) - H(i - 1) at
+    least 1, as the ruler's are; else None.  It takes O(rows).  Both
+    verifiers check the disk's rows by it."""
+    if rows.shape != (2 ** (n + 1) - 1, 4):
+        return None
+    heights = rows[0::2, 1]
+    if heights[0] or np.diff(heights).min() < 1:
+        return None
+    return heights if np.array_equal(rows, _staircase_rows(m, heights)) else None
 
 
 def _x_window(m: int, count: int, x0, x1) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .disk import Shape, SubCopyRef, _placed_ends, _staircase_rows, build_disk, sub_copy_offset
+from .disk import Shape, SubCopyRef, _placed_ends, _staircase_heights, build_disk, sub_copy_offset
 from .errors import ContractViolation, _int_in
 from .placement import Scene, _facing_shift, place_translates
 from .rect import _NO_ENDS, ContactComponent, Vec2, _bulk, _lengths, _merge
@@ -73,18 +73,6 @@ class Certificate:
     pair_verdicts: tuple[PairVerdict, ...]
     touching_count: int
     ok: bool
-
-
-def _staircase_heights(rows: np.ndarray, m: int, n: int) -> Optional[np.ndarray]:
-    """H, the bar heights rows[0::2, 1] of 2^n bars, if rows are exactly
-    disk._staircase_rows(m, H) with H(0) = 0 and every term H(i) - H(i - 1)
-    at least 1, as the ruler's are; else None.  It takes O(rows)."""
-    if rows.shape != (2 ** (n + 1) - 1, 4):
-        return None
-    heights = rows[0::2, 1]
-    if heights[0] or np.diff(heights).min() < 1:
-        return None
-    return heights if np.array_equal(rows, _staircase_rows(m, heights)) else None
 
 
 class _Proof:

@@ -250,11 +250,16 @@ def rect_column_profile(rects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _built_profile(m, n):
+    """rect_column_profile of the rects of the disk that disk.build_disk gives."""
+    return rect_column_profile(_rect_array(disk.build_disk(m, n).rects()))
+
+
 def sweep_lemma2_exhaustive(m, n):
     """Per-case oracle: one rect sweep for each case of iter_lemma2_cases.
 
     It reads the disk through disk.build_disk, so a disk patched there
-    reaches this oracle; check_lemma2_exhaustive reads no disk."""
+    reaches this oracle, as it reaches check_lemma2_exhaustive."""
     rects = _rect_array(disk.build_disk(m, n).rects())
     for case in iter_lemma2_cases(m, n):
         off = case.offset
@@ -267,9 +272,9 @@ def pass_lemma2_exhaustive(m, n):
     """Per-(r, xstar) oracle: one numpy pass over the column profile for each
     bar r and step xstar, deciding every ystar of that one shift at once.
 
-    It reads placement._column_profile and placement.ruler_sum at call time,
-    so a profile or ruler patched there reaches this oracle too."""
-    lo, hi = placement._column_profile(m, n)
+    It reads the profile of disk.build_disk's rects and placement.ruler_sum
+    at call time, so a disk or ruler patched there reaches this oracle too."""
+    lo, hi = _built_profile(m, n)
     top = placement.ruler_sum(2**n - 1) + 2
     for r in range(1, 2**n + 1):
         base = placement.ruler_sum(r - 1)
@@ -289,7 +294,7 @@ def pass_every_step(m, n, steps):
     Lemma2Case's m - 1, and no cut at the last ystar: the first (r, x,
     ystar), in that order, for which the disk moved by ((r - 1) m + x,
     S(r - 1) - ystar) overlaps the disk, or None."""
-    lo, hi = placement._column_profile(m, n)
+    lo, hi = _built_profile(m, n)
     for r in range(1, 2**n + 1):
         base = placement.ruler_sum(r - 1)
         for x in range(1, steps + 1):

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from translate_kiss import (
@@ -33,7 +34,7 @@ from translate_kiss import (
     verify_construction,
     verify_touching_heights,
 )
-from translate_kiss import cli, placement
+from translate_kiss import cli, disk
 from translate_kiss.cli import main
 
 ruler_module = importlib.import_module("translate_kiss.ruler")  # the package's `ruler` is the function
@@ -284,13 +285,14 @@ def test_library_errors_map_to_exit_codes(monkeypatch, capsys, error, code):
 
 
 def test_lemma2_on_an_empty_column_exits_2_with_one_line(monkeypatch, capsys):
-    lo, hi = placement._column_profile(3, 3)
-    hi[4] = lo[4]
-    monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+    # bar 2 of the (3, 3) disk, [3, 1, 6, 2], with column 4 cut out of it
+    rows = np.insert(build_disk(3, 3).rows, 3, [5, 1, 6, 2], axis=0)
+    rows[2, 2] = 4
+    monkeypatch.setattr(disk.Shape, "rows", property(lambda shape: rows))
     assert main(["lemma2", "-m", "3", "-n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: column 4 of the disk is off the staircase of its bar heights\n"
+    assert captured.err == "error: the disk is not the staircase of the bar heights S(i) that the case offsets use\n"
 
 
 BIG = 10**5000  # more digits than int-to-str conversion allows

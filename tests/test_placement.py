@@ -26,7 +26,7 @@ from translate_kiss import (
     theorem_pair_witness,
     union_interiors_disjoint,
 )
-from translate_kiss import disk, placement, rect
+from translate_kiss import disk, placement
 from translate_kiss.rect import _rect_array
 
 from oracles import (
@@ -45,17 +45,18 @@ class FakeDisk:
 
     def __init__(self, pieces):
         self.pieces = tuple(pieces)
+        self.rows = _rect_array(self.pieces)
 
     def rects(self):
         return list(self.pieces)
 
 
 def patch_disk(monkeypatch, shape):
-    """Make shape the disk both Lemma 2 paths see: the sweep oracle through
-    disk.build_disk, the profile pass through its rect-derived column profile."""
-    monkeypatch.setattr(disk, "build_disk", lambda m, n: shape)
-    profile = rect_column_profile(_rect_array(shape.rects()))
-    monkeypatch.setattr(placement, "_column_profile", lambda m, n: profile)
+    """Make shape the disk that build_disk gives, so that the oracles, which
+    call disk.build_disk, and check_lemma2_exhaustive, which reads its rows,
+    all see it."""
+    for module in (disk, placement):
+        monkeypatch.setattr(module, "build_disk", lambda m, n: shape)
 
 
 def patch_sums(monkeypatch, sums):
@@ -63,7 +64,7 @@ def patch_sums(monkeypatch, sums):
     both read."""
     for module in (disk, placement):
         monkeypatch.setattr(module, "ruler_sum", sums.__getitem__)
-    # the disk's rows and column profile read their heights in one call
+    # the disk's rows read their heights in one call
     monkeypatch.setattr(disk, "_ruler_sums", lambda k: np.array(sums[:k], np.int64))
 
 
@@ -132,17 +133,18 @@ def patch_late_failure(monkeypatch):
 
 
 def patch_empty_column(monkeypatch):
-    """The (4, 3) disk's profile with column 5 empty; no rect has such a column."""
-    lo, hi = disk._column_profile(4, 3)
-    hi[5] = lo[5]
-    monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo, hi))
+    """The (4, 3) disk with column 5, inside bar 2, cut out of it."""
+    pieces = build_disk(4, 3).rects()
+    bar = pieces[2]
+    pieces[2:3] = [Rect(bar.x0, bar.y0, 5, bar.y1), Rect(6, bar.y0, bar.x1, bar.y1)]
+    patch_disk(monkeypatch, FakeDisk(pieces))
     return 4, 3
 
 
-# profiles off the staircase, each with the (r, xstar, ystar) both oracles
+# disks off the staircase, each with the (r, xstar, ystar) both oracles
 # find on it, "agree" where they are only held to each other, or None where
-# a test of its own compares them (shifted columns, lifted strips) or no
-# rect draws it (an empty column)
+# a test of its own compares them (shifted columns, lifted strips) or the
+# oracles' column profile refuses it (an empty column)
 NOT_STAIRCASES = [
     *(pytest.param(partial(patch_shifted_columns, seed=seed), None, id=f"shifted-{seed}") for seed in range(40)),
     *(pytest.param(partial(patch_free_heights, seed=seed), "agree", id=f"free-{seed}") for seed in range(40)),
@@ -252,26 +254,15 @@ class TestLemma2:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_closed_form_profile_matches_built_disk(self, n):
+        # the built disk is the staircase of the ruler sums, which
+        # check_lemma2_exhaustive's reduction needs
         for m in sorted({2, 3, n, n + 1, n + 2} - {1}):
-            lo, hi = disk._column_profile(m, n)
-            want_lo, want_hi = rect_column_profile(_rect_array(build_disk(m, n).rects()))
-            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
-            # check_lemma2_exhaustive's reduction holds only on nonempty columns
-            assert (hi > lo).all()
-
-    def test_no_disk_is_built(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("check_lemma2_exhaustive built or converted a disk")
-
-        # placement is patched too, in case it binds either name itself
-        for module in (disk, rect, placement):
-            for name in ("build_disk", "_rect_array"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
-        assert check_lemma2_exhaustive(5, 5) is None
+            heights = disk._staircase_heights(build_disk(m, n).rows, m, n)
+            assert heights is not None and np.array_equal(heights, disk._ruler_sums(2**n))
 
     def test_work_bound(self, monkeypatch):
         # (15, 15) runs; n = 16 is past Lemma 1's window bound and m > 2^20
-        # at n = 2 past the column cap, so the sentinel profile is never made
+        # at n = 2 past the column cap, so the sentinel disk is never built
         assert check_lemma2_exhaustive(15, 15) is None
 
         class Walked(Exception):
@@ -280,7 +271,7 @@ class TestLemma2:
         def walked(m, n):
             raise Walked
 
-        monkeypatch.setattr(placement, "_column_profile", walked)
+        monkeypatch.setattr(placement, "build_disk", walked)
         for m, n in ((2, 16), (2, 17)):
             with pytest.raises(ParameterError, match=f"^lemma 2 at n = {n} takes .* window sums"):
                 check_lemma2_exhaustive(m, n)
@@ -349,41 +340,40 @@ class TestLemma2:
     @pytest.mark.parametrize("patch, want", NOT_STAIRCASES)
     def test_a_profile_off_the_staircase_raises(self, monkeypatch, patch, want):
         m, n = patch(monkeypatch)
-        lo, hi = placement._column_profile(m, n)
-        real_lo, real_hi = disk._column_profile(m, n)
-        first = np.flatnonzero((lo != real_lo) | (hi != real_hi))[0]
-        with pytest.raises(ContractViolation, match=f"^column {first} of the disk is off the staircase"):
+        with pytest.raises(ContractViolation, match="^the disk is not the staircase of the bar heights S"):
             check_lemma2_exhaustive(m, n)
         if want is not None:  # both oracles read the patched disk
             got = pass_lemma2_exhaustive(m, n)
             assert got == sweep_lemma2_exhaustive(m, n)
             assert want == "agree" or (got.r, got.xstar, got.ystar) == want
 
-    def test_bar_heights_and_width_are_checked(self, monkeypatch):
-        # the reduction needs S(0) = 0, terms of at least 1 and m 2^n columns
+    def test_bar_heights_and_width_are_checked(self):
+        # the reduction needs S(0) = 0, terms of at least 1 and the rows of
+        # 2^n bars of width m
         for sums in ([0, 1, 1, 3], [1, 2, 4, 5]):
             with pytest.MonkeyPatch.context() as patched:
                 patch_sums(patched, sums)
-                with pytest.raises(ContractViolation, match="start at 0 and rise by at least 1"):
+                with pytest.raises(ContractViolation, match="not the staircase of the bar heights S"):
                     check_lemma2_exhaustive(2, 2)
-        lo, hi = disk._column_profile(2, 2)
-        monkeypatch.setattr(placement, "_column_profile", lambda m, n: (lo[:-1], hi[:-1]))
-        with pytest.raises(ContractViolation, match="7 columns, not 8"):
-            check_lemma2_exhaustive(2, 2)
+        rows = build_disk(2, 2).rows
+        for cut in (rows[:-1], rows[:-2], disk._staircase_rows(3, rows[0::2, 1])):
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(disk.Shape, "rows", property(lambda shape: cut))
+                with pytest.raises(ContractViolation, match="not the staircase of the bar heights S"):
+                    check_lemma2_exhaustive(2, 2)
 
     def test_memory_is_bounded_at_width(self):
-        # 2^20 columns: the profile, 16 bytes a column, is compared with its
-        # staircase in place, a boolean mask and its temporary beside it
-        m, n = 2**10, 10
-        profile_bytes = 2 * 8 * m * 2**n
-        tracemalloc.start()
-        try:
-            got = check_lemma2_exhaustive(m, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got is None
-        assert peak < 1.5 * profile_bytes
+        # 2^20 columns peak within 1.5 times 2^11 columns: the check reads
+        # the disk's 2^(n+1) - 1 rows, whose number does not grow with m
+        def peak(m, n):
+            tracemalloc.start()
+            try:
+                assert check_lemma2_exhaustive(m, n) is None
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2**10, 10) <= 1.5 * peak(2, 10)
 
     def test_column_with_a_gap_raises(self):
         # the rect-derived profile is the evidence that the built disk is

@@ -337,6 +337,9 @@ class TestProofEngine:
         offsets = place_translates(m, n).offsets
         every = [(len(rows), offsets[i], offsets[j]) for i, j in combinations(range(n + 1), 2)]
         assert cert_calls == line_calls == every
+        # Lemma 2's check reads the same rows and refuses them
+        with pytest.raises(ContractViolation, match="not the staircase of the bar heights S"):
+            check_lemma2_exhaustive(m, n)
 
     @pytest.mark.parametrize("moved", ["odd-bars-up", "last-bar-up", "late-bars-down"])
     def test_a_staircase_of_other_heights(self, monkeypatch, moved):
@@ -367,6 +370,10 @@ class TestProofEngine:
             assert not verify_construction(m, n).ok
         else:
             assert cert_calls == fast and line_calls == fast[:n]
+        # a staircase, but of heights other than the S(i) that Lemma 2's
+        # case offsets use, so its check refuses these rows
+        with pytest.raises(ContractViolation, match="not the staircase of the bar heights S"):
+            check_lemma2_exhaustive(m, n)
 
     @pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
     def test_a_short_window_sends_only_its_pairs_to_the_sweep(self, monkeypatch, pair):
